@@ -28,9 +28,9 @@
  *
  * Usage: bench_adaptive_adversary [--jobs N] [--smoke]
  *                                 [--ablate K=V[,K=V...]]
- * --ablate applies dotted adversary.* / rejuvenation.* /
- * resilience.* / domain.* overrides to every cell (the
- * ablation-matrix flags).
+ * --ablate applies NodeConfig key overrides (adversary.* /
+ * rejuvenation.* / resilience.* / domain.* and the rest of the
+ * registry) to every cell (the ablation-matrix flags).
  * --smoke shrinks the workload and self-checks: equal budgets, at
  * least one adaptive strategy strictly under the static attacker's
  * goodput, at least one caught re-infection, and at least one
@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "resilience/ablation.hh"
 #include "resilience/storm.hh"
 
 using namespace indra;
@@ -149,19 +148,20 @@ runCell(const AttackerSpec &a, resilience::RejuvenationTrigger policy,
         const std::vector<std::string> &ablations,
         benchutil::ObsCollector &collector, std::size_t cell_idx)
 {
-    resilience::ResilienceConfig rc = defenseConfig(policy);
     resilience::StormPlan plan = stormPlan(a, budget, legit_requests);
-    SystemConfig cfg = baseConfig();
+    core::NodeConfig node{baseConfig(), faults::FaultPlan(),
+                          defenseConfig(policy)};
     // Command-line overrides land on top of the matrix cell, so a
-    // single flag sweeps the whole table through a what-if (the full
-    // router also accepts domain.* keys).
-    resilience::applyAblationSettings(cfg, plan.adversary, rc,
-                                      ablations);
+    // single flag sweeps the whole table through a what-if; the
+    // cell's attacker round-trips through the node's adversary block.
+    node.adversary = plan.adversary;
+    core::applyNodeSettings(node, ablations);
+    plan.adversary = node.adversary;
 
     net::DaemonProfile profile = net::daemonByName("httpd");
     profile.instrPerRequest = 25000;
 
-    core::IndraSystem sys(core::NodeConfig{cfg, faults::FaultPlan(), rc});
+    core::IndraSystem sys(node);
     sys.attachTraceLog(collector.traceFor(cell_idx));
     sys.boot();
     std::size_t slot = sys.deployService(profile);
@@ -210,8 +210,8 @@ main(int argc, char **argv)
     std::string ablate_spec;
     cli.flag("--smoke", "CI-sized subset with self-checks", &smoke);
     cli.option("--ablate", "K=V[,K=V...]",
-               "dotted adversary.*/rejuvenation.*/resilience.*/"
-               "domain.* overrides applied to every cell",
+               "NodeConfig key overrides (adversary.*, rejuvenation.*, "
+               "resilience.*, domain.*, ...) applied to every cell",
                &ablate_spec);
     auto sweep = cli.parse(argc, argv);
 

@@ -48,11 +48,11 @@ using check::ShrinkResult;
 namespace
 {
 
+/** The value of option @p flag, or @p dflt when it was not given. */
 std::uint64_t
-parseU64(const std::string &text, std::uint64_t dflt)
+optionU64(const char *flag, const std::string &text, std::uint64_t dflt)
 {
-    return text.empty() ? dflt
-                        : std::strtoull(text.c_str(), nullptr, 10);
+    return text.empty() ? dflt : parseU64(flag, text);
 }
 
 /** One deterministic, grep-able line per scenario run. */
@@ -120,9 +120,9 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const std::uint64_t seedBase = parseU64(seedBaseOpt, 1);
+    const std::uint64_t seedBase = optionU64("--seed-base", seedBaseOpt, 1);
     const std::uint64_t nSeeds =
-        parseU64(seedsOpt, smoke ? 12 : 200);
+        optionU64("--seeds", seedsOpt, smoke ? 12 : 200);
     const std::uint64_t shrinkBudget = smoke ? 80 : 200;
     if (outPath.empty())
         outPath = "fuzz_reproducer.json";

@@ -13,6 +13,7 @@
 #include <functional>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -29,6 +30,7 @@
 #include "obs/trace_sinks.hh"
 #include "sim/config_reader.hh"
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 
 namespace indra::benchutil
 {
@@ -85,18 +87,8 @@ struct ClusterOptions
         if (nodesSpec.empty())
             return defaults;
         std::vector<std::uint32_t> out;
-        for (const std::string &tok : splitList(nodesSpec, "--nodes")) {
-            unsigned long v = 0;
-            std::size_t used = 0;
-            try {
-                v = std::stoul(tok, &used);
-            } catch (const std::exception &) {
-                used = 0;
-            }
-            fatal_if(used != tok.size() || v == 0,
-                     "--nodes wants positive integers, got '", tok, "'");
-            out.push_back(static_cast<std::uint32_t>(v));
-        }
+        for (const std::string &tok : splitList(nodesSpec, "--nodes"))
+            out.push_back(parseU32("--nodes", tok, 1));
         return out;
     }
 
@@ -108,10 +100,9 @@ struct ClusterOptions
             return defaults;
         std::vector<double> out;
         for (const std::string &tok : splitList(ratioSpec, "--ratio")) {
-            double v = parseDouble(tok, "--ratio");
-            fatal_if(v <= 0.0, "--ratio wants positive ratios, got '",
-                     tok, "'");
-            out.push_back(v);
+            out.push_back(parseF64("--ratio", tok, 0.0,
+                                   std::numeric_limits<double>::max(),
+                                   true));
         }
         return out;
     }
@@ -122,10 +113,7 @@ struct ClusterOptions
     {
         if (zipfSpec.empty())
             return fallback;
-        double v = parseDouble(zipfSpec, "--zipf");
-        fatal_if(v < 0.0, "--zipf wants a skew >= 0, got '", zipfSpec,
-                 "'");
-        return v;
+        return parseF64("--zipf", zipfSpec, 0.0);
     }
 
     /** Parse "--users 1000000"; @p fallback when absent. */
@@ -134,17 +122,7 @@ struct ClusterOptions
     {
         if (usersSpec.empty())
             return fallback;
-        unsigned long long v = 0;
-        std::size_t used = 0;
-        try {
-            v = std::stoull(usersSpec, &used);
-        } catch (const std::exception &) {
-            used = 0;
-        }
-        fatal_if(used != usersSpec.size() || v == 0,
-                 "--users wants a positive integer, got '", usersSpec,
-                 "'");
-        return v;
+        return parseU64("--users", usersSpec, 1);
     }
 
   private:
@@ -158,21 +136,6 @@ struct ClusterOptions
             out.push_back(tok);
         fatal_if(out.empty(), flag, " wants a comma-separated list");
         return out;
-    }
-
-    static double
-    parseDouble(const std::string &tok, const char *flag)
-    {
-        double v = 0.0;
-        std::size_t used = 0;
-        try {
-            v = std::stod(tok, &used);
-        } catch (const std::exception &) {
-            used = 0;
-        }
-        fatal_if(used != tok.size(), flag, " wants numbers, got '", tok,
-                 "'");
-        return v;
     }
 };
 

@@ -62,11 +62,11 @@ using rca::Reproducer;
 namespace
 {
 
+/** The value of option @p flag, or @p dflt when it was not given. */
 std::uint64_t
-parseU64(const std::string &text, std::uint64_t dflt)
+optionU64(const char *flag, const std::string &text, std::uint64_t dflt)
 {
-    return text.empty() ? dflt
-                        : std::strtoull(text.c_str(), nullptr, 10);
+    return text.empty() ? dflt : parseU64(flag, text);
 }
 
 std::vector<std::string>
@@ -282,7 +282,7 @@ main(int argc, char **argv)
 
     // ------------------------------------------------ plant-escape
     if (plantEscape) {
-        std::uint64_t seed = parseU64(seedBaseOpt, 1);
+        std::uint64_t seed = optionU64("--seed-base", seedBaseOpt, 1);
         Scenario sc = plantEscapeScenario(seed);
         CampaignResult res = rca::runCampaign(sc, rcfg);
         std::uint64_t escapes = 0;
@@ -320,15 +320,15 @@ main(int argc, char **argv)
     }
 
     // --------------------------------------------------- the sweep
-    const std::uint64_t seedBase = parseU64(seedBaseOpt, 1);
+    const std::uint64_t seedBase = optionU64("--seed-base", seedBaseOpt, 1);
     const std::uint64_t nSeeds =
-        parseU64(seedsOpt, smoke ? 50 : 20);
+        optionU64("--seeds", seedsOpt, smoke ? 50 : 20);
     std::vector<double> rates;
     for (const std::string &tok :
          splitList(ratesOpt.empty()
                        ? (smoke ? "0.5" : "0.1,0.5,1.0")
                        : ratesOpt))
-        rates.push_back(std::strtod(tok.c_str(), nullptr));
+        rates.push_back(parseF64("--rates", tok, 0.0, 1.0));
 
     const auto &kinds = faults::allFaultKinds();
     const std::size_t nCells = kinds.size() * rates.size() * nSeeds;

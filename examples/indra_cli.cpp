@@ -20,12 +20,10 @@
  *                         INDRA_JOBS; default hardware_concurrency,
  *                         1 = serial). Output is identical for any N.
  *
- * Everything else is a NodeConfig setting routed by dotted key
- * (core/node_config.hh): a SystemConfig field, faults.plan, or a
- * dotted adversary./rejuvenation./resilience./domain. ablation key,
- * e.g.:
+ * Everything else is a key of the NodeConfig registry
+ * (core/node_config.hh; --help lists every key), e.g.:
  *   checkpointScheme=virtual-checkpoint traceFifoEntries=16
- *   faults.plan=macro-corrupt:0.1 resilience.admission=0.75
+ *   faults.plan=macro-corrupt:0.1 resilience.queue_bound=8
  */
 
 #include <iomanip>
@@ -41,6 +39,7 @@
 #include "obs/stat_sinks.hh"
 #include "sim/config_reader.hh"
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 
 using namespace indra;
 
@@ -69,11 +68,11 @@ printHelp()
         "(parallel sweep)\n"
         "attacks: benign stack-smash code-injection func-ptr-hijack "
         "format-string dos-flood dormant\n\n"
-        "node keys are routed by dotted prefix: faults.plan=SPEC and\n"
-        "adversary./rejuvenation./resilience./domain. ablation keys\n"
-        "(see resilience/ablation.hh), plus the config keys:\n";
-    for (const auto &k : knownSettingKeys())
-        std::cout << "  " << k << "\n";
+        "node keys:\n";
+    for (const core::NodeSetting &s : core::nodeSettings()) {
+        std::cout << "  " << std::left << std::setw(36) << s.key
+                  << s.doc << " [" << s.syntax << "]\n";
+    }
 }
 
 std::vector<std::string>
@@ -189,16 +188,18 @@ main(int argc, char **argv)
         core::applyNodeSetting(node, key, arg.substr(eq + 1));
     }
 
+    auto u64Arg = [&](const std::string &key, const char *fallback) {
+        return parseU64("setting '" + key + "'",
+                        driverArg(args, key, fallback));
+    };
     auto daemons = splitDaemons(driverArg(args, "daemon", "httpd"));
-    std::uint64_t instr =
-        std::stoull(driverArg(args, "instr", "0"));
-    std::uint64_t requests =
-        std::stoull(driverArg(args, "requests", "20"));
-    std::uint64_t warmup = std::stoull(driverArg(args, "warmup", "2"));
+    std::uint64_t instr = u64Arg("instr", "0");
+    std::uint64_t requests = u64Arg("requests", "20");
+    std::uint64_t warmup = u64Arg("warmup", "2");
     std::string attack_name = driverArg(args, "attack", "benign");
-    std::uint64_t period =
-        std::stoull(driverArg(args, "attack_period", "0"));
-    bool dump_stats = driverArg(args, "stats", "0") == "1";
+    std::uint64_t period = u64Arg("attack_period", "0");
+    bool dump_stats =
+        parseBool("setting 'stats'", driverArg(args, "stats", "0"));
 
     node.system.print(std::cout);
 

@@ -15,6 +15,7 @@
 #include "net/daemon_profile.hh"
 #include "net/workload.hh"
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 
 using namespace indra;
 
@@ -41,10 +42,10 @@ main(int argc, char **argv)
     net::DaemonProfile profile =
         net::daemonByName(arg(args, "daemon", "httpd"));
     profile.instrPerRequest = 4000;  // small for inspection
-    std::uint64_t count = std::stoull(arg(args, "count", "200"));
+    std::uint64_t count = parseU64("count", arg(args, "count", "200"));
     net::AttackKind kind =
         net::attackKindFromName(arg(args, "attack", "benign"));
-    std::uint64_t seed = std::stoull(arg(args, "seed", "1"));
+    std::uint64_t seed = parseU64("seed", arg(args, "seed", "1"));
 
     net::ServiceApplication app(profile, seed, 4096);
     net::ServiceRequest req;

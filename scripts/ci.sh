@@ -7,18 +7,20 @@
 #                  storm smoke with its self-checks, and the obs
 #                  export smoke: --stats-json/--trace validation).
 #   ci-asan-ubsan  address+undefined sanitizers over the labelled
-#                  corruption paths: -L faults, resilience, harness,
-#                  obs, check, adversary (the differential-oracle
+#                  corruption paths and the config registry: -L
+#                  faults, resilience, harness, obs, check, adversary,
+#                  domain, cluster, rca, config (the differential-oracle
 #                  tests run with INDRA_CHECK=ON under both sanitizer
 #                  configs).
 #   ci-tsan        thread sanitizer over the parallel sweep harness,
 #                  the storm cells, and the per-cell trace logs:
-#                  -L harness, resilience, obs, check, adversary.
+#                  -L harness, resilience, obs, check, adversary,
+#                  domain, cluster, rca, config.
 #
-# The ci-release leg additionally runs scripts/perf_gate.sh (the
-# canonical bench_perf_kernel sweep, exported as BENCH_perf.json and
-# judged against bench/perf_baseline.json; >15% ops/sec regression on
-# any workload fails the pipeline), scripts/adversary_smoke.sh
+# The ci-release leg additionally runs the repository benchmark's
+# smoke gate, perfbench/gate.py --smoke (every BENCHMARK.json workload
+# at quarter size, untraced and traced, with its digest and schema
+# checks), scripts/adversary_smoke.sh
 # (the survivability matrix: --jobs 1/8 bit-identity of the closed
 # feedback loop plus a caught re-infection), scripts/domain_smoke.sh
 # (confined rewind vs full rejuvenation with the bench self-checks
@@ -54,12 +56,10 @@ for preset in "${presets[@]}"; do
     echo "=== [$preset] test"
     ctest --preset "$preset" -j "$jobs"
     if [ "$preset" = ci-release ]; then
-        # Perf regression gate: release timing only — sanitizer builds
-        # are order-of-magnitude slower and would only measure the
-        # instrumentation. Emits BENCH_perf.json, fails on a >15%
-        # ops/sec regression against bench/perf_baseline.json.
-        echo "=== [$preset] perf gate"
-        scripts/perf_gate.sh --build build-ci-release
+        # Benchmark smoke: perfbench builds its own optimized tree;
+        # sanitizer builds would only measure the instrumentation.
+        echo "=== [$preset] perfbench smoke"
+        python3 perfbench/gate.py --smoke
         echo "=== [$preset] adversary smoke"
         scripts/adversary_smoke.sh \
             build-ci-release/bench/bench_adaptive_adversary

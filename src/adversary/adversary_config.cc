@@ -3,48 +3,10 @@
 #include <array>
 #include <sstream>
 
-#include "sim/logging.hh"
+#include "sim/parse.hh"
 
 namespace indra::adversary
 {
-
-namespace
-{
-
-/** Whole-string strict parses: trailing garbage is a named error. */
-std::uint64_t
-parseU64(const std::string &key, const std::string &value)
-{
-    std::size_t pos = 0;
-    std::uint64_t v = 0;
-    try {
-        v = std::stoull(value, &pos);
-    } catch (const std::exception &) {
-        fatal("bad value '", value, "' for key '", key,
-              "': not an unsigned integer");
-    }
-    fatal_if(pos != value.size(), "bad value '", value, "' for key '",
-             key, "': trailing characters");
-    return v;
-}
-
-double
-parseF64(const std::string &key, const std::string &value)
-{
-    std::size_t pos = 0;
-    double v = 0;
-    try {
-        v = std::stod(value, &pos);
-    } catch (const std::exception &) {
-        fatal("bad value '", value, "' for key '", key,
-              "': not a number");
-    }
-    fatal_if(pos != value.size(), "bad value '", value, "' for key '",
-             key, "': trailing characters");
-    return v;
-}
-
-} // anonymous namespace
 
 const char *
 adversaryStrategyName(AdversaryStrategy s)
@@ -63,7 +25,7 @@ adversaryStrategyName(AdversaryStrategy s)
 }
 
 AdversaryStrategy
-adversaryStrategyFromName(const std::string &name)
+adversaryStrategyFromName(const std::string &name, const std::string &key)
 {
     static constexpr std::array<AdversaryStrategy,
                                 adversaryStrategyCount>
@@ -73,11 +35,8 @@ adversaryStrategyFromName(const std::string &name)
             AdversaryStrategy::Reinfect,
             AdversaryStrategy::LatencyTuner,
         };
-    for (AdversaryStrategy s : all) {
-        if (name == adversaryStrategyName(s))
-            return s;
-    }
-    fatal("unknown adversary strategy '", name, "'");
+    return parseEnum("setting '" + key + "'", "adversary strategy", name,
+                     all, adversaryStrategyName);
 }
 
 std::string
@@ -102,48 +61,6 @@ AdversaryConfig::describe() const
         break;
     }
     return os.str();
-}
-
-void
-applyAdversarySetting(AdversaryConfig &cfg, const std::string &key,
-                      const std::string &value)
-{
-    if (key == "adversary.strategy") {
-        cfg.strategy = adversaryStrategyFromName(value);
-        cfg.armed = true;
-    } else if (key == "adversary.budget") {
-        cfg.budget = parseU64(key, value);
-    } else if (key == "adversary.burst") {
-        std::uint64_t v = parseU64(key, value);
-        fatal_if(v == 0 || v > 0xffffffffULL, "bad value '", value,
-                 "' for key '", key, "': need 1..2^32-1");
-        cfg.burstLen = static_cast<std::uint32_t>(v);
-    } else if (key == "adversary.spacing") {
-        cfg.burstSpacing = parseU64(key, value);
-    } else if (key == "adversary.gap") {
-        std::uint64_t v = parseU64(key, value);
-        fatal_if(v == 0, "bad value '", value, "' for key '", key,
-                 "': gap must be positive");
-        cfg.baseGap = v;
-    } else if (key == "adversary.payload") {
-        cfg.payload = net::attackKindFromName(value);
-    } else if (key == "adversary.occupancy_fraction") {
-        double f = parseF64(key, value);
-        fatal_if(f < 0.0 || f > 1.0, "bad value '", value,
-                 "' for key '", key, "': need [0, 1]");
-        cfg.occupancyFraction = f;
-    } else if (key == "adversary.gap_factor") {
-        double f = parseF64(key, value);
-        fatal_if(f <= 0.0, "bad value '", value, "' for key '", key,
-                 "': factor must be positive");
-        cfg.gapFactor = f;
-    } else if (key == "adversary.min_gap") {
-        cfg.minGap = parseU64(key, value);
-    } else if (key == "adversary.reinfect_delay") {
-        cfg.reinfectDelay = parseU64(key, value);
-    } else {
-        fatal("unknown adversary setting '", key, "'");
-    }
 }
 
 } // namespace indra::adversary

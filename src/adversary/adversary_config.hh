@@ -5,22 +5,9 @@
  * occupancy, health transitions, shed decisions) and adapts its
  * attack schedule in response.
  *
- * Exposed as `adversary.*` ablation keys so strategy matrices fall
- * out of config alone (the rdma-dm-sim `index.ablations.*` idiom):
- *
- *   adversary.strategy            fixed | probe-burst | reinfect |
- *                                 latency-tuner (arming the switch)
- *   adversary.budget              total malicious requests to spend
- *   adversary.burst               requests per burst
- *   adversary.spacing             cycles between requests in a burst
- *   adversary.gap                 base inter-move gap, cycles
- *   adversary.payload             attack kind carried by bursts
- *   adversary.occupancy_fraction  probe-burst: fire when observed
- *                                 FIFO occupancy >= frac * high water
- *   adversary.gap_factor          latency-tuner: gap = estimate * f
- *   adversary.min_gap             latency-tuner: gap floor, cycles
- *   adversary.reinfect_delay      reinfect: plant delay after an
- *                                 observed revival, cycles
+ * Every knob is an `adversary.*` key of the NodeConfig registry
+ * (core/node_config.cc), so strategy matrices fall out of config
+ * alone (the rdma-dm-sim `index.ablations.*` idiom).
  *
  * A default-constructed AdversaryConfig is disarmed: the storm driver
  * then builds the classic precomputed attack timeline and every run
@@ -55,8 +42,13 @@ constexpr std::size_t adversaryStrategyCount = 4;
 /** Printable strategy name ("fixed", "probe-burst", ...). */
 const char *adversaryStrategyName(AdversaryStrategy s);
 
-/** Parse a strategy name; fatal (with the name) when unknown. */
-AdversaryStrategy adversaryStrategyFromName(const std::string &name);
+/**
+ * Parse a strategy name; unknown names are fatal, naming @p key and
+ * every valid name.
+ */
+AdversaryStrategy
+adversaryStrategyFromName(const std::string &name,
+                          const std::string &key = "adversary.strategy");
 
 /** Knobs of one closed-loop attacker. */
 struct AdversaryConfig
@@ -93,13 +85,6 @@ struct AdversaryConfig
     /** One-line render of the armed knobs (bench cell labels). */
     std::string describe() const;
 };
-
-/**
- * Apply one `adversary.*` setting. Unknown keys and malformed values
- * are fatal errors naming the offending key — never silently ignored.
- */
-void applyAdversarySetting(AdversaryConfig &cfg, const std::string &key,
-                           const std::string &value);
 
 } // namespace indra::adversary
 

@@ -1,6 +1,5 @@
 #include "check/scenario.hh"
 
-#include <array>
 #include <sstream>
 #include <utility>
 
@@ -8,34 +7,12 @@
 #include "check/json_reader.hh"
 #include "core/system.hh"
 #include "obs/json.hh"
+#include "sim/config_reader.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 
 namespace indra::check
 {
-
-namespace
-{
-
-CheckpointScheme
-schemeFromName(const std::string &name)
-{
-    static constexpr std::array<CheckpointScheme, 6> all = {
-        CheckpointScheme::None,
-        CheckpointScheme::DeltaBackup,
-        CheckpointScheme::VirtualCheckpoint,
-        CheckpointScheme::MemoryUpdateLog,
-        CheckpointScheme::SoftwareCheckpoint,
-        CheckpointScheme::DomainRewind,
-    };
-    for (CheckpointScheme s : all) {
-        if (name == checkpointSchemeName(s))
-            return s;
-    }
-    fatal("unknown checkpoint scheme '", name, "'");
-}
-
-} // anonymous namespace
 
 std::uint64_t
 Scenario::requestCount() const
@@ -135,8 +112,8 @@ Scenario::fromJson(const std::string &text)
     Scenario sc;
     sc.seed = doc.u64("seed", sc.seed);
     sc.daemon = doc.str("daemon", sc.daemon);
-    sc.scheme = schemeFromName(
-        doc.str("scheme", checkpointSchemeName(sc.scheme)));
+    sc.scheme = checkpointSchemeFromName(
+        doc.str("scheme", checkpointSchemeName(sc.scheme)), "scheme");
     sc.instrPerRequest =
         doc.u64("instr_per_request", sc.instrPerRequest);
     sc.macroPeriod = doc.u64("macro_period", sc.macroPeriod);
@@ -150,13 +127,14 @@ Scenario::fromJson(const std::string &text)
     sc.plantAtEpoch = doc.u64("plant_at_epoch", sc.plantAtEpoch);
     sc.adversaryBudget =
         doc.u64("adversary_budget", sc.adversaryBudget);
-    sc.adversaryStrategy = adversary::adversaryStrategyFromName(doc.str(
-        "adversary_strategy",
-        adversary::adversaryStrategyName(sc.adversaryStrategy)));
-    sc.rejuvenationTrigger =
-        resilience::rejuvenationTriggerFromName(doc.str(
-            "rejuvenation_trigger",
-            resilience::rejuvenationTriggerName(sc.rejuvenationTrigger)));
+    sc.adversaryStrategy = adversary::adversaryStrategyFromName(
+        doc.str("adversary_strategy",
+                adversary::adversaryStrategyName(sc.adversaryStrategy)),
+        "adversary_strategy");
+    sc.rejuvenationTrigger = resilience::rejuvenationTriggerFromName(
+        doc.str("rejuvenation_trigger",
+                resilience::rejuvenationTriggerName(sc.rejuvenationTrigger)),
+        "rejuvenation_trigger");
     // Absent in reproducer files written before the domain-rewind
     // scheme existed; those replay with the config default.
     sc.domainCount = static_cast<std::uint32_t>(
@@ -164,8 +142,8 @@ Scenario::fromJson(const std::string &text)
     if (const JsonValue *fs = doc.field("faults")) {
         for (const JsonValue &f : fs->items) {
             FaultSetting setting;
-            setting.kind =
-                faults::faultKindFromName(f.str("kind", "trace-drop"));
+            setting.kind = faults::faultKindFromName(
+                f.str("kind", "trace-drop"), "faults[].kind");
             setting.rate = f.num("rate", 0.0);
             setting.magnitude = f.u64("magnitude", 0);
             sc.faults.push_back(setting);
@@ -174,8 +152,8 @@ Scenario::fromJson(const std::string &text)
     if (const JsonValue *ss = doc.field("steps")) {
         for (const JsonValue &s : ss->items) {
             ScenarioStep step;
-            step.attack =
-                net::attackKindFromName(s.str("attack", "none"));
+            step.attack = net::attackKindFromName(
+                s.str("attack", "none"), "steps[].attack");
             step.repeat = static_cast<std::uint32_t>(
                 s.u64("repeat", 1));
             sc.steps.push_back(step);
@@ -380,7 +358,7 @@ runScenario(const Scenario &sc)
     if (sc.domainCount)
         cfg.domainCount = sc.domainCount;
 
-    core::IndraSystem sys(cfg, plan, rcfg);
+    core::IndraSystem sys(core::NodeConfig{cfg, plan, rcfg});
     SystemChecker checker(sys);
     PlantedBugSink plantedSink(checker, sys, sc.plantAtEpoch);
     sys.attachChecker(sc.plantAtEpoch

@@ -1,36 +1,23 @@
 /**
  * @file
  * NodeConfig: everything one revivable node is built from, in one
- * aggregate.
+ * aggregate, and the one key registry through which every setting
+ * reaches it.
  *
- * Historically a node was assembled from three positional configs —
- * IndraSystem(SystemConfig, FaultPlan, ResilienceConfig) — with the
- * adversary knobs riding separately on the StormPlan. A cluster of
- * nodes wants to stamp out many identical nodes from one value and
- * tweak any knob from config alone, so this aggregate folds all four
- * together and routes every setting through one dotted-key entry
- * point:
- *
- *   adversary.* / rejuvenation.* / resilience.* / domain.*
- *       the survivability ablation router (resilience/ablation.hh)
- *   faults.plan
- *       a FaultPlan::parse() spec ("kind:rate[:magnitude],...")
- *   rca.*
- *       the root-cause-analysis knobs (rca/rca_config.hh)
- *   everything else
- *       a SystemConfig field name (sim/config_reader.hh), e.g.
- *       "checkpointScheme=domain-rewind" or "traceFifoEntries=64"
- *
- * Unknown keys and malformed values are fatal errors naming the
- * offending key. A default NodeConfig builds exactly the node the
- * default three-argument constructor built: empty fault plan,
- * disarmed resilience, disarmed adversary — the zero-cost-when-off
- * contract is unchanged.
+ * Each NodeConfig field registers exactly one "key=value" key — its
+ * name, value syntax, one-line doc and typed setter with its range —
+ * in a single table (core/node_config.cc) over the strict parsers of
+ * sim/parse.hh. nodeSettings() lists the table (indra_cli --help
+ * prints it). Unknown keys and malformed values are fatal errors
+ * naming the offending key. A default NodeConfig is the default
+ * node: empty fault plan, disarmed resilience, disarmed adversary —
+ * the zero-cost-when-off contract.
  */
 
 #ifndef INDRA_CORE_NODE_CONFIG_HH
 #define INDRA_CORE_NODE_CONFIG_HH
 
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,9 +36,8 @@ struct NodeConfig
 {
     NodeConfig() = default;
     /**
-     * Wrap the historical positional triple, so call sites migrating
-     * from IndraSystem(cfg, plan, rcfg) spell NodeConfig{cfg, plan,
-     * rcfg} (or any prefix of it) without partial-aggregate warnings.
+     * Positional form NodeConfig{cfg, plan, rcfg} (or any prefix of
+     * it), without partial-aggregate warnings.
      */
     explicit NodeConfig(SystemConfig system_cfg,
                         faults::FaultPlan fault_plan = {},
@@ -78,15 +64,37 @@ struct NodeConfig
      * Root-cause-analysis knobs for fault campaigns over this node.
      * Like the adversary block, IndraSystem never reads these; the
      * rca campaign runner and its benches consume them, and they live
-     * here so `rca.*` routes through the same dotted-key entry point.
+     * here so the `rca.*` keys share the one registry.
      */
     rca::RcaConfig rca;
 };
 
+/** One registered key: the single way a value reaches its field. */
+struct NodeSetting
+{
+    std::string key;
+    /** Value syntax and range, e.g. "u32", "f64 in [0, 1]", "bool". */
+    std::string syntax;
+    /** One-line meaning. */
+    std::string doc;
+    /**
+     * A well-formed value just outside the declared range, or "" when
+     * the field's type is its only bound.
+     */
+    std::string outside;
+    /** Parse @p value into the field; fatal naming the key otherwise. */
+    std::function<void(NodeConfig &, const std::string &value)> apply;
+};
+
+/** Every registered key, grouped by family (the --help order). */
+const std::vector<NodeSetting> &nodeSettings();
+
+/** The registered key @p key, or nullptr. */
+const NodeSetting *findNodeSetting(const std::string &key);
+
 /**
- * Apply one dotted "key=value" setting to whichever member owns it
- * (see the file comment for the routing table). Unknown keys and
- * malformed values are fatal, naming @p key.
+ * Apply one "key=value" setting through the registry. Unknown keys
+ * and malformed values are fatal, naming @p key.
  */
 void applyNodeSetting(NodeConfig &node, const std::string &key,
                       const std::string &value);

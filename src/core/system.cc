@@ -19,21 +19,14 @@ constexpr std::uint64_t biosCopyBytes = 64ULL * 1024;
 } // anonymous namespace
 
 IndraSystem::IndraSystem(const NodeConfig &node)
-    : IndraSystem(node.system, node.faults, node.resilience)
-{
-}
-
-IndraSystem::IndraSystem(const SystemConfig &config,
-                         faults::FaultPlan plan,
-                         resilience::ResilienceConfig rcfg)
-    : cfg(config), resCfg(rcfg), statRoot("system")
+    : cfg(node.system), resCfg(node.resilience), statRoot("system")
 {
     cfg.validate();
     // An empty plan creates no injector at all: every consumer holds
     // a null pointer and runs the exact pre-fault-subsystem code path.
-    if (!plan.empty()) {
-        injectorPtr =
-            std::make_unique<faults::FaultInjector>(plan, statRoot);
+    if (!node.faults.empty()) {
+        injectorPtr = std::make_unique<faults::FaultInjector>(
+            node.faults, statRoot);
     }
     phys = std::make_unique<mem::PhysicalMemory>(cfg.physMemBytes,
                                                  cfg.pageBytes);

@@ -162,23 +162,6 @@ class IndraSystem : public os::KernelListener
      * them.
      */
     explicit IndraSystem(const NodeConfig &node);
-
-    /**
-     * Compatibility overload, deprecated in favor of the NodeConfig
-     * aggregate (every knob of which routes through one dotted-key
-     * entry point, core/node_config.hh).
-     *
-     * @param cfg  system configuration
-     * @param plan fault-injection plan; the default (empty) plan
-     *             creates no injector and leaves every simulation
-     *             bit-identical to a build without the subsystem
-     * @param rcfg overload-resilience knobs; the default (disarmed)
-     *             config creates no ServiceGuard and follows the same
-     *             zero-cost-when-off contract as the fault plan
-     */
-    explicit IndraSystem(const SystemConfig &cfg,
-                         faults::FaultPlan plan = {},
-                         resilience::ResilienceConfig rcfg = {});
     ~IndraSystem() override;
 
     IndraSystem(const IndraSystem &) = delete;

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 
 namespace indra::faults
 {
@@ -102,13 +103,10 @@ allFaultComponents()
 }
 
 FaultKind
-faultKindFromName(const std::string &name)
+faultKindFromName(const std::string &name, const std::string &key)
 {
-    for (FaultKind k : allFaultKinds()) {
-        if (name == faultKindName(k))
-            return k;
-    }
-    fatal("unknown fault kind '", name, "'");
+    return parseEnum("setting '" + key + "'", "fault kind", name,
+                     allFaultKinds(), faultKindName);
 }
 
 FaultPlan &
@@ -176,34 +174,18 @@ FaultPlan::parse(const std::string &text, std::uint64_t seed)
         std::string field;
         while (std::getline(cs, field, ':'))
             fields.push_back(field);
-        fatal_if(fields.size() < 2 || fields[1].empty(),
-                 "fault clause '", clause, "' needs kind:rate");
-        fatal_if(fields.size() > 3, "fault clause '", clause,
-                 "' has extra fields (want kind:rate[:magnitude])");
+        const std::string where =
+            "setting 'faults.plan': fault clause '" + clause + "'";
+        fatal_if(fields.size() < 2 || fields[1].empty(), where,
+                 " needs kind:rate");
+        fatal_if(fields.size() > 3, where,
+                 " has extra fields (want kind:rate[:magnitude])");
         FaultKind kind = faultKindFromName(fields[0]);
-        double rate = 0.0;
-        std::uint64_t magnitude = 0;
-        std::size_t pos = 0;
-        try {
-            rate = std::stod(fields[1], &pos);
-        } catch (const std::exception &) {
-            fatal("bad rate '", fields[1], "' in fault clause '",
-                  clause, "'");
-        }
-        fatal_if(pos != fields[1].size(), "bad rate '", fields[1],
-                 "' in fault clause '", clause,
-                 "': trailing characters");
-        if (fields.size() == 3 && !fields[2].empty()) {
-            try {
-                magnitude = std::stoull(fields[2], &pos);
-            } catch (const std::exception &) {
-                fatal("bad magnitude '", fields[2],
-                      "' in fault clause '", clause, "'");
-            }
-            fatal_if(pos != fields[2].size(), "bad magnitude '",
-                     fields[2], "' in fault clause '", clause,
-                     "': trailing characters");
-        }
+        double rate = parseF64(where + ": bad rate", fields[1], 0.0, 1.0);
+        std::uint64_t magnitude =
+            fields.size() == 3 && !fields[2].empty()
+                ? parseU64(where + ": bad magnitude", fields[2])
+                : 0;
         plan.add(kind, rate, magnitude);
     }
     return plan;

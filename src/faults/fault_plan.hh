@@ -48,8 +48,12 @@ constexpr std::size_t faultKindCount = 9;
 /** Printable fault-kind name ("trace-drop", "delta-flip", ...). */
 const char *faultKindName(FaultKind k);
 
-/** Parse a fault-kind name; fatal() if unknown. */
-FaultKind faultKindFromName(const std::string &name);
+/**
+ * Parse a fault-kind name; unknown names are fatal, naming @p key and
+ * every valid name.
+ */
+FaultKind faultKindFromName(const std::string &name,
+                            const std::string &key = "faults.plan");
 
 /** All kinds, in declaration order (campaign sweep axis). */
 const std::array<FaultKind, faultKindCount> &allFaultKinds();
@@ -106,7 +110,10 @@ class FaultPlan
   public:
     FaultPlan() = default;
 
-    /** Arm @p kind at @p rate (clamped to [0, 1]). */
+    /**
+     * Arm @p kind at @p rate (clamped to [0, 1] for programmatic
+     * callers; parse() rejects a rate outside it instead).
+     */
     FaultPlan &add(FaultKind kind, double rate,
                    std::uint64_t magnitude = 0);
 
@@ -128,8 +135,10 @@ class FaultPlan
 
     /**
      * Parse "kind:rate[:magnitude]" clauses separated by commas, e.g.
-     * "delta-flip:0.01,monitor-delay:0.2:50000". fatal() on a
-     * malformed clause.
+     * "delta-flip:0.01,monitor-delay:0.2:50000" (the faults.plan
+     * setting). A malformed clause, a rate that is not a finite number
+     * in [0, 1], or a magnitude that is not an unsigned integer is
+     * fatal, naming the clause.
      */
     static FaultPlan parse(const std::string &text,
                            std::uint64_t seed = 1);

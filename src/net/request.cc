@@ -1,22 +1,23 @@
 #include "net/request.hh"
 
-#include "sim/logging.hh"
+#include <array>
+
+#include "sim/parse.hh"
 
 namespace indra::net
 {
 
 AttackKind
-attackKindFromName(const std::string &name)
+attackKindFromName(const std::string &name, const std::string &key)
 {
-    for (AttackKind k :
-         {AttackKind::None, AttackKind::StackSmash,
-          AttackKind::CodeInjection, AttackKind::FuncPtrHijack,
-          AttackKind::FormatString, AttackKind::DosFlood,
-          AttackKind::Dormant}) {
-        if (name == attackKindName(k))
-            return k;
-    }
-    fatal("unknown attack kind '", name, "'");
+    static constexpr std::array<AttackKind, 7> all = {
+        AttackKind::None,          AttackKind::StackSmash,
+        AttackKind::CodeInjection, AttackKind::FuncPtrHijack,
+        AttackKind::FormatString,  AttackKind::DosFlood,
+        AttackKind::Dormant,
+    };
+    return parseEnum("setting '" + key + "'", "attack kind", name, all,
+                     attackKindName);
 }
 
 const char *

@@ -34,8 +34,12 @@ enum class AttackKind : std::uint8_t
 /** Printable attack name. */
 const char *attackKindName(AttackKind k);
 
-/** Parse an attack name ("stack-smash", ...); fatal if unknown. */
-AttackKind attackKindFromName(const std::string &name);
+/**
+ * Parse an attack name ("stack-smash", ...); unknown names are fatal,
+ * naming @p key and every valid name.
+ */
+AttackKind attackKindFromName(const std::string &name,
+                              const std::string &key = "attack");
 
 /**
  * Which violation each attack is expected to raise first (Table 2);

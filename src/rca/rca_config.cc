@@ -2,63 +2,8 @@
 
 #include <sstream>
 
-#include "sim/logging.hh"
-
 namespace indra::rca
 {
-
-namespace
-{
-
-bool
-parseBool(const std::string &key, const std::string &value)
-{
-    if (value == "1" || value == "true" || value == "on")
-        return true;
-    if (value == "0" || value == "false" || value == "off")
-        return false;
-    fatal("bad value '", value, "' for ", key,
-          " (want 0/1/true/false/on/off)");
-}
-
-std::uint64_t
-parseU64(const std::string &key, const std::string &value)
-{
-    unsigned long long v = 0;
-    std::size_t used = 0;
-    try {
-        v = std::stoull(value, &used);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    fatal_if(used != value.size(), "bad value '", value, "' for ", key,
-             " (want a non-negative integer)");
-    return v;
-}
-
-} // anonymous namespace
-
-void
-applyRcaSetting(RcaConfig &cfg, const std::string &key,
-                const std::string &value)
-{
-    if (key == "rca.replay") {
-        cfg.replay = parseBool(key, value);
-    } else if (key == "rca.memory_audit") {
-        cfg.memoryAudit = parseBool(key, value);
-    } else if (key == "rca.latency_slack") {
-        cfg.latencySlack = parseU64(key, value);
-    } else if (key == "rca.shrink_budget") {
-        cfg.shrinkBudget = parseU64(key, value);
-    } else if (key == "rca.max_reproducers") {
-        cfg.maxReproducers = parseU64(key, value);
-    } else {
-        fatal("unknown rca setting '", key,
-              "' (expected rca.replay, rca.memory_audit, "
-              "rca.latency_slack, rca.shrink_budget, or "
-              "rca.max_reproducers)");
-    }
-}
 
 std::string
 describeRcaConfig(const RcaConfig &cfg)

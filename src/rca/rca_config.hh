@@ -1,15 +1,13 @@
 /**
  * @file
- * RcaConfig: the root-cause-analysis knobs, routed through the
- * NodeConfig dotted-key entry point as "rca.*".
+ * RcaConfig: the root-cause-analysis knobs, set through the `rca.*`
+ * keys of the NodeConfig registry (core/node_config.cc).
  *
  * Lives in its own tiny library (indra_rca_config) so core's
  * NodeConfig can aggregate it without pulling the full rca subsystem
  * (which links check and the campaign machinery) into every node.
- * The contract matches every other key family: unknown keys and
- * malformed values are fatal errors naming the offending key, and the
- * defaults leave campaign behaviour unchanged — rca is an analysis
- * pass over runs, never a perturbation of them.
+ * The defaults leave campaign behaviour unchanged — rca is an
+ * analysis pass over runs, never a perturbation of them.
  */
 
 #ifndef INDRA_RCA_RCA_CONFIG_HH
@@ -62,15 +60,6 @@ struct RcaConfig
      */
     std::uint64_t maxReproducers = 0;
 };
-
-/**
- * Apply one "rca.key=value" setting. Accepted keys: rca.replay,
- * rca.memory_audit, rca.latency_slack, rca.shrink_budget,
- * rca.max_reproducers. Unknown keys and malformed values are fatal,
- * naming @p key.
- */
-void applyRcaSetting(RcaConfig &cfg, const std::string &key,
-                     const std::string &value);
 
 /** Render as "replay=1 memory_audit=1 ..." (for bench headers). */
 std::string describeRcaConfig(const RcaConfig &cfg);

@@ -132,7 +132,7 @@ reproducerFromJson(const std::string &text)
 
     check::JsonValue doc = check::parseJson(text);
     rep.kind = faults::faultKindFromName(
-        doc.str("rca_kind", faults::faultKindName(rep.kind)));
+        doc.str("rca_kind", faults::faultKindName(rep.kind)), "rca_kind");
     // Derived, not parsed: the component is a function of the kind,
     // and the sidecar key exists for human readers.
     rep.component = faults::componentOf(rep.kind);

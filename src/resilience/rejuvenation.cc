@@ -3,45 +3,13 @@
 #include <array>
 #include <sstream>
 
-#include "sim/logging.hh"
+#include "sim/parse.hh"
 
 namespace indra::resilience
 {
 
 namespace
 {
-
-std::uint64_t
-parseU64(const std::string &key, const std::string &value)
-{
-    std::size_t pos = 0;
-    std::uint64_t v = 0;
-    try {
-        v = std::stoull(value, &pos);
-    } catch (const std::exception &) {
-        fatal("bad value '", value, "' for key '", key,
-              "': not an unsigned integer");
-    }
-    fatal_if(pos != value.size(), "bad value '", value, "' for key '",
-             key, "': trailing characters");
-    return v;
-}
-
-double
-parseF64(const std::string &key, const std::string &value)
-{
-    std::size_t pos = 0;
-    double v = 0;
-    try {
-        v = std::stod(value, &pos);
-    } catch (const std::exception &) {
-        fatal("bad value '", value, "' for key '", key,
-              "': not a number");
-    }
-    fatal_if(pos != value.size(), "bad value '", value, "' for key '",
-             key, "': trailing characters");
-    return v;
-}
 
 // Suspicion weights: corruption beats a verdict beats a mere failure;
 // queue pressure is a weak tell on its own.
@@ -69,7 +37,8 @@ rejuvenationTriggerName(RejuvenationTrigger t)
 }
 
 RejuvenationTrigger
-rejuvenationTriggerFromName(const std::string &name)
+rejuvenationTriggerFromName(const std::string &name,
+                            const std::string &key)
 {
     static constexpr std::array<RejuvenationTrigger,
                                 rejuvenationTriggerCount>
@@ -79,11 +48,8 @@ rejuvenationTriggerFromName(const std::string &name)
             RejuvenationTrigger::Epoch,
             RejuvenationTrigger::Suspicion,
         };
-    for (RejuvenationTrigger t : all) {
-        if (name == rejuvenationTriggerName(t))
-            return t;
-    }
-    fatal("unknown rejuvenation trigger '", name, "'");
+    return parseEnum("setting '" + key + "'", "rejuvenation trigger",
+                     name, all, rejuvenationTriggerName);
 }
 
 std::string
@@ -109,38 +75,6 @@ RejuvenationConfig::describe() const
     return os.str();
 }
 
-void
-applyRejuvenationSetting(RejuvenationConfig &cfg, const std::string &key,
-                         const std::string &value)
-{
-    if (key == "rejuvenation.trigger") {
-        cfg.trigger = rejuvenationTriggerFromName(value);
-    } else if (key == "rejuvenation.period") {
-        std::uint64_t v = parseU64(key, value);
-        fatal_if(v == 0, "bad value '", value, "' for key '", key,
-                 "': period must be positive");
-        cfg.period = v;
-    } else if (key == "rejuvenation.epochs") {
-        std::uint64_t v = parseU64(key, value);
-        fatal_if(v == 0, "bad value '", value, "' for key '", key,
-                 "': epoch limit must be positive");
-        cfg.epochLimit = v;
-    } else if (key == "rejuvenation.threshold") {
-        double f = parseF64(key, value);
-        fatal_if(f <= 0.0, "bad value '", value, "' for key '", key,
-                 "': threshold must be positive");
-        cfg.suspicionThreshold = f;
-    } else if (key == "rejuvenation.decay") {
-        double f = parseF64(key, value);
-        fatal_if(f < 0.0, "bad value '", value, "' for key '", key,
-                 "': decay must be non-negative");
-        cfg.suspicionDecay = f;
-    } else if (key == "rejuvenation.cooldown") {
-        cfg.cooldown = parseU64(key, value);
-    } else {
-        fatal("unknown rejuvenation setting '", key, "'");
-    }
-}
 
 RejuvenationPolicy::RejuvenationPolicy(const RejuvenationConfig &cfg)
     : cfg(cfg)

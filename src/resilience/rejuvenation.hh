@@ -12,15 +12,8 @@
  *               failures, corruption detections, queue pressure;
  *               decayed by served requests) crosses a threshold
  *
- * Exposed as `rejuvenation.*` ablation keys so the policy matrix is
- * pure config:
- *
- *   rejuvenation.trigger    periodic | epoch | suspicion (arms)
- *   rejuvenation.period     periodic: cycles between restores
- *   rejuvenation.epochs     epoch: macro epochs between restores
- *   rejuvenation.threshold  suspicion: score that fires a restore
- *   rejuvenation.decay      suspicion: score drop per served request
- *   rejuvenation.cooldown   min cycles between proactive restores
+ * Every knob is a `rejuvenation.*` key of the NodeConfig registry
+ * (core/node_config.cc), so the policy matrix is pure config.
  *
  * The policy is a pure scorekeeper — the storm driver asks `due()`
  * and performs the actual restore through the recovery ladder. All
@@ -54,8 +47,13 @@ constexpr std::size_t rejuvenationTriggerCount = 4;
 /** Printable trigger name ("periodic", ...). */
 const char *rejuvenationTriggerName(RejuvenationTrigger t);
 
-/** Parse a trigger name; fatal (with the name) when unknown. */
-RejuvenationTrigger rejuvenationTriggerFromName(const std::string &name);
+/**
+ * Parse a trigger name; unknown names are fatal, naming @p key and
+ * every valid name.
+ */
+RejuvenationTrigger
+rejuvenationTriggerFromName(const std::string &name,
+                            const std::string &key = "rejuvenation.trigger");
 
 /** Knobs of one service's proactive-rejuvenation policy. */
 struct RejuvenationConfig
@@ -79,14 +77,6 @@ struct RejuvenationConfig
     /** One-line render of the armed knobs (bench cell labels). */
     std::string describe() const;
 };
-
-/**
- * Apply one `rejuvenation.*` setting. Unknown keys and malformed
- * values are fatal errors naming the offending key.
- */
-void applyRejuvenationSetting(RejuvenationConfig &cfg,
-                              const std::string &key,
-                              const std::string &value);
 
 /** The scorekeeper deciding when a proactive restore is due. */
 class RejuvenationPolicy

@@ -2,68 +2,8 @@
 
 #include <sstream>
 
-#include "sim/logging.hh"
-
 namespace indra::resilience
 {
-
-namespace
-{
-
-std::uint64_t
-parseU64(const std::string &key, const std::string &value)
-{
-    std::size_t pos = 0;
-    std::uint64_t v = 0;
-    try {
-        v = std::stoull(value, &pos);
-    } catch (const std::exception &) {
-        fatal("bad value '", value, "' for key '", key,
-              "': not an unsigned integer");
-    }
-    fatal_if(pos != value.size(), "bad value '", value, "' for key '",
-             key, "': trailing characters");
-    return v;
-}
-
-std::uint32_t
-parseU32(const std::string &key, const std::string &value)
-{
-    std::uint64_t v = parseU64(key, value);
-    fatal_if(v > 0xffffffffULL, "bad value '", value, "' for key '",
-             key, "': exceeds 32 bits");
-    return static_cast<std::uint32_t>(v);
-}
-
-double
-parseF64(const std::string &key, const std::string &value)
-{
-    std::size_t pos = 0;
-    double v = 0;
-    try {
-        v = std::stod(value, &pos);
-    } catch (const std::exception &) {
-        fatal("bad value '", value, "' for key '", key,
-              "': not a number");
-    }
-    fatal_if(pos != value.size(), "bad value '", value, "' for key '",
-             key, "': trailing characters");
-    return v;
-}
-
-/** Resolve the trailing "<class>" of a tokens./burst. key. */
-std::size_t
-classIndexFor(const std::string &key, const std::string &suffix)
-{
-    for (std::size_t c = 0; c < net::clientClassCount; ++c) {
-        if (suffix == net::clientClassName(
-                          static_cast<net::ClientClass>(c)))
-            return c;
-    }
-    fatal("unknown client class '", suffix, "' in key '", key, "'");
-}
-
-} // anonymous namespace
 
 bool
 ResilienceConfig::enabled() const
@@ -105,56 +45,6 @@ ResilienceConfig::describe() const
     if (rejuvenation.enabled())
         os << ",rj=" << rejuvenation.describe();
     return os.str();
-}
-
-void
-applyResilienceSetting(ResilienceConfig &cfg, const std::string &key,
-                       const std::string &value)
-{
-    if (key.rfind("rejuvenation.", 0) == 0) {
-        applyRejuvenationSetting(cfg.rejuvenation, key, value);
-        return;
-    }
-    static const std::string tokensPrefix = "resilience.tokens.";
-    static const std::string burstPrefix = "resilience.burst.";
-    if (key.rfind(tokensPrefix, 0) == 0) {
-        double f = parseF64(key, value);
-        fatal_if(f < 0.0, "bad value '", value, "' for key '", key,
-                 "': rate must be non-negative");
-        cfg.tokensPerMCycle[classIndexFor(
-            key, key.substr(tokensPrefix.size()))] = f;
-    } else if (key.rfind(burstPrefix, 0) == 0) {
-        double f = parseF64(key, value);
-        fatal_if(f < 0.0, "bad value '", value, "' for key '", key,
-                 "': burst must be non-negative");
-        cfg.tokenBurst[classIndexFor(
-            key, key.substr(burstPrefix.size()))] = f;
-    } else if (key == "resilience.queue_bound") {
-        cfg.queueBound = parseU32(key, value);
-    } else if (key == "resilience.fifo_high_water") {
-        cfg.fifoHighWater = parseU32(key, value);
-    } else if (key == "resilience.fifo_low_water") {
-        cfg.fifoLowWater = parseU32(key, value);
-    } else if (key == "resilience.degrade_violations") {
-        cfg.degradeViolations = parseU32(key, value);
-    } else if (key == "resilience.quarantine_fail_streak") {
-        cfg.quarantineFailStreak = parseU32(key, value);
-    } else if (key == "resilience.heal_served_streak") {
-        cfg.healServedStreak = parseU32(key, value);
-    } else if (key == "resilience.degrade_queue_fraction") {
-        double f = parseF64(key, value);
-        fatal_if(f < 0.0 || f > 1.0, "bad value '", value,
-                 "' for key '", key, "': need [0, 1]");
-        cfg.degradeQueueFraction = f;
-    } else if (key == "resilience.resource_pressure_pages") {
-        cfg.resourcePressurePages = parseU64(key, value);
-    } else if (key == "resilience.domain_heal_streak") {
-        cfg.domainHealStreak = parseU32(key, value);
-        fatal_if(cfg.domainHealStreak == 0, "bad value '", value,
-                 "' for key '", key, "': streak must be positive");
-    } else {
-        fatal("unknown resilience setting '", key, "'");
-    }
 }
 
 } // namespace indra::resilience

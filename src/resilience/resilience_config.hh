@@ -8,7 +8,8 @@
  * queue, rate limiter off, no watermarks): IndraSystem then creates no
  * ServiceGuard at all and every simulation is bit-identical to a
  * build without the subsystem — the same zero-cost-when-off contract
- * the fault-injection plan follows.
+ * the fault-injection plan follows. Every knob is a `resilience.*`
+ * key of the NodeConfig registry (core/node_config.cc).
  */
 
 #ifndef INDRA_RESILIENCE_CONFIG_HH
@@ -100,28 +101,6 @@ struct ResilienceConfig
     /** One-line render of the armed knobs (bench cell labels). */
     std::string describe() const;
 };
-
-/**
- * Apply one `resilience.*` or `rejuvenation.*` setting. Unknown keys
- * and malformed values are fatal errors naming the offending key —
- * never silently ignored. Recognized keys:
- *
- *   resilience.queue_bound              accept-queue bound (0 = off)
- *   resilience.fifo_high_water          backpressure engage mark
- *   resilience.fifo_low_water           drain mark (0 = high/2)
- *   resilience.degrade_violations       violations -> Degraded
- *   resilience.quarantine_fail_streak   fail streak -> Quarantined
- *   resilience.heal_served_streak       serve streak -> Healthy
- *   resilience.degrade_queue_fraction   pressure fraction [0, 1]
- *   resilience.resource_pressure_pages  heap-growth allowance
- *   resilience.domain_heal_streak       serves healing a domain
- *   resilience.tokens.<class>           refill / Mcycle (standard,
- *                                       bulk, probe)
- *   resilience.burst.<class>            bucket depth per class
- *   rejuvenation.*                      see rejuvenation.hh
- */
-void applyResilienceSetting(ResilienceConfig &cfg, const std::string &key,
-                            const std::string &value);
 
 } // namespace indra::resilience
 

@@ -1,11 +1,10 @@
 #include "sim/config_reader.hh"
 
-#include <cstdint>
+#include <array>
 #include <cstdlib>
-#include <functional>
-#include <map>
 
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 
 namespace indra
 {
@@ -13,151 +12,16 @@ namespace indra
 CheckpointScheme
 checkpointSchemeFromName(const std::string &name, const std::string &key)
 {
-    for (CheckpointScheme s :
-         {CheckpointScheme::None, CheckpointScheme::DeltaBackup,
-          CheckpointScheme::VirtualCheckpoint,
-          CheckpointScheme::MemoryUpdateLog,
-          CheckpointScheme::SoftwareCheckpoint,
-          CheckpointScheme::DomainRewind}) {
-        if (name == checkpointSchemeName(s))
-            return s;
-    }
-    fatal("setting '", key, "': unknown checkpoint scheme '", name,
-          "' (try delta-backup, virtual-checkpoint, "
-          "memory-update-log, software-checkpoint, domain-rewind, "
-          "none)");
-}
-
-namespace
-{
-
-std::uint64_t
-toU64(const std::string &key, const std::string &value)
-{
-    try {
-        return std::stoull(value);
-    } catch (...) {
-        fatal("setting '", key, "': '", value, "' is not a number");
-    }
-}
-
-bool
-toBool(const std::string &key, const std::string &value)
-{
-    if (value == "1" || value == "true" || value == "yes" ||
-        value == "on") {
-        return true;
-    }
-    if (value == "0" || value == "false" || value == "no" ||
-        value == "off") {
-        return false;
-    }
-    fatal("setting '", key, "': '", value, "' is not a boolean");
-}
-
-using Setter = std::function<void(SystemConfig &, const std::string &,
-                                  const std::string &)>;
-
-const std::map<std::string, Setter> &
-setters()
-{
-    auto u64 = [](auto field) {
-        return [field](SystemConfig &c, const std::string &k,
-                       const std::string &v) {
-            c.*field = static_cast<std::remove_reference_t<
-                decltype(c.*field)>>(toU64(k, v));
-        };
+    static constexpr std::array<CheckpointScheme, 6> all = {
+        CheckpointScheme::DeltaBackup,
+        CheckpointScheme::VirtualCheckpoint,
+        CheckpointScheme::MemoryUpdateLog,
+        CheckpointScheme::SoftwareCheckpoint,
+        CheckpointScheme::DomainRewind,
+        CheckpointScheme::None,
     };
-    auto boolean = [](auto field) {
-        return [field](SystemConfig &c, const std::string &k,
-                       const std::string &v) {
-            c.*field = toBool(k, v);
-        };
-    };
-
-    static const std::map<std::string, Setter> table = {
-        {"numResurrectees", u64(&SystemConfig::numResurrectees)},
-        {"fetchWidth", u64(&SystemConfig::fetchWidth)},
-        {"commitWidth", u64(&SystemConfig::commitWidth)},
-        {"coreClockMHz", u64(&SystemConfig::coreClockMHz)},
-        {"physMemBytes", u64(&SystemConfig::physMemBytes)},
-        {"traceFifoEntries", u64(&SystemConfig::traceFifoEntries)},
-        {"filterCamEntries", u64(&SystemConfig::filterCamEntries)},
-        {"codeOriginCheckCycles",
-         u64(&SystemConfig::codeOriginCheckCycles)},
-        {"callReturnCheckCycles",
-         u64(&SystemConfig::callReturnCheckCycles)},
-        {"ctrlTransferCheckCycles",
-         u64(&SystemConfig::ctrlTransferCheckCycles)},
-        {"recordDequeueCycles",
-         u64(&SystemConfig::recordDequeueCycles)},
-        {"backupLineBytes", u64(&SystemConfig::backupLineBytes)},
-        {"backupRecordFetchCycles",
-         u64(&SystemConfig::backupRecordFetchCycles)},
-        {"rollbackArmCycles", u64(&SystemConfig::rollbackArmCycles)},
-        {"pageRemapCycles", u64(&SystemConfig::pageRemapCycles)},
-        {"logUndoCycles", u64(&SystemConfig::logUndoCycles)},
-        {"logAppendCycles", u64(&SystemConfig::logAppendCycles)},
-        {"writeProtectFaultCycles",
-         u64(&SystemConfig::writeProtectFaultCycles)},
-        {"pageCopySetupCycles",
-         u64(&SystemConfig::pageCopySetupCycles)},
-        {"macroCheckpointPeriod",
-         u64(&SystemConfig::macroCheckpointPeriod)},
-        {"consecutiveFailureThreshold",
-         u64(&SystemConfig::consecutiveFailureThreshold)},
-        {"domainCount", u64(&SystemConfig::domainCount)},
-        {"domainRewindSetupCycles",
-         u64(&SystemConfig::domainRewindSetupCycles)},
-        {"recoveryInterruptCycles",
-         u64(&SystemConfig::recoveryInterruptCycles)},
-        {"serviceRestartCycles",
-         u64(&SystemConfig::serviceRestartCycles)},
-        {"rngSeed", u64(&SystemConfig::rngSeed)},
-        {"monitorEnabled", boolean(&SystemConfig::monitorEnabled)},
-        {"asymmetricMode", boolean(&SystemConfig::asymmetricMode)},
-        {"sharedResurrector",
-         boolean(&SystemConfig::sharedResurrector)},
-        {"eagerRollback", boolean(&SystemConfig::eagerRollback)},
-        {"checkpointScheme",
-         [](SystemConfig &c, const std::string &k,
-            const std::string &v) {
-             c.checkpointScheme = checkpointSchemeFromName(v, k);
-         }},
-    };
-    return table;
-}
-
-} // anonymous namespace
-
-bool
-applySetting(SystemConfig &cfg, const std::string &key,
-             const std::string &value)
-{
-    auto it = setters().find(key);
-    if (it == setters().end())
-        return false;
-    it->second(cfg, key, value);
-    return true;
-}
-
-void
-applySettings(SystemConfig &cfg, const std::vector<std::string> &args)
-{
-    for (const std::string &arg : args) {
-        auto eq = arg.find('=');
-        if (eq == std::string::npos)
-            continue;
-        std::string key = arg.substr(0, eq);
-        std::string value = arg.substr(eq + 1);
-        // Non-config keys (daemon=, requests=, ...) belong to the
-        // caller; only fail on keys that look like config fields.
-        if (!applySetting(cfg, key, value)) {
-            fatal_if(key.find("Cycles") != std::string::npos ||
-                         key.find("Entries") != std::string::npos,
-                     "unknown config setting '", key, "'");
-        }
-    }
+    return parseEnum("setting '" + key + "'", "checkpoint scheme", name,
+                     all, checkpointSchemeName);
 }
 
 namespace
@@ -166,15 +30,11 @@ namespace
 unsigned
 toJobs(const std::string &key, const std::string &value)
 {
-    // stoull() accepts a leading '-' and wraps, which would ask the
-    // thread pool for ~2^32 workers.
+    // A negative count is a mistake about meaning, not syntax.
     fatal_if(!value.empty() && value[0] == '-',
              "setting '", key, "': '", value,
              "' is not a valid worker count");
-    std::uint64_t n = toU64(key, value);
-    fatal_if(n > 1024, "setting '", key, "': ", n,
-             " workers is out of range (max 1024)");
-    return static_cast<unsigned>(n);
+    return parseU32("setting '" + key + "'", value, 0, 1024);
 }
 
 } // anonymous namespace
@@ -204,15 +64,6 @@ parseJobs(std::vector<std::string> &args)
         jobs = toJobs("--jobs", value);
     }
     return jobs;
-}
-
-std::vector<std::string>
-knownSettingKeys()
-{
-    std::vector<std::string> keys;
-    for (const auto &[k, fn] : setters())
-        keys.push_back(k);
-    return keys;
 }
 
 } // namespace indra

@@ -1,8 +1,9 @@
 /**
  * @file
- * key=value configuration parsing for SystemConfig, used by the CLI
- * driver and scriptable examples. Keys mirror the SystemConfig field
- * names (e.g.\ "traceFifoEntries=64 checkpointScheme=delta-backup").
+ * Command-line helpers shared by the drivers and benches: the
+ * checkpoint-scheme name parser and the --jobs knob. Every other
+ * "key=value" setting goes through the NodeConfig key registry
+ * (core/node_config.hh).
  */
 
 #ifndef INDRA_SIM_CONFIG_READER_HH
@@ -25,24 +26,6 @@ namespace indra
 CheckpointScheme
 checkpointSchemeFromName(const std::string &name,
                          const std::string &key = "checkpointScheme");
-
-/**
- * Apply one "key=value" setting.
- * @return true if the key was recognized.
- */
-bool applySetting(SystemConfig &cfg, const std::string &key,
-                  const std::string &value);
-
-/**
- * Apply every "key=value" token in @p args; tokens without '=' are
- * ignored (callers handle their own positional arguments). Unknown
- * keys are fatal so typos don't silently run a default config.
- */
-void applySettings(SystemConfig &cfg,
-                   const std::vector<std::string> &args);
-
-/** All recognized keys, for --help text. */
-std::vector<std::string> knownSettingKeys();
 
 /**
  * Extract the experiment-harness parallelism knob from @p args:

@@ -3,7 +3,7 @@
  * Tests for the adaptive-adversary layer and the proactive-
  * rejuvenation machinery it is paired against: the closed-loop
  * attacker's strategies and determinism contract, the dotted
- * `adversary.*` / `rejuvenation.*` / `resilience.*` ablation keys
+ * `adversary.*` / `rejuvenation.*` / `resilience.*` registry keys
  * (unknown keys and malformed values must die naming the key), the
  * client-backoff saturation boundary, and the HealthMonitor's
  * proactive transition paths.
@@ -18,7 +18,7 @@
 #include "adversary/adversary.hh"
 #include "adversary/adversary_config.hh"
 #include "net/request.hh"
-#include "resilience/ablation.hh"
+#include "core/node_config.hh"
 #include "resilience/health.hh"
 #include "resilience/rejuvenation.hh"
 #include "resilience/resilience_config.hh"
@@ -282,12 +282,13 @@ TEST(Adversary, LatencyTunerTracksRecoveryLatency)
 
 TEST(AblationKeys, AdversarySettingsApply)
 {
-    AdversaryConfig cfg;
-    applyAdversarySetting(cfg, "adversary.strategy", "reinfect");
-    applyAdversarySetting(cfg, "adversary.budget", "128");
-    applyAdversarySetting(cfg, "adversary.burst", "8");
-    applyAdversarySetting(cfg, "adversary.gap", "50000");
-    applyAdversarySetting(cfg, "adversary.reinfect_delay", "2500");
+    core::NodeConfig node;
+    AdversaryConfig &cfg = node.adversary;
+    core::applyNodeSetting(node, "adversary.strategy", "reinfect");
+    core::applyNodeSetting(node, "adversary.budget", "128");
+    core::applyNodeSetting(node, "adversary.burst", "8");
+    core::applyNodeSetting(node, "adversary.gap", "50000");
+    core::applyNodeSetting(node, "adversary.reinfect_delay", "2500");
     EXPECT_TRUE(cfg.enabled());
     EXPECT_EQ(cfg.strategy, AdversaryStrategy::Reinfect);
     EXPECT_EQ(cfg.budget, 128u);
@@ -298,51 +299,49 @@ TEST(AblationKeys, AdversarySettingsApply)
 
 TEST(AblationKeysDeathTest, UnknownKeysDieNamingTheKey)
 {
-    AdversaryConfig adv;
-    RejuvenationConfig rj;
-    ResilienceConfig rc;
-    EXPECT_DEATH(applyAdversarySetting(adv, "adversary.bogus", "1"),
+    core::NodeConfig node;
+    EXPECT_DEATH(core::applyNodeSetting(node, "adversary.bogus", "1"),
                  "adversary.bogus");
-    EXPECT_DEATH(applyRejuvenationSetting(rj, "rejuvenation.bogus", "1"),
+    EXPECT_DEATH(core::applyNodeSetting(node, "rejuvenation.bogus", "1"),
                  "rejuvenation.bogus");
-    EXPECT_DEATH(applyResilienceSetting(rc, "resilience.bogus", "1"),
+    EXPECT_DEATH(core::applyNodeSetting(node, "resilience.bogus", "1"),
                  "resilience.bogus");
-    EXPECT_DEATH(applyAblationSetting(adv, rc, "typo.budget", "1"),
+    EXPECT_DEATH(core::applyNodeSetting(node, "typo.budget", "1"),
                  "typo.budget");
 }
 
 TEST(AblationKeysDeathTest, MalformedValuesDieNamingTheKey)
 {
-    AdversaryConfig adv;
-    RejuvenationConfig rj;
-    EXPECT_DEATH(applyAdversarySetting(adv, "adversary.budget", "12x"),
+    core::NodeConfig node;
+    EXPECT_DEATH(core::applyNodeSetting(node, "adversary.budget", "12x"),
                  "adversary.budget");
-    EXPECT_DEATH(applyAdversarySetting(adv, "adversary.budget", "many"),
+    EXPECT_DEATH(core::applyNodeSetting(node, "adversary.budget", "many"),
                  "adversary.budget");
-    EXPECT_DEATH(applyAdversarySetting(adv, "adversary.burst", "0"),
+    EXPECT_DEATH(core::applyNodeSetting(node, "adversary.burst", "0"),
                  "adversary.burst");
-    EXPECT_DEATH(applyAdversarySetting(adv, "adversary.strategy",
-                                       "sneaky"),
+    EXPECT_DEATH(core::applyNodeSetting(node, "adversary.strategy",
+                                        "sneaky"),
                  "sneaky");
-    EXPECT_DEATH(applyAdversarySetting(adv,
-                                       "adversary.occupancy_fraction",
-                                       "1.5"),
+    EXPECT_DEATH(core::applyNodeSetting(node,
+                                        "adversary.occupancy_fraction",
+                                        "1.5"),
                  "adversary.occupancy_fraction");
-    EXPECT_DEATH(applyRejuvenationSetting(rj, "rejuvenation.period", "0"),
+    EXPECT_DEATH(core::applyNodeSetting(node, "rejuvenation.period", "0"),
                  "rejuvenation.period");
-    EXPECT_DEATH(applyRejuvenationSetting(rj, "rejuvenation.trigger",
-                                          "sometimes"),
+    EXPECT_DEATH(core::applyNodeSetting(node, "rejuvenation.trigger",
+                                        "sometimes"),
                  "sometimes");
 }
 
 TEST(AblationKeys, RouterDispatchesByPrefix)
 {
-    AdversaryConfig adv;
-    ResilienceConfig rc;
-    applyAblationSettings(adv, rc,
-                          {"adversary.strategy=probe-burst",
-                           "rejuvenation.trigger=suspicion",
-                           "resilience.queue_bound=12"});
+    core::NodeConfig node;
+    const AdversaryConfig &adv = node.adversary;
+    const ResilienceConfig &rc = node.resilience;
+    core::applyNodeSettings(node,
+                            {"adversary.strategy=probe-burst",
+                             "rejuvenation.trigger=suspicion",
+                             "resilience.queue_bound=12"});
     EXPECT_EQ(adv.strategy, AdversaryStrategy::ProbeBurst);
     EXPECT_EQ(rc.rejuvenation.trigger, RejuvenationTrigger::Suspicion);
     EXPECT_EQ(rc.queueBound, 12u);
@@ -350,9 +349,8 @@ TEST(AblationKeys, RouterDispatchesByPrefix)
 
 TEST(AblationKeysDeathTest, TokenWithoutEqualsDies)
 {
-    AdversaryConfig adv;
-    ResilienceConfig rc;
-    EXPECT_DEATH(applyAblationSettings(adv, rc, {"adversary.budget"}),
+    core::NodeConfig node;
+    EXPECT_DEATH(core::applyNodeSettings(node, {"adversary.budget"}),
                  "not key=value");
 }
 

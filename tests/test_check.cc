@@ -580,7 +580,7 @@ TEST(OracleEndToEnd, DormantDamageSurvivingRejuvenationIsFlagged)
     cfg.physMemBytes = 64ULL * 1024 * 1024;
     faults::FaultPlan plan;
     resilience::ResilienceConfig rcfg;
-    core::IndraSystem sys(cfg, plan, rcfg);
+    core::IndraSystem sys(core::NodeConfig{cfg, plan, rcfg});
     check::SystemChecker checker(sys);
     sys.attachChecker(&checker);
     sys.boot();

@@ -249,8 +249,9 @@ TEST(NodeConfigRouter, AppliesListsAndDiesOnGarbage)
 
 TEST(NodeConfigCompat, AggregateMatchesThreeArgCtor)
 {
-    // The deprecated 3-arg constructor and the NodeConfig aggregate
-    // build identical machines: same deterministic run, same report.
+    // The positional three-argument NodeConfig and one assembled
+    // member by member build identical machines: same deterministic
+    // run, same report.
     SystemConfig cfg;
     cfg.physMemBytes = 64ULL * 1024 * 1024;
     resilience::ResilienceConfig rc;
@@ -270,7 +271,10 @@ TEST(NodeConfigCompat, AggregateMatchesThreeArgCtor)
         std::size_t slot = sys.deployService(profile);
         return sys.runStorm(slot, plan);
     };
-    core::IndraSystem legacy(cfg, faults::FaultPlan(), rc);
+    core::NodeConfig members;
+    members.system = cfg;
+    members.resilience = rc;
+    core::IndraSystem legacy(members);
     core::IndraSystem aggregate(
         core::NodeConfig{cfg, faults::FaultPlan(), rc});
     resilience::StormReport a = runWith(legacy);

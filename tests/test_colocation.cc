@@ -59,7 +59,7 @@ imageOf(IndraSystem &sys, Pid pid)
 TEST(Colocation, TwoServicesTimeShareOneCore)
 {
     setLogVerbosity(0);
-    IndraSystem sys(coConfig());
+    IndraSystem sys(core::NodeConfig{coConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon("httpd"));
     std::size_t dns = sys.deployCoService(slot, shortDaemon("bind"));
@@ -79,7 +79,7 @@ TEST(Colocation, TwoServicesTimeShareOneCore)
 TEST(Colocation, AttackOnOneProcessLeavesTheOtherIntact)
 {
     setLogVerbosity(0);
-    IndraSystem sys(coConfig());
+    IndraSystem sys(core::NodeConfig{coConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon("httpd"));
     std::size_t dns = sys.deployCoService(slot, shortDaemon("bind"));
@@ -107,7 +107,7 @@ TEST(Colocation, AttackOnOneProcessLeavesTheOtherIntact)
 TEST(Colocation, MonitorMetadataIsPerProcess)
 {
     setLogVerbosity(0);
-    IndraSystem sys(coConfig());
+    IndraSystem sys(core::NodeConfig{coConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon("httpd"));
     std::size_t co = sys.deployCoService(slot, shortDaemon("imap"));
@@ -128,7 +128,7 @@ TEST(Colocation, MonitorMetadataIsPerProcess)
 TEST(Colocation, ContextSwitchChargedBetweenProcesses)
 {
     setLogVerbosity(0);
-    IndraSystem sys(coConfig());
+    IndraSystem sys(core::NodeConfig{coConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon("httpd"));
     std::size_t co = sys.deployCoService(slot, shortDaemon("bind"));
@@ -144,7 +144,7 @@ TEST(Colocation, ContextSwitchChargedBetweenProcesses)
 TEST(OpenLoop, ResponseIncludesQueueingBehindRecovery)
 {
     setLogVerbosity(0);
-    IndraSystem sys(coConfig());
+    IndraSystem sys(core::NodeConfig{coConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon("httpd", 20000));
 
@@ -174,7 +174,7 @@ TEST(OpenLoop, ResponseIncludesQueueingBehindRecovery)
 TEST(OpenLoop, SlowArrivalsMeanNoQueueing)
 {
     setLogVerbosity(0);
-    IndraSystem sys(coConfig());
+    IndraSystem sys(core::NodeConfig{coConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon("httpd", 20000));
     auto warm = sys.runScript(net::ClientScript::benign(2), slot);

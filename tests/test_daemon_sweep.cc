@@ -44,7 +44,7 @@ class DaemonSweep : public ::testing::TestWithParam<const char *>
 TEST_P(DaemonSweep, ServesBenignTraffic)
 {
     setLogVerbosity(0);
-    IndraSystem sys(sweepConfig());
+    IndraSystem sys(core::NodeConfig{sweepConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortProfile(GetParam()));
     auto outcomes = sys.runScript(net::ClientScript::benign(4), slot);
@@ -62,7 +62,7 @@ TEST_P(DaemonSweep, SurvivesEveryAttackClass)
          {AttackKind::StackSmash, AttackKind::CodeInjection,
           AttackKind::FuncPtrHijack, AttackKind::FormatString,
           AttackKind::DosFlood}) {
-        IndraSystem sys(sweepConfig());
+        IndraSystem sys(core::NodeConfig{sweepConfig()});
         sys.boot();
         std::size_t slot =
             sys.deployService(shortProfile(GetParam()));
@@ -89,7 +89,7 @@ TEST_P(DaemonSweep, SurvivesEveryAttackClass)
 TEST_P(DaemonSweep, RecoveryIsByteExact)
 {
     setLogVerbosity(0);
-    IndraSystem sys(sweepConfig());
+    IndraSystem sys(core::NodeConfig{sweepConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortProfile(GetParam()));
     sys.runScript(net::ClientScript::benign(2), slot);

@@ -29,7 +29,7 @@ run(const SystemConfig &cfg, std::uint64_t requests,
 {
     net::DaemonProfile profile = net::daemonByName("httpd");
     profile.instrPerRequest = 20000;
-    IndraSystem sys(cfg);
+    IndraSystem sys(core::NodeConfig{cfg});
     sys.boot();
     std::size_t slot = sys.deployService(profile);
     auto script = period

@@ -19,7 +19,7 @@
 #include "net/daemon_profile.hh"
 #include "net/request.hh"
 #include "os/domain_map.hh"
-#include "resilience/ablation.hh"
+#include "core/node_config.hh"
 #include "resilience/domain_health.hh"
 #include "resilience/resilience_config.hh"
 #include "resilience/storm.hh"
@@ -225,7 +225,7 @@ TEST(DomainHealth, ZeroHealStreakClampsToOne)
 
 TEST(DomainRewind, AttackRewindsOnlyTheAttributedDomain)
 {
-    core::IndraSystem sys(domainSystemConfig());
+    core::IndraSystem sys(core::NodeConfig{domainSystemConfig()});
     std::size_t slot = deployHttpd(sys);
 
     // Touch every domain so ownership is spread around.
@@ -266,7 +266,7 @@ TEST(DomainRewind, AttackRewindsOnlyTheAttributedDomain)
 
 TEST(DomainRewind, CrossDomainAttackEscalatesPastTheRewind)
 {
-    core::IndraSystem sys(domainSystemConfig());
+    core::IndraSystem sys(core::NodeConfig{domainSystemConfig()});
     std::size_t slot = deployHttpd(sys);
     for (std::uint64_t seq = 1; seq <= 4; ++seq)
         sys.processRequest(slot, requestIn(seq, seq % 4));
@@ -283,7 +283,7 @@ TEST(DomainRewind, CrossDomainAttackEscalatesPastTheRewind)
 
 TEST(DomainRewind, RewindHealsDormantDamageInTheAttributedDomain)
 {
-    core::IndraSystem sys(domainSystemConfig());
+    core::IndraSystem sys(core::NodeConfig{domainSystemConfig()});
     std::size_t slot = deployHttpd(sys);
 
     // Plant dormant damage in domain 3, then fail there: attribution
@@ -302,7 +302,7 @@ TEST(DomainRewind, RewindHealsDormantDamageInTheAttributedDomain)
 
 TEST(DomainRewind, UnassignedRequestsFallBackToSeqRoundRobin)
 {
-    core::IndraSystem sys(domainSystemConfig());
+    core::IndraSystem sys(core::NodeConfig{domainSystemConfig()});
     std::size_t slot = deployHttpd(sys);
     net::ServiceRequest req;
     req.seq = 6;  // 6 % 4 == domain 2
@@ -315,7 +315,7 @@ TEST(DomainRewind, OtherSchemesReportNoDomainActivity)
 {
     SystemConfig cfg = domainSystemConfig();
     cfg.checkpointScheme = CheckpointScheme::DeltaBackup;
-    core::IndraSystem sys(cfg, {}, armedResilience());
+    core::IndraSystem sys(core::NodeConfig{cfg, {}, armedResilience()});
     std::size_t slot = deployHttpd(sys);
     // The per-domain board only exists under the domain scheme.
     ASSERT_NE(sys.slot(slot).guard, nullptr);
@@ -329,7 +329,8 @@ TEST(DomainRewind, OtherSchemesReportNoDomainActivity)
 
 TEST(DomainStorm, ReinfectAdversaryIsRewoundWithNoDormantSurvivors)
 {
-    core::IndraSystem sys(domainSystemConfig(), {}, armedResilience());
+    core::IndraSystem sys(
+        core::NodeConfig{domainSystemConfig(), {}, armedResilience()});
     std::size_t slot = deployHttpd(sys);
     resilience::StormReport rep = sys.runStorm(slot, reinfectStorm());
     EXPECT_GE(rep.domainRewinds, 1u);
@@ -346,7 +347,7 @@ TEST(DomainStorm, ReportIsBitIdenticalAcrossSweepJobs)
         return sweep.run(4, [](std::size_t i) {
             SystemConfig cfg = domainSystemConfig(
                 2 + 2 * static_cast<std::uint32_t>(i));
-            core::IndraSystem sys(cfg, {}, armedResilience());
+            core::IndraSystem sys(core::NodeConfig{cfg, {}, armedResilience()});
             std::size_t slot = deployHttpd(sys);
             return sys.runStorm(slot, reinfectStorm());
         });
@@ -362,11 +363,12 @@ TEST(DomainStorm, ReportIsBitIdenticalAcrossSweepJobs)
 
 TEST(DomainAblation, FullRouterAppliesDomainKeys)
 {
-    SystemConfig sys;
-    adversary::AdversaryConfig adv;
-    resilience::ResilienceConfig rc;
-    resilience::applyAblationSettings(
-        sys, adv, rc,
+    core::NodeConfig node;
+    const SystemConfig &sys = node.system;
+    const adversary::AdversaryConfig &adv = node.adversary;
+    const resilience::ResilienceConfig &rc = node.resilience;
+    core::applyNodeSettings(
+        node,
         {"domain.count=8", "domain.rewind_setup_cycles=123",
          "domain.heal_streak=9", "adversary.budget=5"});
     EXPECT_EQ(sys.domainCount, 8u);
@@ -375,31 +377,16 @@ TEST(DomainAblation, FullRouterAppliesDomainKeys)
     EXPECT_EQ(adv.budget, 5u);
 }
 
-TEST(DomainAblationDeathTest, TwoConfigRouterRefusesDomainKeys)
-{
-    adversary::AdversaryConfig adv;
-    resilience::ResilienceConfig rc;
-    EXPECT_DEATH(
-        resilience::applyAblationSetting(adv, rc, "domain.count", "4"),
-        "SystemConfig");
-}
-
 TEST(DomainAblationDeathTest, UnknownDomainKeyDiesListingValidOnes)
 {
-    SystemConfig sys;
-    adversary::AdversaryConfig adv;
-    resilience::ResilienceConfig rc;
-    EXPECT_DEATH(resilience::applyAblationSetting(
-                     sys, adv, rc, "domain.bogus", "1"),
+    core::NodeConfig node;
+    EXPECT_DEATH(core::applyNodeSetting(node, "domain.bogus", "1"),
                  "count, rewind_setup_cycles, heal_streak");
 }
 
 TEST(DomainAblationDeathTest, ZeroHealStreakDies)
 {
-    SystemConfig sys;
-    adversary::AdversaryConfig adv;
-    resilience::ResilienceConfig rc;
-    EXPECT_DEATH(resilience::applyAblationSetting(
-                     sys, adv, rc, "domain.heal_streak", "0"),
+    core::NodeConfig node;
+    EXPECT_DEATH(core::applyNodeSetting(node, "domain.heal_streak", "0"),
                  "heal_streak");
 }

@@ -355,7 +355,7 @@ TEST(FaultRelease, FailedReleasesLeakButStayRetryable)
 
 TEST(FaultSystem, EmptyPlanCreatesNoInjector)
 {
-    core::IndraSystem sys(faultTestConfig());
+    core::IndraSystem sys(core::NodeConfig{faultTestConfig()});
     EXPECT_EQ(sys.faultInjector(), nullptr);
 }
 
@@ -363,7 +363,7 @@ TEST(FaultSystem, DeltaFlipEscalatesMicroToMacro)
 {
     FaultPlan plan;
     plan.add(FaultKind::DeltaFlip, 1.0).setSeed(23);
-    core::IndraSystem sys(faultTestConfig(), plan);
+    core::IndraSystem sys(core::NodeConfig{faultTestConfig(), plan});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon());
 
@@ -387,7 +387,7 @@ TEST(FaultSystem, CorruptMacroEscalatesToRejuvenation)
     plan.add(FaultKind::DeltaFlip, 1.0)
         .add(FaultKind::MacroCorrupt, 1.0)
         .setSeed(29);
-    core::IndraSystem sys(faultTestConfig(), plan);
+    core::IndraSystem sys(core::NodeConfig{faultTestConfig(), plan});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon());
 
@@ -412,7 +412,7 @@ TEST(FaultSystem, MonitorFalseNegativeMasksDetection)
     auto script =
         net::ClientScript::periodicAttack(6, AttackKind::StackSmash, 2);
 
-    core::IndraSystem clean(faultTestConfig());
+    core::IndraSystem clean(core::NodeConfig{faultTestConfig()});
     clean.boot();
     std::size_t cs = clean.deployService(shortDaemon());
     auto base = clean.runScript(script, cs);
@@ -420,7 +420,7 @@ TEST(FaultSystem, MonitorFalseNegativeMasksDetection)
 
     FaultPlan plan;
     plan.add(FaultKind::MonitorFalseNegative, 1.0).setSeed(31);
-    core::IndraSystem sys(faultTestConfig(), plan);
+    core::IndraSystem sys(core::NodeConfig{faultTestConfig(), plan});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon());
     auto outcomes = sys.runScript(script, slot);
@@ -438,7 +438,7 @@ TEST(FaultSystem, TraceDropStarvesTheMonitor)
 {
     FaultPlan plan;
     plan.add(FaultKind::TraceDrop, 1.0).setSeed(37);
-    core::IndraSystem sys(faultTestConfig(), plan);
+    core::IndraSystem sys(core::NodeConfig{faultTestConfig(), plan});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon());
 
@@ -459,14 +459,14 @@ TEST(FaultSystem, MonitorDelayStretchesDetection)
     auto script = net::ClientScript::periodicAttack(
         3, AttackKind::StackSmash, 3);
 
-    core::IndraSystem fast(faultTestConfig());
+    core::IndraSystem fast(core::NodeConfig{faultTestConfig()});
     fast.boot();
     std::size_t fs = fast.deployService(shortDaemon());
     auto base = fast.runScript(script, fs);
 
     FaultPlan plan;
     plan.add(FaultKind::MonitorDelay, 1.0, 500000).setSeed(41);
-    core::IndraSystem slow(faultTestConfig(), plan);
+    core::IndraSystem slow(core::NodeConfig{faultTestConfig(), plan});
     slow.boot();
     std::size_t ss = slow.deployService(shortDaemon());
     auto delayed = slow.runScript(script, ss);
@@ -518,7 +518,7 @@ runCell(std::size_t idx)
                                       FaultKind::TraceDrop};
     FaultPlan plan;
     plan.add(kinds[idx % 3], 0.5).setSeed(100 + idx);
-    core::IndraSystem sys(faultTestConfig(), plan);
+    core::IndraSystem sys(core::NodeConfig{faultTestConfig(), plan});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon());
     auto outcomes = sys.runScript(

@@ -181,7 +181,7 @@ runCell(std::size_t i)
     SystemConfig cfg;
     cfg.rngSeed = 1 + i / daemons.size();
 
-    core::IndraSystem sys(cfg);
+    core::IndraSystem sys(core::NodeConfig{cfg});
     sys.boot();
     std::size_t slot = sys.deployService(profile);
     auto script = net::ClientScript::periodicAttack(

@@ -327,7 +327,8 @@ stormPlan()
 resilience::StormReport
 runTracedStorm(TraceLog *log, const faults::FaultPlan &fplan = {})
 {
-    core::IndraSystem sys(stormConfig(), fplan, armedConfig());
+    core::IndraSystem sys(
+        core::NodeConfig{stormConfig(), fplan, armedConfig()});
     sys.attachTraceLog(log);
     sys.boot();
     net::DaemonProfile profile = net::daemonByName("httpd");
@@ -407,7 +408,7 @@ TEST(ObsEndToEnd, FaultedStormCoversEventTaxonomy)
     // A tiny FIFO forces the high/low-water crossings.
     cfg.traceFifoEntries = 8;
     TraceLog log;
-    core::IndraSystem sys(cfg, fplan, armedConfig());
+    core::IndraSystem sys(core::NodeConfig{cfg, fplan, armedConfig()});
     sys.attachTraceLog(&log);
     sys.boot();
     net::DaemonProfile profile = net::daemonByName("httpd");

@@ -305,8 +305,8 @@ TEST(RcaConfigDeathTest, UnknownKeyFatal)
     EXPECT_DEATH(
         core::applyNodeSetting(node, "rca.latency_slack", "abc"),
         "rca.latency_slack");
-    RcaConfig cfg;
-    EXPECT_DEATH(rca::applyRcaSetting(cfg, "rca.nope", "1"), "rca.nope");
+    EXPECT_DEATH(core::applyNodeSetting(node, "rca.nope", "1"),
+                 "rca.nope");
 }
 
 } // anonymous namespace

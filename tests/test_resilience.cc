@@ -682,7 +682,7 @@ smallStorm()
 StormReport
 runSmallStorm(const ResilienceConfig &rc)
 {
-    core::IndraSystem sys(stormSystemConfig(), {}, rc);
+    core::IndraSystem sys(core::NodeConfig{stormSystemConfig(), {}, rc});
     sys.boot();
     net::DaemonProfile profile = net::daemonByName("httpd");
     profile.instrPerRequest = 25'000;
@@ -717,7 +717,7 @@ expectReportsEqual(const StormReport &a, const StormReport &b)
 
 TEST(Guard, DisarmedConfigCreatesNoGuard)
 {
-    core::IndraSystem sys(stormSystemConfig());
+    core::IndraSystem sys(core::NodeConfig{stormSystemConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(net::daemonByName("httpd"));
     EXPECT_EQ(sys.slot(slot).guard, nullptr);
@@ -726,8 +726,8 @@ TEST(Guard, DisarmedConfigCreatesNoGuard)
 
 TEST(Guard, ArmedConfigCreatesGuard)
 {
-    core::IndraSystem sys(stormSystemConfig(), {},
-                          stormResilienceConfig());
+    core::IndraSystem sys(core::NodeConfig{stormSystemConfig(), {},
+                                           stormResilienceConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(net::daemonByName("httpd"));
     ASSERT_NE(sys.slot(slot).guard, nullptr);

@@ -62,7 +62,7 @@ imagePages(IndraSystem &sys, std::size_t slot)
 
 TEST(System, BootAndDeploy)
 {
-    IndraSystem sys(testConfig());
+    IndraSystem sys(core::NodeConfig{testConfig()});
     sys.boot();
     EXPECT_TRUE(sys.booted());
     EXPECT_GT(sys.resurrectorFrames(), 0u);
@@ -73,20 +73,20 @@ TEST(System, BootAndDeploy)
 
 TEST(SystemDeath, DoubleBootPanics)
 {
-    IndraSystem sys(testConfig());
+    IndraSystem sys(core::NodeConfig{testConfig()});
     sys.boot();
     EXPECT_DEATH(sys.boot(), "twice");
 }
 
 TEST(SystemDeath, DeployBeforeBootPanics)
 {
-    IndraSystem sys(testConfig());
+    IndraSystem sys(core::NodeConfig{testConfig()});
     EXPECT_DEATH(sys.deployService(shortDaemon()), "before boot");
 }
 
 TEST(System, BenignRequestsAreServed)
 {
-    IndraSystem sys(testConfig());
+    IndraSystem sys(core::NodeConfig{testConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon());
     auto outcomes = sys.runScript(net::ClientScript::benign(5), slot);
@@ -101,7 +101,7 @@ TEST(System, BenignRequestsAreServed)
 
 TEST(System, ResurrectorMemoryIsInsulated)
 {
-    IndraSystem sys(testConfig());
+    IndraSystem sys(core::NodeConfig{testConfig()});
     sys.boot();
     sys.deployService(shortDaemon());
     // Frame 0 belongs to the resurrector's RTS: a low-privilege core
@@ -115,7 +115,7 @@ TEST(System, ResurrectorMemoryIsInsulated)
 
 TEST(System, NoWatchdogDenialsDuringNormalService)
 {
-    IndraSystem sys(testConfig());
+    IndraSystem sys(core::NodeConfig{testConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon());
     sys.runScript(net::ClientScript::benign(3), slot);
@@ -131,7 +131,7 @@ TEST_P(AttackRecovery, DetectedAndRevived)
 {
     setLogVerbosity(0);
     AttackKind kind = GetParam();
-    IndraSystem sys(testConfig());
+    IndraSystem sys(core::NodeConfig{testConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon());
 
@@ -168,7 +168,7 @@ TEST_P(MemoryExactRecovery, AttackDamageFullyRevoked)
     setLogVerbosity(0);
     SystemConfig cfg = testConfig();
     cfg.checkpointScheme = GetParam();
-    IndraSystem sys(cfg);
+    IndraSystem sys(core::NodeConfig{cfg});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon("bind", 20000));
 
@@ -198,7 +198,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(System, ResourcesRecoveredAfterAttack)
 {
-    IndraSystem sys(testConfig());
+    IndraSystem sys(core::NodeConfig{testConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon());
     os::Process &proc = sys.kernel().process(sys.slot(slot).pid);
@@ -215,7 +215,7 @@ TEST(System, ResourcesRecoveredAfterAttack)
 
 TEST(System, AuditLogSurvivesRecovery)
 {
-    IndraSystem sys(testConfig());
+    IndraSystem sys(core::NodeConfig{testConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon());
     os::Process &proc = sys.kernel().process(sys.slot(slot).pid);
@@ -231,7 +231,7 @@ TEST(System, DormantAttackTriggersHybridMacroRecovery)
     setLogVerbosity(0);
     SystemConfig cfg = testConfig();
     cfg.consecutiveFailureThreshold = 2;
-    IndraSystem sys(cfg);
+    IndraSystem sys(core::NodeConfig{cfg});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon("httpd", 15000));
 
@@ -264,7 +264,7 @@ TEST(System, PeriodicMacroCheckpointTaken)
 {
     SystemConfig cfg = testConfig();
     cfg.macroCheckpointPeriod = 3;
-    IndraSystem sys(cfg);
+    IndraSystem sys(core::NodeConfig{cfg});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon("httpd", 10000));
     sys.runScript(net::ClientScript::benign(7), slot);
@@ -277,7 +277,7 @@ TEST(System, WithoutBackupServiceIsLost)
     SystemConfig cfg = testConfig();
     cfg.checkpointScheme = CheckpointScheme::None;
     cfg.monitorEnabled = false;
-    IndraSystem sys(cfg);
+    IndraSystem sys(core::NodeConfig{cfg});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon("httpd", 15000));
 
@@ -297,7 +297,7 @@ TEST(System, SymmetricModeRunsWithoutMonitorOrWatchdog)
     cfg.asymmetricMode = false;
     cfg.monitorEnabled = false;
     cfg.checkpointScheme = CheckpointScheme::None;
-    IndraSystem sys(cfg);
+    IndraSystem sys(core::NodeConfig{cfg});
     sys.boot();
     EXPECT_EQ(sys.resurrectorFrames(), 0u);
     EXPECT_EQ(sys.watchdog(), nullptr);
@@ -311,7 +311,7 @@ TEST(System, TwoServicesOnTwoResurrectees)
 {
     SystemConfig cfg = testConfig();
     cfg.numResurrectees = 2;
-    IndraSystem sys(cfg);
+    IndraSystem sys(core::NodeConfig{cfg});
     sys.boot();
     std::size_t web = sys.deployService(shortDaemon("httpd", 10000));
     std::size_t dns = sys.deployService(shortDaemon("bind", 8000));
@@ -331,7 +331,7 @@ TEST(System, TwoServicesOnTwoResurrectees)
 
 TEST(SystemDeath, TooManyServicesIsFatal)
 {
-    IndraSystem sys(testConfig());
+    IndraSystem sys(core::NodeConfig{testConfig()});
     sys.boot();
     sys.deployService(shortDaemon());
     EXPECT_DEATH(sys.deployService(shortDaemon()), "no free");
@@ -349,7 +349,7 @@ TEST(System, MonitoredRunIsSlowerButModest)
     auto profile = shortDaemon("httpd", 30000);
     double t_base, t_mon;
     {
-        IndraSystem sys(base);
+        IndraSystem sys(core::NodeConfig{base});
         sys.boot();
         auto slot = sys.deployService(profile);
         sys.runScript(net::ClientScript::benign(2), slot);
@@ -359,7 +359,7 @@ TEST(System, MonitoredRunIsSlowerButModest)
             t_base += static_cast<double>(o.responseTime());
     }
     {
-        IndraSystem sys(mon_cfg);
+        IndraSystem sys(core::NodeConfig{mon_cfg});
         sys.boot();
         auto slot = sys.deployService(profile);
         sys.runScript(net::ClientScript::benign(2), slot);
@@ -376,7 +376,7 @@ TEST(System, DocumentedCveScenariosAllRecovered)
 {
     setLogVerbosity(0);
     for (const auto &scenario : net::documentedExploits()) {
-        IndraSystem sys(testConfig());
+        IndraSystem sys(core::NodeConfig{testConfig()});
         sys.boot();
         std::size_t slot =
             sys.deployService(shortDaemon(scenario.daemon, 15000));
@@ -407,7 +407,7 @@ TEST(System, DeclaredDynCodeExecutesWithoutViolation)
     // Section 3.2.2: dynamically generated code must be explicitly
     // declared; execution inside the declared region then passes both
     // code-origin and control-transfer inspection.
-    IndraSystem sys(testConfig());
+    IndraSystem sys(core::NodeConfig{testConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon("httpd", 10000));
     core::ServiceSlot &s = sys.slot(slot);
@@ -452,7 +452,7 @@ TEST(System, DeclaredDynCodeExecutesWithoutViolation)
 
 TEST(System, BootGrantsBiosCopyToResurrectees)
 {
-    IndraSystem sys(testConfig());
+    IndraSystem sys(core::NodeConfig{testConfig()});
     sys.boot();
     // The resurrector duplicated a BIOS image into frames the
     // resurrectee (core 1) may read (Section 3.1.2). At least one
@@ -472,7 +472,7 @@ TEST(System, LongjmpErrorPathRaisesNoFalsePositive)
     // legitimate setjmp/longjmp error path must pass all inspectors.
     net::DaemonProfile p = shortDaemon("httpd", 20000);
     p.longjmpProb = 1.0;
-    IndraSystem sys(testConfig());
+    IndraSystem sys(core::NodeConfig{testConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(p);
     auto outcomes = sys.runScript(net::ClientScript::benign(4), slot);
@@ -483,7 +483,7 @@ TEST(System, LongjmpErrorPathRaisesNoFalsePositive)
 
 TEST(System, DetectionLatencyIsBoundedByCheckCost)
 {
-    IndraSystem sys(testConfig());
+    IndraSystem sys(core::NodeConfig{testConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon("httpd", 15000));
     sys.processRequest(slot, request(1));
@@ -504,7 +504,7 @@ TEST(System, BackupSpaceGrowsOnDemandOnly)
     // Section 3.3.1, "Overhead of Backup Space": delta backup pages
     // are allocated lazily, so after many requests the backup
     // footprint stays a modest fraction of the resident working set.
-    IndraSystem sys(testConfig());
+    IndraSystem sys(core::NodeConfig{testConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon("httpd", 15000));
     os::Process &proc = sys.kernel().process(sys.slot(slot).pid);
@@ -524,7 +524,7 @@ TEST(System, StressMixedAttacksAvailabilityStaysPerfect)
     SystemConfig cfg = testConfig();
     cfg.macroCheckpointPeriod = 8;
     cfg.consecutiveFailureThreshold = 2;
-    IndraSystem sys(cfg);
+    IndraSystem sys(core::NodeConfig{cfg});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon("bind", 12000));
 
@@ -545,7 +545,7 @@ TEST(System, StressMixedAttacksAvailabilityStaysPerfect)
 
 TEST(System, AvailabilityReportAggregates)
 {
-    IndraSystem sys(testConfig());
+    IndraSystem sys(core::NodeConfig{testConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon("httpd", 10000));
     auto script = net::ClientScript::periodicAttack(
