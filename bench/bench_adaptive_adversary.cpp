@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "core/node_handle.hh"
 #include "resilience/storm.hh"
 
 using namespace indra;
@@ -169,7 +170,7 @@ runCell(const AttackerSpec &a, resilience::RejuvenationTrigger policy,
     Cell cell;
     cell.label = std::string(a.label) + ":" +
                  resilience::rejuvenationTriggerName(policy);
-    cell.rep = sys.runStorm(slot, plan);
+    cell.rep = core::runStorm(sys, slot, plan);
     collector.snapshot(cell_idx, cell.label, sys.rootStats());
     return cell;
 }
@@ -246,7 +247,7 @@ main(int argc, char **argv)
         core::IndraSystem sys(core::NodeConfig{baseConfig(), faults::FaultPlan(), rc});
         sys.boot();
         std::size_t slot = sys.deployService(profile);
-        budget = sys.runStorm(slot, plan).attackArrivals;
+        budget = core::runStorm(sys, slot, plan).attackArrivals;
     }
 
     benchutil::printHeader(

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "core/node_handle.hh"
 #include "resilience/storm.hh"
 
 using namespace indra;
@@ -149,7 +150,8 @@ runCell(const DefenseSpec &d, std::uint64_t budget,
 
     Cell cell;
     cell.label = d.label;
-    cell.rep = sys.runStorm(slot, reinfectPlan(budget, legit_requests));
+    cell.rep =
+        core::runStorm(sys, slot, reinfectPlan(budget, legit_requests));
     cell.rejuvenations = sys.slot(slot).recovery->rejuvenations();
     collector.snapshot(cell_idx, cell.label, sys.rootStats());
     return cell;
@@ -207,8 +209,8 @@ main(int argc, char **argv)
                               defenseConfig()});
         sys.boot();
         std::size_t slot = sys.deployService(profile);
-        budget =
-            sys.runStorm(slot, staticPlan(legit_requests)).attackArrivals;
+        budget = core::runStorm(sys, slot, staticPlan(legit_requests))
+                     .attackArrivals;
     }
 
     benchutil::printHeader(

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "core/node_handle.hh"
 #include "faults/fault_plan.hh"
 #include "resilience/storm.hh"
 
@@ -120,8 +121,8 @@ runCell(const CellParams &p, std::uint64_t legit_requests,
     cell.label = p.daemon + ":a" + std::to_string(int(p.attackRate)) +
                  ":b" + std::to_string(p.burst) + ":q" +
                  std::to_string(p.bound);
-    cell.rep = sys.runStorm(slot, stormPlan(p, legit_requests,
-                                            plant_dormant));
+    cell.rep = core::runStorm(
+        sys, slot, stormPlan(p, legit_requests, plant_dormant));
     collector.snapshot(cell_idx, cell.label, sys.rootStats());
     return cell;
 }

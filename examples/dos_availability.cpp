@@ -10,6 +10,7 @@
 #include <iomanip>
 #include <iostream>
 
+#include "core/node_handle.hh"
 #include "core/system.hh"
 #include "net/daemon_profile.hh"
 #include "sim/logging.hh"
@@ -109,14 +110,25 @@ main()
         std::size_t slot = sys.deployService(profile);
         auto warm = sys.runScript(net::ClientScript::benign(2), slot);
         Cycles service = warm[1].responseTime();
-        auto outcomes = sys.runOpenLoop(
-            slot, script, (service * 3) / 2,
-            sys.slot(slot).core->curTick());
+        // A fixed arrival script: no legit clients of the handle's
+        // own, no admission deadline, benign requests marked legit.
+        resilience::StormPlan plan;
+        plan.legitRequests = 0;
+        plan.deadline = 0;
+        core::NodeHandle node(sys, slot, plan);
+        node.collectEvents(true);
+        Tick arrival = sys.slot(slot).core->curTick();
+        for (const net::ServiceRequest &req : script) {
+            node.inject(arrival, req,
+                        req.attack == net::AttackKind::None);
+            arrival += (service * 3) / 2;
+        }
+        node.advanceTo(maxTick);
         double sum = 0;
         std::uint64_t n = 0;
-        for (const auto &o : outcomes) {
-            if (o.attack == net::AttackKind::None) {
-                sum += static_cast<double>(o.responseTime());
+        for (const core::NodeEvent &ev : node.drainEvents()) {
+            if (ev.legit) {
+                sum += static_cast<double>(ev.responseCycles);
                 ++n;
             }
         }

@@ -4,8 +4,10 @@
 #
 #   ci-release     Release build, the full ctest suite (unit tests,
 #                  harness determinism, fault campaign smoke, overload
-#                  storm smoke with its self-checks, and the obs
-#                  export smoke: --stats-json/--trace validation).
+#                  storm smoke with its self-checks, the obs export
+#                  smoke: --stats-json/--trace validation, and the
+#                  --jobs 1 vs --jobs 8 identity checks of the
+#                  adversary, domain, cluster and vuln-map sweeps).
 #   ci-asan-ubsan  address+undefined sanitizers over the labelled
 #                  corruption paths and the config registry: -L
 #                  faults, resilience, harness, obs, check, adversary,
@@ -20,18 +22,7 @@
 # The ci-release leg additionally runs the repository benchmark's
 # smoke gate, perfbench/gate.py --smoke (every BENCHMARK.json workload
 # at quarter size, untraced and traced, with its digest and schema
-# checks), scripts/adversary_smoke.sh
-# (the survivability matrix: --jobs 1/8 bit-identity of the closed
-# feedback loop plus a caught re-infection), scripts/domain_smoke.sh
-# (confined rewind vs full rejuvenation with the bench self-checks
-# armed, plus the fuzzer's planted confined-rewind bug caught by
-# domain-rewind-confined and shrunk), and scripts/cluster_smoke.sh
-# (the fleet sweep with its graceful-degradation and monotone
-# recovery-tail self-checks, bit-identical across --jobs 1/8), and
-# scripts/rca_smoke.sh (the vulnerability map with replay-based
-# root-cause analysis: --jobs 1/8 bit-identity, the planted
-# backup-corruption escape caught and shrunk, and a --replay CLI
-# round trip).
+# checks).
 #
 # After the presets, scripts/fuzz_smoke.sh runs a fixed-seed slice of
 # the oracle fuzzer plus its planted-bug sensitivity check.
@@ -60,18 +51,6 @@ for preset in "${presets[@]}"; do
         # sanitizer builds would only measure the instrumentation.
         echo "=== [$preset] perfbench smoke"
         python3 perfbench/gate.py --smoke
-        echo "=== [$preset] adversary smoke"
-        scripts/adversary_smoke.sh \
-            build-ci-release/bench/bench_adaptive_adversary
-        echo "=== [$preset] domain smoke"
-        scripts/domain_smoke.sh \
-            build-ci-release/bench/bench_domain_rewind
-        echo "=== [$preset] cluster smoke"
-        scripts/cluster_smoke.sh \
-            build-ci-release/bench/bench_cluster_scale
-        echo "=== [$preset] rca smoke"
-        scripts/rca_smoke.sh \
-            build-ci-release/bench/bench_vuln_map
     fi
 done
 

@@ -5,6 +5,7 @@
 
 #include "check/checker.hh"
 #include "check/json_reader.hh"
+#include "core/node_handle.hh"
 #include "core/system.hh"
 #include "obs/json.hh"
 #include "sim/config_reader.hh"
@@ -321,8 +322,8 @@ makePlantedDomainScenario(std::uint64_t seed)
     return sc;
 }
 
-ScenarioVerdict
-runScenario(const Scenario &sc)
+core::NodeConfig
+nodeConfigFor(const Scenario &sc)
 {
     SystemConfig cfg;
     cfg.physMemBytes = 128ULL * 1024 * 1024;
@@ -330,6 +331,8 @@ runScenario(const Scenario &sc)
     cfg.checkpointScheme = sc.scheme;
     cfg.macroCheckpointPeriod = sc.macroPeriod;
     cfg.consecutiveFailureThreshold = sc.failThreshold;
+    if (sc.domainCount)
+        cfg.domainCount = sc.domainCount;
 
     faults::FaultPlan plan;
     plan.setSeed(sc.seed);
@@ -355,10 +358,13 @@ runScenario(const Scenario &sc)
         rcfg.rejuvenation.cooldown = 100000;
     }
 
-    if (sc.domainCount)
-        cfg.domainCount = sc.domainCount;
+    return core::NodeConfig{cfg, std::move(plan), rcfg};
+}
 
-    core::IndraSystem sys(core::NodeConfig{cfg, plan, rcfg});
+ScenarioVerdict
+runScenario(const Scenario &sc)
+{
+    core::IndraSystem sys(nodeConfigFor(sc));
     SystemChecker checker(sys);
     PlantedBugSink plantedSink(checker, sys, sc.plantAtEpoch);
     sys.attachChecker(sc.plantAtEpoch
@@ -406,7 +412,8 @@ runScenario(const Scenario &sc)
                     ? net::AttackKind::StackSmash
                     : net::AttackKind::DosFlood;
         }
-        resilience::StormReport report = sys.runStorm(slot, splan);
+        resilience::StormReport report =
+            core::runStorm(sys, slot, splan);
         verdict.requests += report.executed;
     }
 

@@ -26,6 +26,7 @@
 
 #include "adversary/adversary_config.hh"
 #include "check/invariants.hh"
+#include "core/node_config.hh"
 #include "faults/fault_plan.hh"
 #include "net/request.hh"
 #include "resilience/rejuvenation.hh"
@@ -111,6 +112,14 @@ Scenario makePlantedScenario(std::uint64_t seed);
  *  under CheckpointScheme::DomainRewind, caught by the
  *  DomainRewindConfined compare at a confined rewind. */
 Scenario makePlantedDomainScenario(std::uint64_t seed);
+
+/**
+ * The node build recipe of @p sc: system config, fault plan and
+ * resilience knobs as one NodeConfig. runScenario and the rca
+ * campaign both build their machines from it, so an oracle verdict
+ * and an rca verdict are about the same machine.
+ */
+core::NodeConfig nodeConfigFor(const Scenario &sc);
 
 /** What one scenario run concluded. */
 struct ScenarioVerdict

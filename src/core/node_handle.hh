@@ -1,12 +1,13 @@
 /**
  * @file
- * NodeHandle: the steppable facade over one node's attack storm.
+ * NodeHandle: the one open-loop scheduler, a steppable facade over
+ * one node's arrival timeline.
  *
- * The classic IndraSystem::runStorm drives a storm to completion in
- * one call. A cluster scheduler needs finer control: it interleaves
- * many nodes on a ParallelSweep, feeding each node load-balanced
- * arrivals and collecting its completed work round by round. This
- * facade splits the storm loop into exactly those pieces:
+ * Every open-loop workload runs on it: attack storms (runStorm below),
+ * a cluster scheduler interleaving many nodes on a ParallelSweep, and
+ * fixed arrival scripts fed through inject(). Each admitted request
+ * is served through the public IndraSystem::processRequest. The
+ * facade splits the loop into these pieces:
  *
  *   advanceTo(bound)   process every scheduled event up to @p bound
  *   inject(...)        push one externally routed arrival into the
@@ -20,10 +21,15 @@
  *   finish()           finalize percentiles/health and return the
  *                      StormReport
  *
- * runStorm is now a thin wrapper — construct, advanceTo(maxTick),
- * finish() — and is bit-identical to the monolithic loop it replaced:
- * the event sequence is derived from the plan seed and the schedule
- * alone, never from where the advanceTo windows fall.
+ * runStorm is the run-to-completion helper — construct,
+ * advanceTo(maxTick), finish(). The event sequence is derived from
+ * the plan seed and the schedule alone, never from where the
+ * advanceTo windows fall.
+ *
+ * A fixed arrival script (request i at tick t_i, no legit clients of
+ * the handle's own) is a plan with legitRequests = 0 and deadline =
+ * 0, the script injected up front, and advanceTo(maxTick). Closed
+ * scripts with no arrival ticks use IndraSystem::runScript.
  *
  * A NodeHandle owns no system state; it borrows the IndraSystem and
  * slot it drives, which must outlive it. One handle per slot at a
@@ -50,8 +56,8 @@ class IndraSystem;
 struct NodeEvent
 {
     Tick tick = 0; //!< completion tick
-    /** Execution-order sequence number the storm stamped the request
-     *  with (rca's golden replay matches windows by this). */
+    /** Execution-order sequence number the handle stamped the
+     *  request with (0-based). */
     std::uint64_t seq = 0;
     net::RequestStatus status = net::RequestStatus::Served;
     /** Monitor verdict for the request (None when nothing fired). */
@@ -78,10 +84,11 @@ class NodeHandle
   public:
     /**
      * Bind the storm described by @p plan to @p sys's slot
-     * @p slot_idx and build its static arrival timelines. Unlike
-     * runStorm, a plan with legitRequests == 0 is accepted: a
-     * cluster-scheduled node receives its legitimate load through
-     * inject() instead.
+     * @p slot_idx and build its static arrival timelines. A plan with
+     * legitRequests == 0 is accepted: a cluster-scheduled node or a
+     * fixed arrival script receives its load through inject()
+     * instead. A plan with legit requests needs a positive legit
+     * arrival rate (fatal otherwise).
      */
     NodeHandle(IndraSystem &sys, std::size_t slot_idx,
                const resilience::StormPlan &plan);
@@ -92,8 +99,7 @@ class NodeHandle
 
     /**
      * Record completed work as NodeEvents for drainEvents(). Off by
-     * default, in which case the handle accumulates nothing and the
-     * runStorm wrapper stays allocation-identical to the monolith.
+     * default, in which case the handle accumulates nothing.
      */
     void collectEvents(bool on);
 
@@ -146,9 +152,18 @@ class NodeHandle
   private:
     struct Impl;
     std::unique_ptr<Impl> impl;
-
-    friend class IndraSystem;
 };
+
+/**
+ * Drive the storm described by @p plan against @p sys's slot
+ * @p slot_idx to completion: legit open-loop clients (with admission
+ * deadline and retry/backoff) superimposed on bursty malicious
+ * traffic, all admission decisions made by the slot's ServiceGuard
+ * (when armed), and resurrector probes issued while the health
+ * machine only admits probes.
+ */
+resilience::StormReport runStorm(IndraSystem &sys, std::size_t slot_idx,
+                                 const resilience::StormPlan &plan);
 
 } // namespace indra::core
 

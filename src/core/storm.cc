@@ -1,14 +1,16 @@
 /**
  * @file
- * The attack-storm driver: NodeHandle's steppable event loop, with
- * IndraSystem::runStorm as its run-to-completion wrapper.
+ * The open-loop scheduler: NodeHandle's steppable event loop, with
+ * core::runStorm as its run-to-completion helper.
  *
  * A discrete-event loop over one service: legitimate open-loop
- * clients and bursty malicious traffic are merged into one arrival
- * timeline; every arrival passes the slot's ServiceGuard (when
- * armed), shed legitimate requests retry with exponential backoff
- * and deterministic jitter, and resurrector probes are issued while
- * the health machine admits only probes. Events are ordered by
+ * clients, bursty malicious traffic and injected arrivals are merged
+ * into one arrival timeline; every arrival passes the slot's
+ * ServiceGuard (when armed), each admitted request is served through
+ * the public IndraSystem::processRequest, shed legitimate requests
+ * retry with exponential backoff and deterministic jitter, and
+ * resurrector probes are issued while the health machine admits only
+ * probes. Events are ordered by
  * (tick, creation order), both derived from the plan seed alone, so
  * a fixed-seed storm is bit-identical on any sweep --jobs count.
  *
@@ -37,8 +39,7 @@
  * pauses the very same loop once the next scheduled event lies past
  * @p bound, so where a cluster scheduler's round boundaries fall is
  * invisible to the event sequence. runStorm == construct +
- * advanceTo(maxTick) + finish(), bit-identical to the monolithic
- * loop it replaced.
+ * advanceTo(maxTick) + finish().
  */
 
 #include <algorithm>
@@ -160,8 +161,7 @@ expGap(Pcg32 &rng, double rate_per_mcycle)
 /**
  * The whole storm loop's state. Construction builds the static
  * timelines; advanceTo() runs the event loop; finish() finalizes the
- * report. Every member mirrors a local of the old monolithic
- * runStorm, in the same initialization order.
+ * report.
  */
 struct NodeHandle::Impl
 {
@@ -184,13 +184,12 @@ struct NodeHandle::Impl
     stampDomain(Arrival &a)
     {
         a.req.domain = static_cast<std::uint32_t>(
-            next_domain++ % sys.cfg.domainCount);
+            next_domain++ % sys.config().domainCount);
     }
 
     IndraSystem &sys;
     std::size_t slotIdx;
     resilience::StormPlan plan;
-    IndraSystem::ServiceRefs refs;
     ServiceSlot &s;
     resilience::ServiceGuard *guard;
 
@@ -228,7 +227,7 @@ struct NodeHandle::Impl
 NodeHandle::Impl::Impl(IndraSystem &system, std::size_t slot_idx,
                        const resilience::StormPlan &storm_plan)
     : sys(system), slotIdx(slot_idx), plan(storm_plan),
-      refs(sys.refsForMain(slot_idx)), s(*refs.slot),
+      s(sys.slot(slot_idx)),
       guard(s.guard.get()),
       legitRng(plan.seed, 0x6c65676974ULL),  // "legit"
       attackRng(plan.seed, 0x6174746bULL),   // "attk"
@@ -324,7 +323,7 @@ NodeHandle::Impl::pumpAdversary(Tick now)
         return;
     ++rep.adversaryMoves;
     rep.adversaryRequests += mv->count;
-    INDRA_TRACE(sys.traceLogPtr, mv->tick,
+    INDRA_TRACE(sys.traceLog(), mv->tick,
                 obs::EventKind::AdversaryMove,
                 static_cast<std::uint32_t>(s.coreId),
                 static_cast<std::uint64_t>(plan.adversary.strategy),
@@ -485,8 +484,8 @@ NodeHandle::Impl::step()
     s.core->stallUntil(q.tick);
     net::ServiceRequest req = q.req;
     req.seq = next_seq++; // execution order, as the app expects
-    bool had_dormant = refs.app->hasDormantDamage();
-    net::RequestOutcome out = sys.runOneRequest(refs, req);
+    bool had_dormant = s.app->hasDormantDamage();
+    net::RequestOutcome out = sys.processRequest(slotIdx, req);
     out.startTick = q.tick; // response measured from arrival
 
     ++rep.executed;
@@ -508,7 +507,7 @@ NodeHandle::Impl::step()
         last_heal = out.endTick;
     } else if (out.status == net::RequestStatus::DomainRewound) {
         ++rep.domainRewinds;
-        if (refs.app->hasDormantDamage()) {
+        if (s.app->hasDormantDamage()) {
             // A confined rewind must target the planted domain or
             // escalate; damage surviving one is a defect.
             ++rep.dormantAfterRewind;
@@ -518,7 +517,7 @@ NodeHandle::Impl::step()
             awaiting_reinfect = true;
             last_heal = out.endTick;
         }
-    } else if (awaiting_reinfect && refs.app->hasDormantDamage()) {
+    } else if (awaiting_reinfect && s.app->hasDormantDamage()) {
         ++rep.reinfections;
         if (rep.timeToReinfection == 0) {
             rep.timeToReinfection =
@@ -684,15 +683,13 @@ NodeHandle::finish()
     return impl->finish();
 }
 
-// ------------------------------------------------ runStorm wrapper
+// ------------------------------------------- run-to-completion helper
 
 resilience::StormReport
-IndraSystem::runStorm(std::size_t slot_idx,
-                      const resilience::StormPlan &plan)
+runStorm(IndraSystem &sys, std::size_t slot_idx,
+         const resilience::StormPlan &plan)
 {
-    fatal_if(plan.legitRatePerMCycle <= 0.0,
-             "storm needs a positive legit arrival rate");
-    NodeHandle node(*this, slot_idx, plan);
+    NodeHandle node(sys, slot_idx, plan);
     node.advanceTo(maxTick);
     return node.finish();
 }

@@ -585,28 +585,6 @@ IndraSystem::appOf(Pid pid)
 }
 
 std::vector<net::RequestOutcome>
-IndraSystem::runOpenLoop(std::size_t slot_idx,
-                         const std::vector<net::ServiceRequest> &script,
-                         Cycles inter_arrival, Tick first_arrival)
-{
-    ServiceSlot &s = slot(slot_idx);
-    std::vector<net::RequestOutcome> outcomes;
-    outcomes.reserve(script.size());
-    Tick arrival = first_arrival;
-    for (const net::ServiceRequest &req : script) {
-        // The core idles until the request arrives; a request that
-        // finds the core busy queues, and its response time includes
-        // the waiting.
-        s.core->stallUntil(arrival);
-        net::RequestOutcome out = processRequest(slot_idx, req);
-        out.startTick = arrival;  // response measured from arrival
-        outcomes.push_back(out);
-        arrival += inter_arrival;
-    }
-    return outcomes;
-}
-
-std::vector<net::RequestOutcome>
 IndraSystem::runScript(const std::vector<net::ServiceRequest> &script,
                        std::size_t slot_idx)
 {

@@ -45,7 +45,6 @@
 #include "os/kernel.hh"
 #include "resilience/guard.hh"
 #include "resilience/resilience_config.hh"
-#include "resilience/storm.hh"
 #include "sim/config.hh"
 #include "sim/stats.hh"
 
@@ -207,31 +206,13 @@ class IndraSystem : public os::KernelListener
                                          const net::ServiceRequest &req);
 
     /**
-     * Open-loop serving: request i arrives at i * @p inter_arrival
-     * ticks (plus @p first_arrival); the core idles until a request
-     * is present, and response times include queueing delay behind
-     * slow (e.g.\ under-recovery) predecessors.
+     * Closed-loop convenience: run a whole script back to back on
+     * @p slot_idx (each request starts when its predecessor ends).
+     * Open-loop and storm traffic go through core::NodeHandle.
      */
-    std::vector<net::RequestOutcome> runOpenLoop(
-        std::size_t slot_idx,
-        const std::vector<net::ServiceRequest> &script,
-        Cycles inter_arrival, Tick first_arrival = 0);
-
-    /** Convenience: run a whole script on slot 0. */
     std::vector<net::RequestOutcome> runScript(
         const std::vector<net::ServiceRequest> &script,
         std::size_t slot_idx = 0);
-
-    /**
-     * Drive one attack storm against @p slot_idx's service: legit
-     * open-loop clients (with admission deadline and retry/backoff)
-     * superimposed on bursty malicious traffic, all admission
-     * decisions made by the slot's ServiceGuard (when armed), and
-     * resurrector probes issued while the health machine only admits
-     * probes. Implemented in core/storm.cc.
-     */
-    resilience::StormReport runStorm(std::size_t slot_idx,
-                                     const resilience::StormPlan &plan);
 
     /**
      * Proactively rejuvenate @p slot_idx's main service at @p now:
@@ -303,12 +284,6 @@ class IndraSystem : public os::KernelListener
                            std::uint64_t len) override;
 
   private:
-    /**
-     * The steppable storm facade drives the request loop through the
-     * same private refs runStorm always used (core/storm.cc).
-     */
-    friend class NodeHandle;
-
     /** Everything needed to serve one process's request. */
     struct ServiceRefs
     {

@@ -28,8 +28,9 @@ namespace indra::rca
 {
 
 /**
- * One request window of the faulted campaign run: the outcome plus
- * the slice of the injector's site log that fired inside it.
+ * One request window of a campaign run (the faulted run or its golden
+ * twin): the outcome plus the slice of the injector's site log that
+ * fired inside it.
  */
 struct WindowRecord
 {

@@ -1,65 +1,21 @@
 #include "rca/campaign.hh"
 
-#include <cstdlib>
-
+#include "check/ref_models.hh"
 #include "core/system.hh"
 #include "net/daemon_profile.hh"
 #include "os/kernel.hh"
-#include "rca/replay.hh"
 #include "sim/logging.hh"
 
 namespace indra::rca
 {
-
-core::NodeConfig
-nodeConfigFor(const check::Scenario &sc)
-{
-    // Mirror of check::runScenario's config assembly: the campaign's
-    // faulted run must be the same machine the fuzz oracle would
-    // build for this scenario, or rca verdicts and oracle verdicts
-    // stop agreeing.
-    SystemConfig cfg;
-    cfg.physMemBytes = 128ULL * 1024 * 1024;
-    cfg.rngSeed = sc.seed;
-    cfg.checkpointScheme = sc.scheme;
-    cfg.macroCheckpointPeriod = sc.macroPeriod;
-    cfg.consecutiveFailureThreshold = sc.failThreshold;
-    if (sc.domainCount)
-        cfg.domainCount = sc.domainCount;
-
-    faults::FaultPlan plan;
-    plan.setSeed(sc.seed);
-    for (const check::FaultSetting &f : sc.faults)
-        plan.add(f.kind, f.rate, f.magnitude);
-
-    resilience::ResilienceConfig rcfg;
-    if (sc.guardArmed) {
-        rcfg.queueBound = 8;
-        rcfg.tokensPerMCycle[static_cast<std::size_t>(
-            net::ClientClass::Bulk)] = 40.0;
-        rcfg.tokenBurst[static_cast<std::size_t>(
-            net::ClientClass::Bulk)] = 10.0;
-        rcfg.fifoHighWater = 24;
-    }
-    if (sc.rejuvenationTrigger != resilience::RejuvenationTrigger::None) {
-        rcfg.rejuvenation.trigger = sc.rejuvenationTrigger;
-        rcfg.rejuvenation.period = 400000;
-        rcfg.rejuvenation.epochLimit = 4;
-        rcfg.rejuvenation.suspicionThreshold = 4.0;
-        rcfg.rejuvenation.cooldown = 100000;
-    }
-
-    return core::NodeConfig{cfg, std::move(plan), rcfg};
-}
 
 std::vector<net::ServiceRequest>
 scenarioRequests(const check::Scenario &sc)
 {
     std::vector<net::ServiceRequest> requests;
     requests.reserve(sc.requestCount());
-    // 0-based seqs, matching what NodeHandle stamps on injected
-    // arrivals: dormant-damage surfacing reads req.seq, so both runs
-    // must number the schedule identically.
+    // 0-based seqs: dormant-damage surfacing and the DomainRewind
+    // round-robin fallback both read req.seq.
     std::uint64_t seq = 0;
     for (const check::ScenarioStep &step : sc.steps) {
         for (std::uint32_t r = 0; r < step.repeat; ++r) {
@@ -75,6 +31,33 @@ scenarioRequests(const check::Scenario &sc)
 namespace
 {
 
+/**
+ * The campaign serves a fixed request schedule only; a scenario that
+ * also names a storm phase or a planted oracle bug would replay as a
+ * different scenario than the one it names, so those fields are
+ * refused instead of silently dropped.
+ */
+void
+rejectIgnoredFields(const check::Scenario &sc)
+{
+    fatal_if(sc.stormBurst != 0,
+             "rca campaign does not run a storm phase: storm_burst=",
+             sc.stormBurst);
+    fatal_if(sc.stormAttackRate != 0.0,
+             "rca campaign does not run a storm phase: "
+             "storm_attack_rate=", sc.stormAttackRate);
+    fatal_if(sc.adversaryBudget != 0,
+             "rca campaign does not run a storm phase: "
+             "adversary_budget=", sc.adversaryBudget);
+    fatal_if(sc.adversaryStrategy != adversary::AdversaryStrategy::Fixed,
+             "rca campaign does not run a storm phase: "
+             "adversary_strategy=",
+             adversary::adversaryStrategyName(sc.adversaryStrategy));
+    fatal_if(sc.plantAtEpoch != 0,
+             "rca campaign does not plant oracle bugs: plant_at_epoch=",
+             sc.plantAtEpoch);
+}
+
 std::uint64_t
 slotCorruptionDetected(const core::ServiceSlot &s)
 {
@@ -84,6 +67,74 @@ slotCorruptionDetected(const core::ServiceSlot &s)
     if (s.macro)
         n += s.macro->corruptionDetected();
     return n;
+}
+
+/** Everything one run of the request windows recorded. */
+struct WindowRun
+{
+    std::vector<WindowRecord> windows;
+    /** The injector's site log (empty with no fault plan). */
+    std::vector<faults::FaultSite> sites;
+    /** Final service memory image (empty unless captured). */
+    check::RefMemory finalImage;
+};
+
+/**
+ * Build, boot and deploy the node @p node for @p sc, then serve
+ * @p requests one processRequest window each — the loop
+ * check::runScenario drives. The faulted run and its golden twin are
+ * both this function, so they serve the identical schedule.
+ */
+WindowRun
+runWindows(const core::NodeConfig &node, const check::Scenario &sc,
+           const std::vector<net::ServiceRequest> &requests,
+           bool capture_memory)
+{
+    core::IndraSystem sys(node);
+    sys.boot();
+
+    net::DaemonProfile profile = net::daemonByName(sc.daemon);
+    profile.instrPerRequest = sc.instrPerRequest;
+    std::size_t slot = sys.deployService(profile);
+
+    const faults::FaultInjector *inj = sys.faultInjector();
+    WindowRun run;
+    run.windows.reserve(requests.size());
+    for (const net::ServiceRequest &req : requests) {
+        std::size_t sites0 = inj ? inj->sites().size() : 0;
+        std::uint64_t corrupt0 = slotCorruptionDetected(sys.slot(slot));
+
+        net::RequestOutcome out = sys.processRequest(slot, req);
+
+        WindowRecord w;
+        w.seq = req.seq;
+        w.attack = req.attack;
+        w.status = out.status;
+        w.violation = out.violation;
+        w.startTick = out.startTick;
+        w.endTick = out.endTick;
+        w.failTick = out.failTick;
+        w.sitesBegin = sites0;
+        w.sitesEnd = inj ? inj->sites().size() : 0;
+        w.corruptionDelta =
+            slotCorruptionDetected(sys.slot(slot)) - corrupt0;
+        run.windows.push_back(w);
+    }
+
+    if (inj)
+        run.sites = inj->sites();
+    if (capture_memory) {
+        const os::Process &proc =
+            sys.kernel().process(sys.slot(slot).pid);
+        run.finalImage.captureFrom(*proc.space, sys.physMem());
+    }
+    return run;
+}
+
+Cycles
+windowCycles(const WindowRecord &w)
+{
+    return w.endTick - w.startTick;
 }
 
 Cycles
@@ -113,66 +164,36 @@ attachSite(Failure &f, const std::vector<faults::FaultSite> &sites,
 CampaignResult
 runCampaign(const check::Scenario &sc, const RcaConfig &rcfg)
 {
+    rejectIgnoredFields(sc);
+
     CampaignResult res;
     std::vector<net::ServiceRequest> requests = scenarioRequests(sc);
     res.requests = requests.size();
 
     // ------------------------------------------------- faulted run
-    core::IndraSystem sys(nodeConfigFor(sc));
-    sys.boot();
-
-    net::DaemonProfile profile = net::daemonByName(sc.daemon);
-    profile.instrPerRequest = sc.instrPerRequest;
-    std::size_t slot = sys.deployService(profile);
-
-    const faults::FaultInjector *inj = sys.faultInjector();
-    res.windows.reserve(requests.size());
-    for (const net::ServiceRequest &req : requests) {
-        std::size_t sites0 = inj ? inj->sites().size() : 0;
-        std::uint64_t corrupt0 = slotCorruptionDetected(sys.slot(slot));
-
-        net::RequestOutcome out = sys.processRequest(slot, req);
-
-        WindowRecord w;
-        w.seq = req.seq;
-        w.attack = req.attack;
-        w.status = out.status;
-        w.violation = out.violation;
-        w.startTick = out.startTick;
-        w.endTick = out.endTick;
-        w.failTick = out.failTick;
-        w.sitesBegin = sites0;
-        w.sitesEnd = inj ? inj->sites().size() : 0;
-        w.corruptionDelta =
-            slotCorruptionDetected(sys.slot(slot)) - corrupt0;
-        res.windows.push_back(w);
-    }
-
-    if (inj) {
-        res.sites = inj->sites();
-        res.injectedTotal = res.sites.size();
-    }
+    const bool audit = rcfg.replay && rcfg.memoryAudit;
+    core::NodeConfig node = check::nodeConfigFor(sc);
+    WindowRun faulted = runWindows(node, sc, requests, audit);
+    res.windows = std::move(faulted.windows);
+    res.sites = std::move(faulted.sites);
+    res.injectedTotal = res.sites.size();
 
     if (!rcfg.replay)
         return res;
 
-    // ------------------------------------------------ golden replay
-    GoldenRun golden =
-        ReplayDetector::rerun(sc, requests, rcfg.memoryAudit);
-    fatal_if(golden.windows.size() != res.windows.size(),
-             "golden replay window count mismatch: faulted ",
-             res.windows.size(), ", golden ", golden.windows.size());
+    // ------------------------------------------------- golden twin
+    // Same node recipe, faults stripped: any window that differs is
+    // caused by an injection, not by build skew.
+    node.faults = faults::FaultPlan{};
+    WindowRun golden = runWindows(node, sc, requests, audit);
     res.replayed = true;
 
     // ------------------------------------------- window comparison
     for (std::size_t i = 0; i < res.windows.size(); ++i) {
         const WindowRecord &w = res.windows[i];
-        const GoldenWindow &g = golden.windows[i];
-        fatal_if(w.seq != g.seq, "golden replay seq skew at window ",
-                 i, ": faulted ", w.seq, ", golden ", g.seq);
+        const WindowRecord &g = golden.windows[i];
 
-        Cycles faultedCycles = w.endTick - w.startTick;
-        Cycles skew = absDelta(faultedCycles, g.windowCycles);
+        Cycles skew = absDelta(windowCycles(w), windowCycles(g));
         bool diverged = w.status != g.status ||
                         w.violation != g.violation ||
                         skew > rcfg.latencySlack;
@@ -188,18 +209,16 @@ runCampaign(const check::Scenario &sc, const RcaConfig &rcfg)
         f.escaped = !f.detectedByMonitor;
         f.monitorLatency =
             w.failTick != 0 ? w.failTick - w.startTick : 0;
-        f.replayLatency = g.windowCycles;
+        // Re-executing exactly this window on the twin is the replay
+        // detector's detection latency.
+        f.replayLatency = windowCycles(g);
         res.failures.push_back(f);
     }
 
     // --------------------------------------------- memory audit
-    if (rcfg.memoryAudit) {
-        Pid pid = sys.slot(slot).pid;
-        const os::Process &proc = sys.kernel().process(pid);
-        check::RefMemory faultedImage;
-        faultedImage.captureFrom(*proc.space, sys.physMem());
+    if (audit) {
         res.memoryDiverged =
-            faultedImage.pages() != golden.finalImage.pages();
+            faulted.finalImage.pages() != golden.finalImage.pages();
 
         // Silent corruption: the final image diverged but no window
         // ever did — nothing in-band, nothing in the per-window
@@ -214,7 +233,8 @@ runCampaign(const check::Scenario &sc, const RcaConfig &rcfg)
             f.detectedByMonitor = false;
             f.silent = true;
             f.escaped = true;
-            f.replayLatency = golden.totalCycles;
+            for (const WindowRecord &g : golden.windows)
+                f.replayLatency += windowCycles(g);
             res.failures.push_back(f);
         }
     }

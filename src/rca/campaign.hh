@@ -5,6 +5,13 @@
  * component's fault at this site became this failure, detected by
  * these detectors at these latencies".
  *
+ * The replay detector is RepTFD-style: the golden twin re-executes
+ * the same request windows on the same node build with the fault
+ * plan stripped, and a fault is detected as divergence from it. Both
+ * runs are one window runner — build, boot, deploy, one
+ * processRequest per window, the loop check::runScenario drives — so
+ * the twin serves exactly the schedule the faulted run served.
+ *
  * A campaign cell is a check::Scenario (pure value of its seed), so
  * every result here is a pure function of (scenario, RcaConfig) and
  * ParallelSweep cells stay bit-identical for any --jobs count.
@@ -17,7 +24,6 @@
 #include <vector>
 
 #include "check/scenario.hh"
-#include "core/node_config.hh"
 #include "rca/attribution.hh"
 #include "rca/rca_config.hh"
 
@@ -43,27 +49,17 @@ struct CampaignResult
     bool replayed = false;
 };
 
-/**
- * The node build recipe of @p sc: the same config assembly the fuzz
- * oracle uses (check::runScenario), expressed as a NodeConfig so the
- * faulted system and its fault-stripped golden twin are built from
- * one value.
- */
-core::NodeConfig nodeConfigFor(const check::Scenario &sc);
-
-/**
- * @p sc's request schedule as explicit 0-based-seq requests — the
- * numbering the storm facade stamps, so a processRequest-driven
- * faulted run and a NodeHandle-driven golden replay execute
- * byte-identical instruction streams.
- */
+/** @p sc's request schedule as explicit 0-based-seq requests. */
 std::vector<net::ServiceRequest>
 scenarioRequests(const check::Scenario &sc);
 
 /**
  * Run the campaign cell: faulted run, golden replay (when
  * @p rcfg.replay), window comparison, site attribution, and the
- * final-state memory audit (when @p rcfg.memoryAudit).
+ * final-state memory audit (when @p rcfg.memoryAudit). The campaign
+ * serves @p sc's request schedule only: a scenario that sets a storm
+ * field (storm_burst, storm_attack_rate, adversary_*) or
+ * plant_at_epoch is a fatal error naming that key.
  */
 CampaignResult runCampaign(const check::Scenario &sc,
                            const RcaConfig &rcfg);

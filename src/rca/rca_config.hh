@@ -24,7 +24,8 @@ struct RcaConfig
 {
     /**
      * Run the replay detector: re-execute the campaign's request
-     * schedule on a fault-free golden twin (via core::NodeHandle) and
+     * schedule on a fault-free golden twin (same node build, fault
+     * plan stripped) and
      * flag every window whose outcome diverges. Off, only the faulted
      * run executes and no failures are attributed.
      */

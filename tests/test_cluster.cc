@@ -3,7 +3,7 @@
  * Cluster-layer tests: the Zipf sharder, the shared resurrector
  * pool, the balancer links, the NodeConfig dotted-key router, the
  * NodeHandle stepping contract (window placement is invisible —
- * stepped reports equal runStorm's), and ClusterSim's --jobs
+ * stepped reports equal core::runStorm's), and ClusterSim's --jobs
  * bit-identity.
  */
 
@@ -269,7 +269,7 @@ TEST(NodeConfigCompat, AggregateMatchesThreeArgCtor)
     auto runWith = [&](core::IndraSystem &sys) {
         sys.boot();
         std::size_t slot = sys.deployService(profile);
-        return sys.runStorm(slot, plan);
+        return core::runStorm(sys, slot, plan);
     };
     core::NodeConfig members;
     members.system = cfg;
@@ -341,7 +341,7 @@ runMonolith(const resilience::StormPlan &plan)
     sys.boot();
     std::size_t slot =
         sys.deployService(net::daemonByName("httpd"));
-    return sys.runStorm(slot, plan);
+    return core::runStorm(sys, slot, plan);
 }
 
 resilience::StormReport

@@ -14,6 +14,7 @@
 
 #include "check/ref_models.hh"
 #include "checkpoint/domain_ckpt.hh"
+#include "core/node_handle.hh"
 #include "core/system.hh"
 #include "harness/parallel_sweep.hh"
 #include "net/daemon_profile.hh"
@@ -320,7 +321,8 @@ TEST(DomainRewind, OtherSchemesReportNoDomainActivity)
     // The per-domain board only exists under the domain scheme.
     ASSERT_NE(sys.slot(slot).guard, nullptr);
     EXPECT_EQ(sys.slot(slot).guard->domains(), nullptr);
-    resilience::StormReport rep = sys.runStorm(slot, reinfectStorm());
+    resilience::StormReport rep =
+        core::runStorm(sys, slot, reinfectStorm());
     EXPECT_EQ(rep.domainRewinds, 0u);
     EXPECT_EQ(rep.dormantAfterRewind, 0u);
 }
@@ -332,7 +334,8 @@ TEST(DomainStorm, ReinfectAdversaryIsRewoundWithNoDormantSurvivors)
     core::IndraSystem sys(
         core::NodeConfig{domainSystemConfig(), {}, armedResilience()});
     std::size_t slot = deployHttpd(sys);
-    resilience::StormReport rep = sys.runStorm(slot, reinfectStorm());
+    resilience::StormReport rep =
+        core::runStorm(sys, slot, reinfectStorm());
     EXPECT_GE(rep.domainRewinds, 1u);
     EXPECT_EQ(rep.dormantAfterRewind, 0u);
     EXPECT_GT(rep.legitServed, 0u);
@@ -349,7 +352,7 @@ TEST(DomainStorm, ReportIsBitIdenticalAcrossSweepJobs)
                 2 + 2 * static_cast<std::uint32_t>(i));
             core::IndraSystem sys(core::NodeConfig{cfg, {}, armedResilience()});
             std::size_t slot = deployHttpd(sys);
-            return sys.runStorm(slot, reinfectStorm());
+            return core::runStorm(sys, slot, reinfectStorm());
         });
     };
     auto serial = run_cells(1);

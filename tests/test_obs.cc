@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/node_handle.hh"
 #include "core/system.hh"
 #include "faults/fault_plan.hh"
 #include "harness/parallel_sweep.hh"
@@ -334,7 +335,7 @@ runTracedStorm(TraceLog *log, const faults::FaultPlan &fplan = {})
     net::DaemonProfile profile = net::daemonByName("httpd");
     profile.instrPerRequest = 25'000;
     std::size_t slot = sys.deployService(profile);
-    return sys.runStorm(slot, stormPlan());
+    return core::runStorm(sys, slot, stormPlan());
 }
 
 std::string
@@ -414,7 +415,7 @@ TEST(ObsEndToEnd, FaultedStormCoversEventTaxonomy)
     net::DaemonProfile profile = net::daemonByName("httpd");
     profile.instrPerRequest = 25'000;
     std::size_t slot = sys.deployService(profile);
-    sys.runStorm(slot, stormPlan());
+    core::runStorm(sys, slot, stormPlan());
 
     std::set<EventKind> kinds;
     for (std::size_t i = 0; i < log.size(); ++i)

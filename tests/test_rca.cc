@@ -1,11 +1,12 @@
 /** @file Tests for the root-cause-analysis subsystem (src/rca): the
  * injector's append-only site log vs its per-kind counters,
  * attribution determinism across parallel job counts, planted-fault
- * site recovery, replay-detector-vs-monitor latency ordering, the
- * golden twin's equivalence with the direct request path, reproducer
- * JSON round trips, shrunk reproducers replaying to the same verdict,
- * and the rca.* dotted-key routing (unknown keys fatal, naming the
- * key). */
+ * site recovery, replay-detector-vs-monitor latency ordering, a clean
+ * golden twin for fault-free scenarios (including guarded and
+ * proactively rejuvenated ones), scenario fields the campaign does
+ * not run being fatal, reproducer JSON round trips, shrunk
+ * reproducers replaying to the same verdict, and the rca.* dotted-key
+ * routing (unknown keys fatal, naming the key). */
 
 #include <gtest/gtest.h>
 
@@ -20,7 +21,6 @@
 #include "rca/attribution.hh"
 #include "rca/campaign.hh"
 #include "rca/rca_config.hh"
-#include "rca/replay.hh"
 #include "rca/reproducer.hh"
 
 using namespace indra;
@@ -89,7 +89,7 @@ failureDigest(const CampaignResult &res)
 TEST(RcaSiteLog, MatchesInjectedCounters)
 {
     Scenario sc = campaignScenario(faults::FaultKind::DeltaFlip, 0.5, 7);
-    core::IndraSystem sys(rca::nodeConfigFor(sc));
+    core::IndraSystem sys(check::nodeConfigFor(sc));
     sys.boot();
     net::DaemonProfile profile = net::daemonByName(sc.daemon);
     profile.instrPerRequest = sc.instrPerRequest;
@@ -163,8 +163,8 @@ TEST(RcaCampaign, AttributionDeterministicAcrossJobs)
 }
 
 // With no faults armed there is no site log, no divergence, and no
-// memory skew: the NodeHandle-driven golden twin reproduces the
-// processRequest-driven run exactly.
+// memory skew: the golden twin runs the same window runner as the
+// faulted run and reproduces it exactly.
 TEST(RcaCampaign, FaultFreeCampaignIsClean)
 {
     Scenario sc = campaignScenario(faults::FaultKind::DeltaFlip, 0.5, 3);
@@ -176,6 +176,73 @@ TEST(RcaCampaign, FaultFreeCampaignIsClean)
     EXPECT_TRUE(res.failures.empty()) << failureDigest(res);
     EXPECT_FALSE(res.memoryDiverged);
     EXPECT_EQ(res.windows.size(), sc.requestCount());
+}
+
+/** A fault-free campaign scenario built from @p steps. */
+Scenario
+faultFreeScenario(std::vector<check::ScenarioStep> steps)
+{
+    Scenario sc = campaignScenario(faults::FaultKind::DeltaFlip, 0.5, 1);
+    sc.faults.clear();
+    sc.steps = std::move(steps);
+    return sc;
+}
+
+// Guard admission and proactive rejuvenation are part of the node,
+// so the twin must see them exactly as the faulted run does: with no
+// faults armed, neither a guarded node under a DoS flood nor a
+// periodically rejuvenated one may show a single divergence.
+TEST(RcaCampaign, FaultFreeGuardAndRejuvenationAreClean)
+{
+    Scenario guarded = faultFreeScenario({
+        {net::AttackKind::DosFlood, 30},
+        {net::AttackKind::None, 10},
+    });
+    guarded.guardArmed = true;
+
+    Scenario periodic = faultFreeScenario({
+        {net::AttackKind::None, 6},
+        {net::AttackKind::StackSmash, 1},
+        {net::AttackKind::None, 6},
+    });
+    periodic.rejuvenationTrigger =
+        resilience::RejuvenationTrigger::Periodic;
+
+    for (const Scenario &sc : {guarded, periodic}) {
+        CampaignResult res = rca::runCampaign(sc, RcaConfig{});
+        EXPECT_TRUE(res.replayed) << sc.describe();
+        EXPECT_EQ(res.failures.size(), 0u)
+            << sc.describe() << ": " << failureDigest(res);
+        EXPECT_FALSE(res.memoryDiverged) << sc.describe();
+        EXPECT_EQ(res.windows.size(), sc.requestCount())
+            << sc.describe();
+    }
+}
+
+// A campaign serves the request schedule only. A scenario naming a
+// storm phase or a planted oracle bug would run as a different
+// scenario than the one it names, so each such field is fatal and
+// the message names its JSON key.
+TEST(RcaCampaignDeathTest, IgnoredScenarioFieldsFatal)
+{
+    const Scenario base = faultFreeScenario({{net::AttackKind::None, 2}});
+    auto run = [](Scenario sc) { rca::runCampaign(sc, RcaConfig{}); };
+
+    Scenario sc = base;
+    sc.stormBurst = 4;
+    EXPECT_DEATH(run(sc), "storm_burst");
+    sc = base;
+    sc.stormAttackRate = 2.0;
+    EXPECT_DEATH(run(sc), "storm_attack_rate");
+    sc = base;
+    sc.adversaryBudget = 8;
+    EXPECT_DEATH(run(sc), "adversary_budget");
+    sc = base;
+    sc.adversaryStrategy = adversary::AdversaryStrategy::Reinfect;
+    EXPECT_DEATH(run(sc), "adversary_strategy");
+    sc = base;
+    sc.plantAtEpoch = 1;
+    EXPECT_DEATH(run(sc), "plant_at_epoch");
 }
 
 // A planted always-on fault is recovered at exactly its site: every

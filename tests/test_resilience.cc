@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "core/node_handle.hh"
 #include "core/system.hh"
 #include "harness/parallel_sweep.hh"
 #include "net/daemon_profile.hh"
@@ -687,7 +688,7 @@ runSmallStorm(const ResilienceConfig &rc)
     net::DaemonProfile profile = net::daemonByName("httpd");
     profile.instrPerRequest = 25'000;
     std::size_t slot = sys.deployService(profile);
-    return sys.runStorm(slot, smallStorm());
+    return core::runStorm(sys, slot, smallStorm());
 }
 
 void
