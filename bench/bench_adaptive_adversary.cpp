@@ -38,13 +38,10 @@
  * reinfect attacker.
  */
 
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "bench_util.hh"
-#include "core/node_handle.hh"
-#include "resilience/storm.hh"
+#include "storm_recipe.hh"
 
 using namespace indra;
 
@@ -83,30 +80,10 @@ struct Cell
     resilience::StormReport rep;
 };
 
-SystemConfig
-baseConfig()
-{
-    SystemConfig cfg;
-    cfg.physMemBytes = 128ULL * 1024 * 1024;
-    cfg.consecutiveFailureThreshold = 4;
-    // Macro epochs frequent enough for the epoch trigger to count
-    // them, and rejuvenation priced so a proactive restore competes
-    // with the recovery cascades it pre-empts rather than dwarfing
-    // the whole run.
-    cfg.macroCheckpointPeriod = 10;
-    cfg.rejuvenationCycles = 2000000;
-    return cfg;
-}
-
 resilience::ResilienceConfig
 defenseConfig(resilience::RejuvenationTrigger trigger)
 {
-    resilience::ResilienceConfig rc;
-    rc.queueBound = 6;
-    rc.fifoHighWater = 24;
-    rc.degradeViolations = 2;
-    rc.quarantineFailStreak = 2;
-    rc.healServedStreak = 3;
+    resilience::ResilienceConfig rc = benchutil::stormDefense();
     rc.rejuvenation.trigger = trigger;
     // Policies tuned to the storm horizon (tens of Mcycles): a few
     // restores per run, not one per request.
@@ -117,41 +94,18 @@ defenseConfig(resilience::RejuvenationTrigger trigger)
     return rc;
 }
 
-resilience::StormPlan
-stormPlan(const AttackerSpec &a, std::uint64_t budget,
-          std::uint64_t legit_requests)
-{
-    resilience::StormPlan plan;
-    plan.seed = 1;
-    plan.legitRequests = legit_requests;
-    plan.legitRatePerMCycle = 1.0;
-    plan.deadline = 3000000;
-    plan.probePeriod = 50000;
-    if (!a.adaptive) {
-        plan.attackRatePerMCycle = 8.0;
-        plan.burstLen = 4;
-        plan.attackKind = net::AttackKind::StackSmash;
-    } else {
-        plan.adversary.armed = true;
-        plan.adversary.strategy = a.strategy;
-        plan.adversary.budget = budget;
-        plan.adversary.burstLen = 4;
-        plan.adversary.baseGap = 500000;
-        plan.adversary.payload = net::AttackKind::StackSmash;
-        plan.adversary.reinfectDelay = 100000;
-    }
-    return plan;
-}
-
 Cell
 runCell(const AttackerSpec &a, resilience::RejuvenationTrigger policy,
         std::uint64_t budget, std::uint64_t legit_requests,
         const std::vector<std::string> &ablations,
         benchutil::ObsCollector &collector, std::size_t cell_idx)
 {
-    resilience::StormPlan plan = stormPlan(a, budget, legit_requests);
-    core::NodeConfig node{baseConfig(), faults::FaultPlan(),
-                          defenseConfig(policy)};
+    resilience::StormPlan plan =
+        a.adaptive
+            ? benchutil::adaptiveStorm(a.strategy, budget, legit_requests)
+            : benchutil::staticStorm(legit_requests);
+    core::NodeConfig node(benchutil::stormSystem(), {},
+                          defenseConfig(policy));
     // Command-line overrides land on top of the matrix cell, so a
     // single flag sweeps the whole table through a what-if; the
     // cell's attacker round-trips through the node's adversary block.
@@ -159,19 +113,11 @@ runCell(const AttackerSpec &a, resilience::RejuvenationTrigger policy,
     core::applyNodeSettings(node, ablations);
     plan.adversary = node.adversary;
 
-    net::DaemonProfile profile = net::daemonByName("httpd");
-    profile.instrPerRequest = 25000;
-
-    core::IndraSystem sys(node);
-    sys.attachTraceLog(collector.traceFor(cell_idx));
-    sys.boot();
-    std::size_t slot = sys.deployService(profile);
-
     Cell cell;
     cell.label = std::string(a.label) + ":" +
                  resilience::rejuvenationTriggerName(policy);
-    cell.rep = core::runStorm(sys, slot, plan);
-    collector.snapshot(cell_idx, cell.label, sys.rootStats());
+    cell.rep = benchutil::runStormCell(node, "httpd", plan, &collector,
+                                       cell_idx, cell.label);
     return cell;
 }
 
@@ -179,16 +125,11 @@ void
 printCell(const Cell &c)
 {
     const resilience::StormReport &r = c.rep;
-    double shed_rate =
-        r.shedTotal() + r.executed
-            ? static_cast<double>(r.shedTotal()) /
-                  static_cast<double>(r.shedTotal() + r.executed)
-            : 0.0;
     std::cout << std::left << std::setw(24) << c.label << std::right
               << std::setw(9) << std::fixed << std::setprecision(3)
               << r.goodput()
               << std::setw(9) << r.rawThroughput()
-              << std::setw(10) << shed_rate
+              << std::setw(10) << benchutil::shedRate(r)
               << std::setw(11) << r.legitP99
               << std::setw(11) << r.recoveryP99
               << std::setw(7) << r.adversaryMoves
@@ -208,54 +149,31 @@ main(int argc, char **argv)
         "Survivability matrix: adaptive attacker strategies vs "
         "proactive rejuvenation policies, at equal attack budget");
     bool smoke = false;
-    std::string ablate_spec;
     cli.flag("--smoke", "CI-sized subset with self-checks", &smoke);
-    cli.option("--ablate", "K=V[,K=V...]",
-               "NodeConfig key overrides (adversary.*, rejuvenation.*, "
-               "resilience.*, domain.*, ...) applied to every cell",
-               &ablate_spec);
+    cli.ablateOption("NodeConfig key overrides (adversary.*, "
+                     "rejuvenation.*, resilience.*, domain.*, ...) "
+                     "applied to every cell");
     auto sweep = cli.parse(argc, argv);
-
-    std::vector<std::string> ablations;
-    {
-        std::stringstream ss(ablate_spec);
-        std::string tok;
-        while (std::getline(ss, tok, ',')) {
-            if (!tok.empty())
-                ablations.push_back(tok);
-        }
-    }
+    const std::vector<std::string> ablations = cli.ablations();
 
     const std::uint64_t legit_requests = smoke ? 60 : 140;
 
-    // The equal-budget anchor: run the static storm once, up front,
-    // and grant every adaptive attacker exactly the request volume it
-    // delivered. A pure rerun of the same cell appears in the matrix,
-    // so the anchor costs one extra run but keeps the sweep uniform.
+    // The equal-budget anchor: grant every adaptive attacker exactly
+    // the request volume the static storm delivers. A pure rerun of
+    // the same cell appears in the matrix, so the anchor costs one
+    // extra run but keeps the sweep uniform.
     benchutil::ObsCollector collector("bench_adaptive_adversary",
                                       cli.obs());
     const std::size_t n = nAttackers * nPolicies;
     collector.resize(n);
-    std::uint64_t budget;
-    {
-        resilience::ResilienceConfig rc =
-            defenseConfig(resilience::RejuvenationTrigger::None);
-        resilience::StormPlan plan =
-            stormPlan(attackers[0], 0, legit_requests);
-        net::DaemonProfile profile = net::daemonByName("httpd");
-        profile.instrPerRequest = 25000;
-        core::IndraSystem sys(core::NodeConfig{baseConfig(), faults::FaultPlan(), rc});
-        sys.boot();
-        std::size_t slot = sys.deployService(profile);
-        budget = core::runStorm(sys, slot, plan).attackArrivals;
-    }
+    const std::uint64_t budget = benchutil::equalBudget(legit_requests);
 
     benchutil::printHeader(
         "Adaptive adversary: strategy x rejuvenation policy, budget " +
             std::to_string(budget),
-        baseConfig());
+        benchutil::stormSystem());
     if (!ablations.empty())
-        std::cout << "ablations: " << ablate_spec << "\n\n";
+        std::cout << "ablations: " << cli.ablateSpec() << "\n\n";
     std::cout << std::left << std::setw(24) << "cell" << std::right
               << std::setw(9) << "goodput"
               << std::setw(9) << "raw_tput"
@@ -283,13 +201,7 @@ main(int argc, char **argv)
     }
 
     // ------------------------------------------------- self checks
-    int failures = 0;
-    auto check = [&failures](bool ok, const std::string &what) {
-        if (!ok) {
-            std::cout << "SMOKE CHECK FAILED: " << what << "\n";
-            ++failures;
-        }
-    };
+    benchutil::SmokeChecks check;
     auto cellAt = [&](std::size_t attacker,
                       std::size_t policy) -> const Cell & {
         return cells[attacker * nPolicies + policy];
@@ -350,8 +262,7 @@ main(int argc, char **argv)
     }
     check(proact > 0, "no proactive restore fired anywhere");
 
-    if (failures == 0)
-        std::cout << "\nall smoke checks passed\n";
+    int status = check.finish();
     collector.write();
-    return failures == 0 ? 0 : 1;
+    return status;
 }

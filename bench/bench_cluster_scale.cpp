@@ -42,8 +42,8 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hh"
 #include "cluster/cluster.hh"
+#include "storm_recipe.hh"
 
 using namespace indra;
 
@@ -57,39 +57,15 @@ struct Cell
     cluster::ClusterReport rep;
 };
 
-core::NodeConfig
-baseNode()
-{
-    core::NodeConfig node;
-    node.system.physMemBytes = 128ULL * 1024 * 1024;
-    node.system.consecutiveFailureThreshold = 4;
-    node.system.macroCheckpointPeriod = 10;
-    node.system.rejuvenationCycles = 2000000;
-    node.resilience.queueBound = 6;
-    node.resilience.fifoHighWater = 24;
-    node.resilience.degradeViolations = 2;
-    node.resilience.quarantineFailStreak = 2;
-    node.resilience.healServedStreak = 3;
-    return node;
-}
-
 resilience::StormPlan
 stormPlan(bool smoke)
 {
-    resilience::StormPlan plan;
-    plan.seed = 1;
-    plan.legitRatePerMCycle = 1.0; // unused: the balancer injects
-    plan.deadline = 8000000;
-    plan.probePeriod = 50000;
     // The adaptive attacker from the survivability matrix, striking
-    // every node of the fleet in phase.
-    plan.adversary.armed = true;
-    plan.adversary.strategy = adversary::AdversaryStrategy::Reinfect;
-    plan.adversary.budget = smoke ? 24 : 60;
-    plan.adversary.burstLen = 4;
-    plan.adversary.baseGap = 500000;
-    plan.adversary.payload = net::AttackKind::StackSmash;
-    plan.adversary.reinfectDelay = 100000;
+    // every node of the fleet in phase; legit load arrives through
+    // the balancer, over a longer deadline.
+    resilience::StormPlan plan = benchutil::adaptiveStorm(
+        adversary::AdversaryStrategy::Reinfect, smoke ? 24 : 60, 0);
+    plan.deadline = 8000000;
     return plan;
 }
 
@@ -107,7 +83,8 @@ runCell(std::uint32_t nodes, double ratio,
         const std::vector<std::string> &ablations, bool smoke,
         harness::ParallelSweep &sweep)
 {
-    core::NodeConfig node = baseNode();
+    core::NodeConfig node(benchutil::stormSystem(), {},
+                          benchutil::stormDefense());
     core::applyNodeSettings(node, ablations);
 
     cluster::ClusterConfig cc;
@@ -120,10 +97,8 @@ runCell(std::uint32_t nodes, double ratio,
     cc.seed = 1;
     cc.link.ratePerMCycle = 40.0;
 
-    net::DaemonProfile profile = net::daemonByName("httpd");
-    profile.instrPerRequest = 25000;
-
-    cluster::ClusterSim sim(node, stormPlan(smoke), cc, profile);
+    cluster::ClusterSim sim(node, stormPlan(smoke), cc,
+                            benchutil::stormDaemon("httpd"));
     Cell cell;
     cell.nodes = nodes;
     cell.ratio = ratio;
@@ -170,25 +145,13 @@ main(int argc, char **argv)
         "Fleet sweep: goodput and recovery p99 vs node count and "
         "resurrector:resurrectee ratio under correlated storms");
     bool smoke = false;
-    std::string ablate_spec;
     benchutil::ClusterOptions copts;
     cli.flag("--smoke", "CI-sized slice with self-checks", &smoke);
-    cli.option("--ablate", "K=V[,K=V...]",
-               "dotted NodeConfig overrides applied to every node of "
-               "every cell",
-               &ablate_spec);
+    cli.ablateOption("dotted NodeConfig overrides applied to every node "
+                     "of every cell");
     cli.clusterPreset(&copts);
     auto sweep = cli.parse(argc, argv);
-
-    std::vector<std::string> ablations;
-    {
-        std::stringstream ss(ablate_spec);
-        std::string tok;
-        while (std::getline(ss, tok, ',')) {
-            if (!tok.empty())
-                ablations.push_back(tok);
-        }
-    }
+    const std::vector<std::string> ablations = cli.ablations();
 
     std::vector<std::uint32_t> nodeAxis = copts.nodeCounts(
         smoke ? std::vector<std::uint32_t>{4}
@@ -199,9 +162,9 @@ main(int argc, char **argv)
 
     benchutil::printHeader(
         "Cluster scale: fleet size x resurrector pool ratio",
-        baseNode().system);
+        benchutil::stormSystem());
     if (!ablations.empty())
-        std::cout << "ablations: " << ablate_spec << "\n\n";
+        std::cout << "ablations: " << cli.ablateSpec() << "\n\n";
     std::cout << std::left << std::setw(18) << "cell" << std::right
               << std::setw(9) << "goodput"
               << std::setw(9) << "raw_tput"
@@ -229,13 +192,7 @@ main(int argc, char **argv)
         return 0;
 
     // ------------------------------------------------- self checks
-    int failures = 0;
-    auto check = [&failures](bool ok, const std::string &what) {
-        if (!ok) {
-            std::cout << "SMOKE CHECK FAILED: " << what << "\n";
-            ++failures;
-        }
-    };
+    benchutil::SmokeChecks check;
 
     // Per fleet size, walk the ratio axis from the richest pool to
     // the most starved (ratios descend by construction).
@@ -293,7 +250,5 @@ main(int argc, char **argv)
               "a cell collapsed under the correlated storm");
     }
 
-    if (failures == 0)
-        std::cout << "\nall smoke checks passed\n";
-    return failures == 0 ? 0 : 1;
+    return check.finish();
 }

@@ -36,9 +36,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hh"
-#include "core/node_handle.hh"
-#include "resilience/storm.hh"
+#include "storm_recipe.hh"
 
 using namespace indra;
 
@@ -69,91 +67,27 @@ struct Cell
     std::uint64_t rejuvenations = 0;
 };
 
-SystemConfig
-baseConfig()
-{
-    SystemConfig cfg;
-    cfg.physMemBytes = 128ULL * 1024 * 1024;
-    cfg.checkpointScheme = CheckpointScheme::DeltaBackup;
-    cfg.consecutiveFailureThreshold = 4;
-    // Same defense pricing as the adversary matrix: rejuvenation is
-    // expensive enough that pre-empting it matters, macro epochs
-    // frequent enough that the ladder has somewhere to fall back to.
-    cfg.macroCheckpointPeriod = 10;
-    cfg.rejuvenationCycles = 2000000;
-    return cfg;
-}
-
-resilience::ResilienceConfig
-defenseConfig()
-{
-    resilience::ResilienceConfig rc;
-    rc.queueBound = 6;
-    rc.fifoHighWater = 24;
-    rc.degradeViolations = 2;
-    rc.quarantineFailStreak = 2;
-    rc.healServedStreak = 3;
-    return rc;
-}
-
-resilience::StormPlan
-staticPlan(std::uint64_t legit_requests)
-{
-    resilience::StormPlan plan;
-    plan.seed = 1;
-    plan.legitRequests = legit_requests;
-    plan.legitRatePerMCycle = 1.0;
-    plan.deadline = 3000000;
-    plan.probePeriod = 50000;
-    plan.attackRatePerMCycle = 8.0;
-    plan.burstLen = 4;
-    plan.attackKind = net::AttackKind::StackSmash;
-    return plan;
-}
-
-resilience::StormPlan
-reinfectPlan(std::uint64_t budget, std::uint64_t legit_requests)
-{
-    resilience::StormPlan plan;
-    plan.seed = 1;
-    plan.legitRequests = legit_requests;
-    plan.legitRatePerMCycle = 1.0;
-    plan.deadline = 3000000;
-    plan.probePeriod = 50000;
-    plan.adversary.armed = true;
-    plan.adversary.strategy = adversary::AdversaryStrategy::Reinfect;
-    plan.adversary.budget = budget;
-    plan.adversary.burstLen = 4;
-    plan.adversary.baseGap = 500000;
-    plan.adversary.payload = net::AttackKind::StackSmash;
-    plan.adversary.reinfectDelay = 100000;
-    return plan;
-}
-
 Cell
 runCell(const DefenseSpec &d, std::uint64_t budget,
         std::uint64_t legit_requests,
         benchutil::ObsCollector &collector, std::size_t cell_idx)
 {
-    SystemConfig cfg = baseConfig();
-    cfg.checkpointScheme = d.scheme;
+    core::NodeConfig node(benchutil::stormSystem(), {},
+                          benchutil::stormDefense());
+    node.system.checkpointScheme = d.scheme;
     if (d.domains)
-        cfg.domainCount = d.domains;
-
-    net::DaemonProfile profile = net::daemonByName("httpd");
-    profile.instrPerRequest = 25000;
-
-    core::IndraSystem sys(core::NodeConfig{cfg, faults::FaultPlan(), defenseConfig()});
-    sys.attachTraceLog(collector.traceFor(cell_idx));
-    sys.boot();
-    std::size_t slot = sys.deployService(profile);
+        node.system.domainCount = d.domains;
 
     Cell cell;
     cell.label = d.label;
-    cell.rep =
-        core::runStorm(sys, slot, reinfectPlan(budget, legit_requests));
-    cell.rejuvenations = sys.slot(slot).recovery->rejuvenations();
-    collector.snapshot(cell_idx, cell.label, sys.rootStats());
+    cell.rep = benchutil::runStormCell(
+        node, "httpd",
+        benchutil::adaptiveStorm(adversary::AdversaryStrategy::Reinfect,
+                                 budget, legit_requests),
+        &collector, cell_idx, cell.label,
+        [&cell](core::IndraSystem &sys, std::size_t slot) {
+            cell.rejuvenations = sys.slot(slot).recovery->rejuvenations();
+        });
     return cell;
 }
 
@@ -161,16 +95,11 @@ void
 printCell(const Cell &c)
 {
     const resilience::StormReport &r = c.rep;
-    double shed_rate =
-        r.shedTotal() + r.executed
-            ? static_cast<double>(r.shedTotal()) /
-                  static_cast<double>(r.shedTotal() + r.executed)
-            : 0.0;
     std::cout << std::left << std::setw(20) << c.label << std::right
               << std::setw(9) << std::fixed << std::setprecision(3)
               << r.goodput()
               << std::setw(9) << r.rawThroughput()
-              << std::setw(10) << shed_rate
+              << std::setw(10) << benchutil::shedRate(r)
               << std::setw(11) << r.legitP99
               << std::setw(11) << r.recoveryP99
               << std::setw(9) << r.domainRewinds
@@ -195,28 +124,17 @@ main(int argc, char **argv)
 
     const std::uint64_t legit_requests = smoke ? 60 : 140;
 
-    // The equal-budget anchor: run the static storm once against the
-    // classic ladder and grant the reinfect adversary exactly the
-    // attack volume it delivered, so every defense faces the same
-    // attacker spend.
+    // The equal-budget anchor: grant the reinfect adversary exactly
+    // the attack volume the static storm delivers, so every defense
+    // faces the same attacker spend.
     benchutil::ObsCollector collector("bench_domain_rewind", cli.obs());
     collector.resize(nDefenses);
-    std::uint64_t budget;
-    {
-        net::DaemonProfile profile = net::daemonByName("httpd");
-        profile.instrPerRequest = 25000;
-        core::IndraSystem sys(core::NodeConfig{baseConfig(), faults::FaultPlan(),
-                              defenseConfig()});
-        sys.boot();
-        std::size_t slot = sys.deployService(profile);
-        budget = core::runStorm(sys, slot, staticPlan(legit_requests))
-                     .attackArrivals;
-    }
+    const std::uint64_t budget = benchutil::equalBudget(legit_requests);
 
     benchutil::printHeader(
         "Domain rewind vs full rejuvenation (reinfect adversary, "
         "budget " + std::to_string(budget) + ")",
-        baseConfig());
+        benchutil::stormSystem());
     std::cout << std::left << std::setw(20) << "defense" << std::right
               << std::setw(9) << "goodput"
               << std::setw(9) << "raw_tput"
@@ -242,13 +160,7 @@ main(int argc, char **argv)
     }
 
     // ------------------------------------------------- self checks
-    int failures = 0;
-    auto check = [&failures](bool ok, const std::string &what) {
-        if (!ok) {
-            std::cout << "SMOKE CHECK FAILED: " << what << "\n";
-            ++failures;
-        }
-    };
+    benchutil::SmokeChecks check;
 
     // Equal budgets actually held, and no rewind anywhere left
     // dormant damage alive (the DomainRewindClearsDormant contract).
@@ -283,8 +195,7 @@ main(int argc, char **argv)
                   " did not strictly beat full rejuvenation's goodput");
     }
 
-    if (failures == 0)
-        std::cout << "\nall smoke checks passed\n";
+    int status = check.finish();
     collector.write();
-    return failures == 0 ? 0 : 1;
+    return status;
 }

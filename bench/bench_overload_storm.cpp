@@ -32,10 +32,8 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hh"
-#include "core/node_handle.hh"
 #include "faults/fault_plan.hh"
-#include "resilience/storm.hh"
+#include "storm_recipe.hh"
 
 using namespace indra;
 
@@ -60,42 +58,15 @@ struct CellParams
 SystemConfig
 baseConfig()
 {
-    SystemConfig cfg;
-    cfg.physMemBytes = 128ULL * 1024 * 1024;
-    // A slower ladder keeps the quarantine stage observable: the
-    // health machine must reach Quarantined before the recovery
-    // ladder escalates past micro recovery.
-    cfg.consecutiveFailureThreshold = 4;
+    // The storm node at SystemConfig's default macro period and
+    // rejuvenation price, which this bench's tables are measured at.
+    // The recipe's 4-failure threshold keeps the quarantine stage
+    // observable: the health machine must reach Quarantined before
+    // the recovery ladder escalates past micro recovery.
+    SystemConfig cfg = benchutil::stormSystem();
+    cfg.macroCheckpointPeriod = SystemConfig().macroCheckpointPeriod;
+    cfg.rejuvenationCycles = SystemConfig().rejuvenationCycles;
     return cfg;
-}
-
-resilience::ResilienceConfig
-armedConfig(std::uint32_t bound)
-{
-    resilience::ResilienceConfig rc;
-    rc.queueBound = bound;
-    rc.fifoHighWater = 48;
-    rc.degradeViolations = 2;
-    rc.quarantineFailStreak = 2;
-    rc.healServedStreak = 3;
-    return rc;
-}
-
-resilience::StormPlan
-stormPlan(const CellParams &p, std::uint64_t legit_requests,
-          bool plant_dormant)
-{
-    resilience::StormPlan plan;
-    plan.seed = 1;
-    plan.legitRequests = legit_requests;
-    plan.legitRatePerMCycle = 1.0;
-    plan.attackRatePerMCycle = p.attackRate;
-    plan.burstLen = p.burst;
-    plan.attackKind = net::AttackKind::StackSmash;
-    plan.plantDormant = plant_dormant;
-    plan.deadline = 3000000;
-    plan.probePeriod = 50000;
-    return plan;
 }
 
 StormCell
@@ -103,27 +74,26 @@ runCell(const CellParams &p, std::uint64_t legit_requests,
         bool plant_dormant, const faults::FaultPlan &fplan,
         benchutil::ObsCollector &collector, std::size_t cell_idx)
 {
-    SystemConfig cfg = baseConfig();
+    // A queue bound of 0 is the disarmed control.
     resilience::ResilienceConfig rc;
-    if (p.bound != 0)
-        rc = armedConfig(p.bound);
-
-    net::DaemonProfile profile = net::daemonByName(p.daemon);
-    profile.instrPerRequest = 25000;
-
-    core::IndraSystem sys(core::NodeConfig{cfg, fplan, rc});
-    sys.attachTraceLog(collector.traceFor(cell_idx));
-    sys.boot();
-    std::size_t slot = sys.deployService(profile);
+    if (p.bound != 0) {
+        rc = benchutil::stormDefense();
+        rc.queueBound = p.bound;
+        rc.fifoHighWater = 48;
+    }
+    resilience::StormPlan plan = benchutil::staticStorm(legit_requests);
+    plan.attackRatePerMCycle = p.attackRate;
+    plan.burstLen = p.burst;
+    plan.plantDormant = plant_dormant;
 
     StormCell cell;
     cell.armed = p.bound != 0;
     cell.label = p.daemon + ":a" + std::to_string(int(p.attackRate)) +
                  ":b" + std::to_string(p.burst) + ":q" +
                  std::to_string(p.bound);
-    cell.rep = core::runStorm(
-        sys, slot, stormPlan(p, legit_requests, plant_dormant));
-    collector.snapshot(cell_idx, cell.label, sys.rootStats());
+    cell.rep = benchutil::runStormCell(
+        core::NodeConfig(baseConfig(), fplan, rc), p.daemon, plan,
+        &collector, cell_idx, cell.label);
     return cell;
 }
 
@@ -138,16 +108,11 @@ printCell(const StormCell &c)
                 resilience::HealthState::Healthy)]) /
                 static_cast<double>(r.endTick);
     }
-    double shed_rate =
-        r.shedTotal() + r.executed
-            ? static_cast<double>(r.shedTotal()) /
-                  static_cast<double>(r.shedTotal() + r.executed)
-            : 0.0;
     std::cout << std::left << std::setw(20) << c.label << std::right
               << std::setw(10) << std::fixed << std::setprecision(3)
               << r.goodput()
               << std::setw(10) << r.rawThroughput()
-              << std::setw(10) << shed_rate
+              << std::setw(10) << benchutil::shedRate(r)
               << std::setw(10) << r.legitP50
               << std::setw(11) << r.legitP99
               << std::setw(8) << std::setprecision(3)
@@ -255,13 +220,7 @@ main(int argc, char **argv)
     const auto *log_guard = &rc.rep; // full transition data is in rep
 
     // ------------------------------------------------- self checks
-    int failures = 0;
-    auto check = [&failures](bool ok, const std::string &what) {
-        if (!ok) {
-            std::cout << "SMOKE CHECK FAILED: " << what << "\n";
-            ++failures;
-        }
-    };
+    benchutil::SmokeChecks check;
 
     // Goodput must not rise as the attack rate rises (same daemon,
     // burst, and bound). Cell index i = rate-major per the unpacking
@@ -287,8 +246,7 @@ main(int argc, char **argv)
           "no full Healthy->Degraded->Quarantined->Rejuvenating->"
           "Healthy cycle in the revival scenario");
 
-    if (failures == 0)
-        std::cout << "\nall smoke checks passed\n";
+    int status = check.finish();
     collector.write();
-    return failures == 0 ? 0 : 1;
+    return status;
 }

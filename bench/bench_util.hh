@@ -53,21 +53,6 @@ struct ObsOptions
 };
 
 /**
- * Build the bench's ParallelSweep from its command line: honors
- * "--jobs N" / "jobs=N" / INDRA_JOBS (default hardware_concurrency;
- * --jobs 1 reproduces the historical serial loop exactly). Cells run
- * shared-nothing — each builds its own IndraSystem — and results come
- * back in cell order, so the printed tables are bit-identical for any
- * job count.
- */
-inline harness::ParallelSweep
-sweepFromCli(int argc, char **argv)
-{
-    std::vector<std::string> args(argv + 1, argv + argc);
-    return harness::ParallelSweep(parseJobs(args));
-}
-
-/**
  * The cluster slice of a bench command line: fleet shape and user
  * skew for the cluster-scale sweeps. Registered as a BenchCli preset
  * (clusterPreset()) so every cluster bench spells the flags the same
@@ -189,6 +174,33 @@ class BenchCli
                &out->usersSpec);
     }
 
+    /**
+     * Register --ablate K=V[,K=V...]: NodeConfig key overrides, read
+     * back after parse() as ablateSpec() (the text, for the banner)
+     * and ablations() (the K=V list applyNodeSettings takes).
+     */
+    void
+    ablateOption(const std::string &desc)
+    {
+        option("--ablate", "K=V[,K=V...]", desc, &ablateText);
+    }
+
+    /** The --ablate text as given ("" when absent). */
+    const std::string &ablateSpec() const { return ablateText; }
+
+    /** The --ablate text split at commas, empty items dropped. */
+    std::vector<std::string>
+    ablations() const
+    {
+        std::vector<std::string> out;
+        std::istringstream is(ablateText);
+        std::string tok;
+        while (std::getline(is, tok, ','))
+            if (!tok.empty())
+                out.push_back(tok);
+        return out;
+    }
+
     /** Register a boolean flag (present -> *out = true). */
     void
     flag(const std::string &name, const std::string &desc, bool *out)
@@ -302,6 +314,36 @@ class BenchCli
     std::vector<Flag> flags;
     std::vector<Option> options;
     ObsOptions obsOpts;
+    std::string ablateText;
+};
+
+/**
+ * The --smoke self-check tally: check(ok, what) prints one
+ * "SMOKE CHECK FAILED: what" line per failed check, and finish()
+ * prints the verdict line and returns the bench's exit code.
+ */
+class SmokeChecks
+{
+  public:
+    void
+    operator()(bool ok, const std::string &what)
+    {
+        if (!ok) {
+            std::cout << "SMOKE CHECK FAILED: " << what << "\n";
+            ++failures;
+        }
+    }
+
+    int
+    finish() const
+    {
+        if (failures == 0)
+            std::cout << "\nall smoke checks passed\n";
+        return failures == 0 ? 0 : 1;
+    }
+
+  private:
+    int failures = 0;
 };
 
 /**

@@ -226,8 +226,7 @@ main(int argc, char **argv)
         "campaigns, with replay-based root-cause analysis");
     bool smoke = false;
     bool plantEscape = false;
-    std::string seedsOpt, seedBaseOpt, ratesOpt, replayPath,
-        reproDir, ablateSpec;
+    std::string seedsOpt, seedBaseOpt, ratesOpt, replayPath, reproDir;
     cli.flag("--smoke", "CI-sized slice with self-checks", &smoke);
     cli.flag("--plant-escape",
              "rca sensitivity self-test (plant a monitor-miss escape, "
@@ -244,9 +243,8 @@ main(int argc, char **argv)
                &replayPath);
     cli.option("--repro-dir", "DIR",
                "write escaped-cell reproducers here", &reproDir);
-    cli.option("--ablate", "K=V[,K=V...]",
-               "dotted NodeConfig overrides (rca.* routes to the "
-               "campaign runner)", &ablateSpec);
+    cli.ablateOption("dotted NodeConfig overrides (rca.* routes to the "
+                     "campaign runner)");
     auto sweep = cli.parse(argc, argv);
 
     // rca.* keys ride the same dotted-key router as every other node
@@ -258,7 +256,7 @@ main(int argc, char **argv)
         node.rca.shrinkBudget = 24;
         node.rca.maxReproducers = 6;
     }
-    core::applyNodeSettings(node, splitList(ablateSpec));
+    core::applyNodeSettings(node, cli.ablations());
     RcaConfig rcfg = node.rca;
 
     // ------------------------------------------------------- replay
@@ -337,8 +335,8 @@ main(int argc, char **argv)
               << "kinds x " << rates.size() << " rates x " << nSeeds
               << " seeds from " << seedBase << " ("
               << rca::describeRcaConfig(rcfg) << ")\n";
-    if (!ablateSpec.empty())
-        std::cout << "ablations: " << ablateSpec << "\n";
+    if (!cli.ablateSpec().empty())
+        std::cout << "ablations: " << cli.ablateSpec() << "\n";
     std::cout << "\n";
 
     auto cells = sweep.run(nCells, [&](std::size_t i) {

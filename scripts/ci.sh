@@ -1,19 +1,21 @@
 #!/usr/bin/env bash
 # The CI pipeline, runnable locally: three configurations of the same
 # tree, each driven through its CMake preset (see CMakePresets.json).
+# Every check is a ctest; no other script runs here.
 #
 #   ci-release     Release build, the full ctest suite (unit tests,
-#                  harness determinism, fault campaign smoke, overload
-#                  storm smoke with its self-checks, the obs export
-#                  smoke: --stats-json/--trace validation, and the
+#                  harness determinism, the bench export files parsing
+#                  and matching across --jobs, fault campaign smoke,
+#                  overload storm smoke with its self-checks, and the
 #                  --jobs 1 vs --jobs 8 identity checks of the
 #                  adversary, domain, cluster and vuln-map sweeps).
 #   ci-asan-ubsan  address+undefined sanitizers over the labelled
 #                  corruption paths and the config registry: -L
 #                  faults, resilience, harness, obs, check, adversary,
 #                  domain, cluster, rca, config (the differential-oracle
-#                  tests run with INDRA_CHECK=ON under both sanitizer
-#                  configs).
+#                  tests, including the fixed-seed fuzz slice and its
+#                  planted-bug sensitivity checks, run with
+#                  INDRA_CHECK=ON under both sanitizer configs).
 #   ci-tsan        thread sanitizer over the parallel sweep harness,
 #                  the storm cells, and the per-cell trace logs:
 #                  -L harness, resilience, obs, check, adversary,
@@ -23,9 +25,6 @@
 # smoke gate, perfbench/gate.py --smoke (every BENCHMARK.json workload
 # at quarter size, untraced and traced, with its digest and schema
 # checks).
-#
-# After the presets, scripts/fuzz_smoke.sh runs a fixed-seed slice of
-# the oracle fuzzer plus its planted-bug sensitivity check.
 #
 # Usage: scripts/ci.sh [preset ...]   (default: all three in order)
 
@@ -53,7 +52,5 @@ for preset in "${presets[@]}"; do
         python3 perfbench/gate.py --smoke
     fi
 done
-
-scripts/fuzz_smoke.sh
 
 echo "=== all CI presets passed: ${presets[*]}"

@@ -12,47 +12,6 @@
 namespace indra::check
 {
 
-namespace
-{
-
-/** The engines serving one pid, resolved from the slot table. */
-struct PidRefs
-{
-    ckpt::CheckpointPolicy *policy = nullptr;
-    ckpt::MacroCheckpoint *macro = nullptr;
-    resilience::ServiceGuard *guard = nullptr;
-    CoreId coreId = 0;
-};
-
-PidRefs
-resolve(core::IndraSystem &sys, Pid pid)
-{
-    PidRefs refs;
-    for (std::size_t i = 0; i < sys.serviceCount(); ++i) {
-        core::ServiceSlot &s = sys.slot(i);
-        if (s.pid == pid) {
-            refs.policy = s.policy.get();
-            refs.macro = s.macro.get();
-            refs.guard = s.guard.get();
-            refs.coreId = s.coreId;
-            return refs;
-        }
-        for (const auto &co : s.coServices) {
-            if (co->pid == pid) {
-                refs.policy = co->policy.get();
-                refs.macro = co->macro.get();
-                // Co-services share the host slot's front door.
-                refs.guard = s.guard.get();
-                refs.coreId = s.coreId;
-                return refs;
-            }
-        }
-    }
-    return refs;
-}
-
-} // anonymous namespace
-
 SystemChecker::SystemChecker(core::IndraSystem &sys) : sys(sys)
 {
 }
@@ -80,11 +39,13 @@ SystemChecker::capture(RefMemory &into, Pid pid)
 CheckContext
 SystemChecker::contextFor(Pid pid)
 {
-    PidRefs refs = resolve(sys, pid);
+    auto refs = sys.refsForPid(pid);
     const os::Process &proc = sys.kernel().process(pid);
     CheckContext ctx;
-    ctx.delta = dynamic_cast<const ckpt::DeltaBackup *>(refs.policy);
-    ctx.guard = refs.guard;
+    if (refs) {
+        ctx.delta = dynamic_cast<const ckpt::DeltaBackup *>(refs->policy);
+        ctx.guard = refs->slot->guard.get();
+    }
     ctx.watchdog = sys.watchdog();
     ctx.phys = &sys.physMem();
     ctx.space = proc.space.get();
@@ -95,13 +56,10 @@ SystemChecker::contextFor(Pid pid)
 std::uint64_t
 SystemChecker::corruptionCount(Pid pid)
 {
-    PidRefs refs = resolve(sys, pid);
-    std::uint64_t n = 0;
-    if (refs.policy)
-        n += refs.policy->corruptionDetected();
-    if (refs.macro)
-        n += refs.macro->corruptionDetected();
-    return n;
+    auto refs = sys.refsForPid(pid);
+    return refs ? refs->policy->corruptionDetected() +
+                      refs->macro->corruptionDetected()
+                : 0;
 }
 
 void
@@ -187,9 +145,10 @@ SystemChecker::compareDomainRewind(ServiceShadow &shadow, Tick tick,
                                    Pid pid)
 {
     ++nCompares;
-    PidRefs refs = resolve(sys, pid);
+    auto refs = sys.refsForPid(pid);
     const auto *engine =
-        dynamic_cast<const ckpt::DomainRewindEngine *>(refs.policy);
+        refs ? dynamic_cast<const ckpt::DomainRewindEngine *>(refs->policy)
+             : nullptr;
     if (!engine)
         return;
     const os::Process &proc = sys.kernel().process(pid);
@@ -269,8 +228,8 @@ SystemChecker::onRecovered(Tick tick, Pid pid, RestoreLevel level)
         // the plant's page from its pre-plant anchor, and the system
         // heals the damage before this hook fires — damage still
         // present means an infected page survived its own rewind.
-        net::ServiceApplication *app = sys.appOf(pid);
-        if (app && app->hasDormantDamage()) {
+        auto refs = sys.refsForPid(pid);
+        if (refs && refs->app->hasDormantDamage()) {
             Violation v;
             v.id = InvariantId::DomainRewindClearsDormant;
             v.tick = tick;
@@ -285,8 +244,8 @@ SystemChecker::onRecovered(Tick tick, Pid pid, RestoreLevel level)
         // The reborn service must carry no dormant damage: the heal
         // happens before this hook fires, so damage still present
         // means a re-infected state survived the rebirth.
-        net::ServiceApplication *app = sys.appOf(pid);
-        if (app && app->hasDormantDamage()) {
+        auto refs = sys.refsForPid(pid);
+        if (refs && refs->app->hasDormantDamage()) {
             Violation v;
             v.id = InvariantId::RejuvenationClearsDormant;
             v.tick = tick;

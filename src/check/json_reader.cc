@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 
 namespace indra::check
 {
@@ -227,8 +228,7 @@ class Parser
         fail_unless(pos > start, "expected a value");
         JsonValue v;
         v.kind = JsonValue::Kind::Number;
-        v.number = std::strtod(text.substr(start, pos - start).c_str(),
-                               nullptr);
+        v.text = text.substr(start, pos - start);
         return v;
     }
 
@@ -248,22 +248,53 @@ JsonValue::field(const std::string &name) const
     return nullptr;
 }
 
-double
-JsonValue::num(const std::string &name, double fallback) const
+namespace
 {
-    const JsonValue *v = field(name);
+
+/** @p name's number as source text, or nullptr when absent. */
+const std::string *
+numberText(const JsonValue &obj, const std::string &name,
+           const std::string &path)
+{
+    const JsonValue *v = obj.field(name);
     if (!v)
-        return fallback;
-    if (v->kind != Kind::Number)
-        fatal("JSON field '", name, "' is not a number");
-    return v->number;
+        return nullptr;
+    if (v->kind != JsonValue::Kind::Number)
+        fatal("JSON field '", path, name, "' is not a number");
+    return &v->text;
+}
+
+std::string
+fieldWhat(const std::string &name, const std::string &path)
+{
+    return "JSON field '" + path + name + "'";
+}
+
+} // anonymous namespace
+
+double
+JsonValue::num(const std::string &name, double fallback, double lo,
+               double hi, const std::string &path) const
+{
+    const std::string *text = numberText(*this, name, path);
+    return text ? parseF64(fieldWhat(name, path), *text, lo, hi)
+                : fallback;
 }
 
 std::uint64_t
-JsonValue::u64(const std::string &name, std::uint64_t fallback) const
+JsonValue::u64(const std::string &name, std::uint64_t fallback,
+               const std::string &path) const
 {
-    return static_cast<std::uint64_t>(
-        num(name, static_cast<double>(fallback)));
+    const std::string *text = numberText(*this, name, path);
+    return text ? parseU64(fieldWhat(name, path), *text) : fallback;
+}
+
+std::uint32_t
+JsonValue::u32(const std::string &name, std::uint32_t fallback,
+               const std::string &path) const
+{
+    const std::string *text = numberText(*this, name, path);
+    return text ? parseU32(fieldWhat(name, path), *text) : fallback;
 }
 
 bool

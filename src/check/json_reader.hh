@@ -8,12 +8,18 @@
  * arrays, strings with escapes, numbers, booleans, null — and calls
  * fatal() with a character position on anything malformed, which is
  * the right behaviour for a --replay file the fuzzer itself produced.
+ *
+ * Numbers keep their source text and are converted only when read,
+ * through the strict parsers of sim/parse.hh: an integer field is
+ * exact over the whole u64 range, and a sign, fraction, exponent or
+ * out-of-range value in one is fatal, naming the key.
  */
 
 #ifndef INDRA_CHECK_JSON_READER_HH
 #define INDRA_CHECK_JSON_READER_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,19 +43,27 @@ class JsonValue
 
     Kind kind = Kind::Null;
     bool boolean = false;
-    double number = 0.0;
-    std::string text;
+    std::string text; //!< String contents, or a Number's source text
     std::vector<JsonValue> items;                       //!< Array
     std::vector<std::pair<std::string, JsonValue>> fields; //!< Object
 
     /** Object field by name, or nullptr. */
     const JsonValue *field(const std::string &name) const;
 
-    /** Typed field accessors with defaults; fatal() on a field that
-     *  exists but has the wrong kind. */
-    double num(const std::string &name, double fallback) const;
-    std::uint64_t u64(const std::string &name,
-                      std::uint64_t fallback) const;
+    /**
+     * Typed field accessors with defaults. A field that exists but has
+     * the wrong kind, or a number outside the accessor's type or
+     * range, is fatal; the message names the key as @p path + @p name
+     * (path "steps[]." for the items of a "steps" array).
+     */
+    double num(const std::string &name, double fallback,
+               double lo = -std::numeric_limits<double>::max(),
+               double hi = std::numeric_limits<double>::max(),
+               const std::string &path = "") const;
+    std::uint64_t u64(const std::string &name, std::uint64_t fallback,
+                      const std::string &path = "") const;
+    std::uint32_t u32(const std::string &name, std::uint32_t fallback,
+                      const std::string &path = "") const;
     bool flag(const std::string &name, bool fallback) const;
     std::string str(const std::string &name,
                     const std::string &fallback) const;

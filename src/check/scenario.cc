@@ -118,11 +118,9 @@ Scenario::fromJson(const std::string &text)
     sc.instrPerRequest =
         doc.u64("instr_per_request", sc.instrPerRequest);
     sc.macroPeriod = doc.u64("macro_period", sc.macroPeriod);
-    sc.failThreshold = static_cast<std::uint32_t>(
-        doc.u64("fail_threshold", sc.failThreshold));
+    sc.failThreshold = doc.u32("fail_threshold", sc.failThreshold);
     sc.guardArmed = doc.flag("guard", sc.guardArmed);
-    sc.stormBurst = static_cast<std::uint32_t>(
-        doc.u64("storm_burst", sc.stormBurst));
+    sc.stormBurst = doc.u32("storm_burst", sc.stormBurst);
     sc.stormAttackRate =
         doc.num("storm_attack_rate", sc.stormAttackRate);
     sc.plantAtEpoch = doc.u64("plant_at_epoch", sc.plantAtEpoch);
@@ -138,15 +136,15 @@ Scenario::fromJson(const std::string &text)
         "rejuvenation_trigger");
     // Absent in reproducer files written before the domain-rewind
     // scheme existed; those replay with the config default.
-    sc.domainCount = static_cast<std::uint32_t>(
-        doc.u64("domain_count", sc.domainCount));
+    sc.domainCount = doc.u32("domain_count", sc.domainCount);
     if (const JsonValue *fs = doc.field("faults")) {
         for (const JsonValue &f : fs->items) {
             FaultSetting setting;
             setting.kind = faults::faultKindFromName(
                 f.str("kind", "trace-drop"), "faults[].kind");
-            setting.rate = f.num("rate", 0.0);
-            setting.magnitude = f.u64("magnitude", 0);
+            // Fatal outside [0, 1], as FaultPlan::parse is.
+            setting.rate = f.num("rate", 0.0, 0.0, 1.0, "faults[].");
+            setting.magnitude = f.u64("magnitude", 0, "faults[].");
             sc.faults.push_back(setting);
         }
     }
@@ -155,8 +153,7 @@ Scenario::fromJson(const std::string &text)
             ScenarioStep step;
             step.attack = net::attackKindFromName(
                 s.str("attack", "none"), "steps[].attack");
-            step.repeat = static_cast<std::uint32_t>(
-                s.u64("repeat", 1));
+            step.repeat = s.u32("repeat", 1, "steps[].");
             sc.steps.push_back(step);
         }
     }
@@ -361,6 +358,22 @@ nodeConfigFor(const Scenario &sc)
     return core::NodeConfig{cfg, std::move(plan), rcfg};
 }
 
+std::vector<net::ServiceRequest>
+scenarioRequests(const Scenario &sc)
+{
+    std::vector<net::ServiceRequest> requests;
+    requests.reserve(sc.requestCount());
+    for (const ScenarioStep &step : sc.steps) {
+        for (std::uint32_t r = 0; r < step.repeat; ++r) {
+            net::ServiceRequest req;
+            req.seq = requests.size() + 1;
+            req.attack = step.attack;
+            requests.push_back(req);
+        }
+    }
+    return requests;
+}
+
 ScenarioVerdict
 runScenario(const Scenario &sc)
 {
@@ -377,15 +390,9 @@ runScenario(const Scenario &sc)
     std::size_t slot = sys.deployService(profile);
 
     ScenarioVerdict verdict;
-    std::uint64_t seq = 0;
-    for (const ScenarioStep &step : sc.steps) {
-        for (std::uint32_t r = 0; r < step.repeat; ++r) {
-            net::ServiceRequest req;
-            req.seq = ++seq;
-            req.attack = step.attack;
-            sys.processRequest(slot, req);
-            ++verdict.requests;
-        }
+    for (const net::ServiceRequest &req : scenarioRequests(sc)) {
+        sys.processRequest(slot, req);
+        ++verdict.requests;
     }
 
     if (sc.stormBurst) {

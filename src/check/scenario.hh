@@ -121,6 +121,15 @@ Scenario makePlantedDomainScenario(std::uint64_t seed);
  */
 core::NodeConfig nodeConfigFor(const Scenario &sc);
 
+/**
+ * @p sc's request schedule as explicit requests, seqs numbered from 1
+ * (ClientScript::benign's convention). runScenario and the rca
+ * campaign both serve it, so one reproducer file puts each request in
+ * the same DomainRewind domain (seq % domainCount when unassigned)
+ * under either runner.
+ */
+std::vector<net::ServiceRequest> scenarioRequests(const Scenario &sc);
+
 /** What one scenario run concluded. */
 struct ScenarioVerdict
 {

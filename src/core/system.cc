@@ -222,7 +222,7 @@ IndraSystem::refsForCo(std::size_t slot_idx, std::size_t co_idx)
                        &co.requestsSinceMacro};
 }
 
-IndraSystem::ServiceRefs
+std::optional<IndraSystem::ServiceRefs>
 IndraSystem::refsForPid(Pid pid)
 {
     for (std::size_t i = 0; i < slots.size(); ++i) {
@@ -233,15 +233,16 @@ IndraSystem::refsForPid(Pid pid)
                 return refsForCo(i, c);
         }
     }
-    panic("no service for pid ", pid);
+    return std::nullopt;
 }
 
 Cycles
 IndraSystem::onRequestCheckpoint(Tick tick, Pid pid)
 {
-    ServiceRefs refs = refsForPid(pid);
-    Cycles cost = refs.policy->onRequestBegin(tick);
-    refs.recovery->noteRequestBegin(tick);
+    std::optional<ServiceRefs> refs = refsForPid(pid);
+    panic_if(!refs, "no service for pid ", pid);
+    Cycles cost = refs->policy->onRequestBegin(tick);
+    refs->recovery->noteRequestBegin(tick);
     INDRA_CHECK_HOOK(checkSinkPtr, onEpochBegin(tick, pid));
     return cost;
 }
@@ -249,9 +250,10 @@ IndraSystem::onRequestCheckpoint(Tick tick, Pid pid)
 void
 IndraSystem::onDynCodeDeclared(Pid pid, Addr base, std::uint64_t len)
 {
-    ServiceRefs refs = refsForPid(pid);
-    if (refs.slot->monitor)
-        refs.slot->monitor->registerDynCodeRegion(pid, base, len);
+    std::optional<ServiceRefs> refs = refsForPid(pid);
+    panic_if(!refs, "no service for pid ", pid);
+    if (refs->slot->monitor)
+        refs->slot->monitor->registerDynCodeRegion(pid, base, len);
 }
 
 std::size_t
@@ -568,20 +570,6 @@ IndraSystem::proactiveRejuvenate(std::size_t slot_idx, Tick now,
                 static_cast<std::uint32_t>(s.coreId),
                 static_cast<std::uint64_t>(trigger),
                 s.core->curTick() - t0);
-}
-
-net::ServiceApplication *
-IndraSystem::appOf(Pid pid)
-{
-    for (auto &s : slots) {
-        if (s->pid == pid)
-            return s->app.get();
-        for (auto &co : s->coServices) {
-            if (co->pid == pid)
-                return co->app.get();
-        }
-    }
-    return nullptr;
 }
 
 std::vector<net::RequestOutcome>

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -225,11 +226,24 @@ class IndraSystem : public os::KernelListener
     void proactiveRejuvenate(std::size_t slot_idx, Tick now,
                              std::uint8_t trigger);
 
+    /** Everything needed to serve one process's request. */
+    struct ServiceRefs
+    {
+        ServiceSlot *slot;
+        net::ServiceApplication *app;
+        ckpt::CheckpointPolicy *policy;
+        ckpt::MacroCheckpoint *macro;
+        RecoveryManager *recovery;
+        Pid pid;
+        std::uint64_t *requestsSinceMacro;
+    };
+
     /**
-     * The service application owning @p pid (main or co-located), or
-     * nullptr when no such process exists.
+     * The service owning @p pid — a slot's main service or one of its
+     * co-services, which share the slot's core, monitor and guard —
+     * or std::nullopt when no such process exists.
      */
-    net::ServiceApplication *appOf(Pid pid);
+    std::optional<ServiceRefs> refsForPid(Pid pid);
 
     // ------------------------------------------------------- access
     const SystemConfig &config() const { return cfg; }
@@ -284,23 +298,8 @@ class IndraSystem : public os::KernelListener
                            std::uint64_t len) override;
 
   private:
-    /** Everything needed to serve one process's request. */
-    struct ServiceRefs
-    {
-        ServiceSlot *slot;
-        net::ServiceApplication *app;
-        ckpt::CheckpointPolicy *policy;
-        ckpt::MacroCheckpoint *macro;
-        RecoveryManager *recovery;
-        Pid pid;
-        std::uint64_t *requestsSinceMacro;
-    };
-
     ServiceRefs refsForMain(std::size_t slot_idx);
     ServiceRefs refsForCo(std::size_t slot_idx, std::size_t co_idx);
-
-    /** The service owning @p pid (main or co-located). */
-    ServiceRefs refsForPid(Pid pid);
 
     /** Core of the request-processing loop, shared by all services. */
     net::RequestOutcome runOneRequest(const ServiceRefs &refs,

@@ -9,25 +9,6 @@
 namespace indra::rca
 {
 
-std::vector<net::ServiceRequest>
-scenarioRequests(const check::Scenario &sc)
-{
-    std::vector<net::ServiceRequest> requests;
-    requests.reserve(sc.requestCount());
-    // 0-based seqs: dormant-damage surfacing and the DomainRewind
-    // round-robin fallback both read req.seq.
-    std::uint64_t seq = 0;
-    for (const check::ScenarioStep &step : sc.steps) {
-        for (std::uint32_t r = 0; r < step.repeat; ++r) {
-            net::ServiceRequest req;
-            req.seq = seq++;
-            req.attack = step.attack;
-            requests.push_back(req);
-        }
-    }
-    return requests;
-}
-
 namespace
 {
 
@@ -167,7 +148,7 @@ runCampaign(const check::Scenario &sc, const RcaConfig &rcfg)
     rejectIgnoredFields(sc);
 
     CampaignResult res;
-    std::vector<net::ServiceRequest> requests = scenarioRequests(sc);
+    std::vector<net::ServiceRequest> requests = check::scenarioRequests(sc);
     res.requests = requests.size();
 
     // ------------------------------------------------- faulted run

@@ -49,10 +49,6 @@ struct CampaignResult
     bool replayed = false;
 };
 
-/** @p sc's request schedule as explicit 0-based-seq requests. */
-std::vector<net::ServiceRequest>
-scenarioRequests(const check::Scenario &sc);
-
 /**
  * Run the campaign cell: faulted run, golden replay (when
  * @p rcfg.replay), window comparison, site attribution, and the

@@ -23,6 +23,7 @@
 #include "net/workload.hh"
 #include "mem/trace_fifo.hh"
 #include "obs/trace_log.hh"
+#include "rca/reproducer.hh"
 #include "resilience/admission.hh"
 #include "resilience/health.hh"
 #include "sim/random.hh"
@@ -469,6 +470,128 @@ TEST(Scenario, FirstAttackEpochCountsRepeats)
     EXPECT_EQ(sc.firstAttackEpoch(), 0u);
 }
 
+TEST(Scenario, RequestSeqsStartAtOne)
+{
+    // ClientScript::benign's convention: under DomainRewind an
+    // unassigned request lands in domain seq % domainCount, so the
+    // base decides which domain serves it.
+    check::Scenario sc;
+    sc.steps = {{net::AttackKind::None, 2},
+                {net::AttackKind::StackSmash, 1}};
+    std::vector<net::ServiceRequest> reqs = check::scenarioRequests(sc);
+    ASSERT_EQ(reqs.size(), 3u);
+    for (std::size_t i = 0; i < reqs.size(); ++i)
+        EXPECT_EQ(reqs[i].seq, i + 1);
+    EXPECT_EQ(reqs[1].attack, net::AttackKind::None);
+    EXPECT_EQ(reqs[2].attack, net::AttackKind::StackSmash);
+}
+
+TEST(Scenario, SeedAbove2To53RoundTripsExactly)
+{
+    // 2^53 + 1 is the first integer a double cannot hold.
+    check::Scenario sc = check::makeScenario(1);
+    sc.seed = (1ULL << 53) + 1;
+    EXPECT_EQ(check::Scenario::fromJson(sc.toJson()).seed, sc.seed);
+    sc.seed = ~0ULL;
+    EXPECT_EQ(check::Scenario::fromJson(sc.toJson()).seed, sc.seed);
+}
+
+namespace
+{
+
+/** One integer field of a scenario or reproducer file. */
+struct IntField
+{
+    const char *key; //!< as the error names it
+    bool u32;
+    /** The smallest document carrying @p v in this field. */
+    std::string (*doc)(const char *key, const std::string &v);
+};
+
+std::string
+topLevel(const char *key, const std::string &v)
+{
+    return std::string("{\"") + key + "\": " + v + "}";
+}
+
+std::string
+faultMagnitude(const char *, const std::string &v)
+{
+    return "{\"faults\": [{\"kind\": \"trace-drop\", \"rate\": 0.1, "
+           "\"magnitude\": " + v + "}]}";
+}
+
+std::string
+stepRepeat(const char *, const std::string &v)
+{
+    return "{\"steps\": [{\"attack\": \"benign\", \"repeat\": " + v +
+           "}]}";
+}
+
+constexpr IntField intFields[] = {
+    {"seed", false, topLevel},
+    {"instr_per_request", false, topLevel},
+    {"macro_period", false, topLevel},
+    {"fail_threshold", true, topLevel},
+    {"storm_burst", true, topLevel},
+    {"plant_at_epoch", false, topLevel},
+    {"adversary_budget", false, topLevel},
+    {"domain_count", true, topLevel},
+    {"faults[].magnitude", false, faultMagnitude},
+    {"steps[].repeat", true, stepRepeat},
+    {"rca_expect_escapes", false, topLevel},
+    {"rca_expect_failures", false, topLevel},
+    {"rca_first_escape_seq", false, topLevel},
+    {"rca_shrink_runs", false, topLevel},
+};
+
+/** @p key with the regex metacharacters it contains escaped. */
+std::string
+keyPattern(const std::string &key)
+{
+    std::string out;
+    for (char c : key) {
+        if (c == '[' || c == ']' || c == '.')
+            out += '\\';
+        out += c;
+    }
+    return "JSON field '" + out + "'";
+}
+
+} // anonymous namespace
+
+// Integer fields are read exactly from the number's text: a sign, a
+// fraction, an exponent or a value past the field's width is fatal,
+// naming the key, instead of a silent float cast.
+TEST(ScenarioJsonDeathTest, MalformedIntegersAreFatalNamingTheKey)
+{
+    for (const IntField &f : intFields) {
+        std::vector<std::string> bad = {"-1", "2.5",
+                                        "18446744073709551616", "1e400"};
+        if (f.u32)
+            bad.push_back("4294967296");
+        for (const std::string &v : bad) {
+            std::string text = f.doc(f.key, v);
+            EXPECT_EXIT(rca::reproducerFromJson(text),
+                        ::testing::ExitedWithCode(1), keyPattern(f.key))
+                << text;
+        }
+    }
+}
+
+TEST(ScenarioJsonDeathTest, FaultRateOutsideUnitIntervalIsFatal)
+{
+    for (const char *rate : {"1.5", "-0.1", "1e400"}) {
+        std::string text = std::string("{\"faults\": [{\"kind\": "
+                                       "\"trace-drop\", \"rate\": ") +
+                           rate + "}]}";
+        EXPECT_EXIT(check::Scenario::fromJson(text),
+                    ::testing::ExitedWithCode(1),
+                    keyPattern("faults[].rate"))
+            << text;
+    }
+}
+
 // ----------------------------------------------------------- shrinker
 
 TEST(Shrinker, MinimizesWhilePreservingTheInvariant)
@@ -591,7 +714,7 @@ TEST(OracleEndToEnd, DormantDamageSurvivingRejuvenationIsFlagged)
     req.seq = 1;
     req.attack = net::AttackKind::Dormant;
     sys.processRequest(slot, req);
-    ASSERT_TRUE(sys.appOf(pid)->hasDormantDamage());
+    ASSERT_TRUE(sys.refsForPid(pid)->app->hasDormantDamage());
     ASSERT_TRUE(checker.ok());
 
     // Drive the recovery hook directly, claiming a rejuvenation

@@ -4,18 +4,21 @@
  * sinks (JSONL / Chrome trace_event), the StatSink visitors, and the
  * end-to-end contracts the benches rely on — fixed-seed determinism
  * of the event stream, observation-only tracing (attaching a log
- * never changes simulation results), and full event-kind coverage of
- * a fault-composed storm.
+ * never changes simulation results), full event-kind coverage of a
+ * fault-composed storm, and the bench export files (--stats-json,
+ * --trace in both formats) parsing and matching across --jobs.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "check/json_reader.hh"
 #include "core/node_handle.hh"
 #include "core/system.hh"
 #include "faults/fault_plan.hh"
@@ -29,6 +32,7 @@
 #include "resilience/resilience_config.hh"
 #include "resilience/storm.hh"
 #include "sim/stats.hh"
+#include "storm_recipe.hh"
 
 using namespace indra;
 using obs::EventKind;
@@ -430,4 +434,96 @@ TEST(ObsEndToEnd, FaultedStormCoversEventTaxonomy)
     EXPECT_TRUE(kinds.count(EventKind::FaultInjected));
     EXPECT_TRUE(kinds.count(EventKind::FifoHighWater));
     EXPECT_TRUE(kinds.count(EventKind::FifoLowWater));
+}
+
+namespace
+{
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/** The files a storm sweep exports through the bench collector. */
+struct Exported
+{
+    std::string stats;
+    std::string trace;
+};
+
+/**
+ * Run a three-cell storm sweep (attack rates 0, 2 and 8 per Mcycle,
+ * delta flips composed in) on @p jobs workers and export its stats
+ * tree and @p format trace, as a bench's --stats-json / --trace /
+ * --trace-format do.
+ */
+Exported
+exportStormSweep(unsigned jobs, const std::string &format)
+{
+    const std::string stem = ::testing::TempDir() + "obs_export_j" +
+                             std::to_string(jobs) + "_" + format;
+    benchutil::ObsOptions opts;
+    opts.statsJsonPath = stem + ".stats.json";
+    opts.tracePath = stem + ".trace";
+    opts.formatName = format;
+    opts.traceFormat = obs::traceFormatFromName(format);
+
+    const double rates[] = {0.0, 2.0, 8.0};
+    benchutil::ObsCollector collector("test_obs", opts);
+    collector.resize(3);
+    harness::ParallelSweep sweep(jobs);
+    sweep.run(3, [&](std::size_t i) {
+        core::NodeConfig node(benchutil::stormSystem(),
+                              faults::FaultPlan::parse("delta-flip:0.3"),
+                              benchutil::stormDefense());
+        resilience::StormPlan plan = benchutil::staticStorm(20);
+        plan.attackRatePerMCycle = rates[i];
+        return benchutil::runStormCell(node, "httpd", plan, &collector,
+                                       i, "cell" + std::to_string(i));
+    });
+    collector.write();
+    return {readFile(opts.statsJsonPath), readFile(opts.tracePath)};
+}
+
+} // anonymous namespace
+
+// The bench export path end to end: the stats JSON, every JSONL trace
+// line and the Chrome trace document parse, and all three files are
+// byte-identical whether one worker or four carried the cells.
+TEST(ObsEndToEnd, BenchExportFilesParseAndMatchAcrossJobs)
+{
+    if (!obs::tracingCompiledIn())
+        GTEST_SKIP() << "built with INDRA_OBS_TRACING=OFF";
+    Exported jsonl = exportStormSweep(1, "jsonl");
+    Exported chrome = exportStormSweep(1, "chrome");
+
+    check::JsonValue stats = check::parseJson(jsonl.stats);
+    EXPECT_EQ(stats.str("bench", ""), "test_obs");
+    const check::JsonValue *cells = stats.field("cells");
+    ASSERT_NE(cells, nullptr);
+    EXPECT_EQ(cells->items.size(), 3u);
+
+    std::istringstream lines(jsonl.trace);
+    std::string line;
+    std::size_t events = 0;
+    while (std::getline(lines, line)) {
+        EXPECT_FALSE(check::parseJson(line).str("kind", "").empty());
+        ++events;
+    }
+    EXPECT_GT(events, 0u);
+
+    check::JsonValue chromeDoc = check::parseJson(chrome.trace);
+    const check::JsonValue *traceEvents = chromeDoc.field("traceEvents");
+    ASSERT_NE(traceEvents, nullptr);
+    EXPECT_FALSE(traceEvents->items.empty());
+
+    Exported jsonl4 = exportStormSweep(4, "jsonl");
+    Exported chrome4 = exportStormSweep(4, "chrome");
+    EXPECT_EQ(jsonl.stats, jsonl4.stats);
+    EXPECT_EQ(jsonl.trace, jsonl4.trace);
+    EXPECT_EQ(chrome.trace, chrome4.trace);
 }

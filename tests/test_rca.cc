@@ -95,7 +95,7 @@ TEST(RcaSiteLog, MatchesInjectedCounters)
     profile.instrPerRequest = sc.instrPerRequest;
     std::size_t slot = sys.deployService(profile);
 
-    for (const net::ServiceRequest &req : rca::scenarioRequests(sc))
+    for (const net::ServiceRequest &req : check::scenarioRequests(sc))
         sys.processRequest(slot, req);
 
     const faults::FaultInjector *inj = sys.faultInjector();
