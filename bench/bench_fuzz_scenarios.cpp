@@ -26,9 +26,6 @@
  * neither repair nor excuse a byte outside its compartment. Exit
  * status is 0 only when the run met its expectation (fuzz/replay: no
  * violation; plant modes: caught and shrunk).
- *
- * Requires a build configured with -DINDRA_CHECK=ON; with the hooks
- * compiled out the bench says so and exits cleanly.
  */
 
 #include <cstdlib>
@@ -47,13 +44,6 @@ using check::ShrinkResult;
 
 namespace
 {
-
-/** The value of option @p flag, or @p dflt when it was not given. */
-std::uint64_t
-optionU64(const char *flag, const std::string &text, std::uint64_t dflt)
-{
-    return text.empty() ? dflt : parseU64(flag, text);
-}
 
 /** One deterministic, grep-able line per scenario run. */
 std::string
@@ -114,15 +104,10 @@ main(int argc, char **argv)
                &outPath);
     auto sweep = cli.parse(argc, argv);
 
-    if (!INDRA_CHECK_ENABLED) {
-        std::cout << "bench_fuzz_scenarios: oracle hooks compiled out "
-                     "(configure with -DINDRA_CHECK=ON)\n";
-        return 0;
-    }
-
-    const std::uint64_t seedBase = optionU64("--seed-base", seedBaseOpt, 1);
+    const std::uint64_t seedBase =
+        benchutil::optionU64("--seed-base", seedBaseOpt, 1);
     const std::uint64_t nSeeds =
-        optionU64("--seeds", seedsOpt, smoke ? 12 : 200);
+        benchutil::optionU64("--seeds", seedsOpt, smoke ? 12 : 200);
     const std::uint64_t shrinkBudget = smoke ? 80 : 200;
     if (outPath.empty())
         outPath = "fuzz_reproducer.json";

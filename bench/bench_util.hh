@@ -35,6 +35,26 @@
 namespace indra::benchutil
 {
 
+/** @p spec split at commas, empty items dropped. */
+inline std::vector<std::string>
+splitList(const std::string &spec)
+{
+    std::vector<std::string> out;
+    std::istringstream is(spec);
+    std::string tok;
+    while (std::getline(is, tok, ','))
+        if (!tok.empty())
+            out.push_back(tok);
+    return out;
+}
+
+/** The value of option @p flag, or @p dflt when it was not given. */
+inline std::uint64_t
+optionU64(const char *flag, const std::string &text, std::uint64_t dflt)
+{
+    return text.empty() ? dflt : parseU64(flag, text);
+}
+
 /**
  * The observability slice of a bench command line: where to export
  * the stats tree (--stats-json) and the structured event trace
@@ -192,13 +212,7 @@ class BenchCli
     std::vector<std::string>
     ablations() const
     {
-        std::vector<std::string> out;
-        std::istringstream is(ablateText);
-        std::string tok;
-        while (std::getline(is, tok, ','))
-            if (!tok.empty())
-                out.push_back(tok);
-        return out;
+        return splitList(ablateText);
     }
 
     /** Register a boolean flag (present -> *out = true). */

@@ -18,8 +18,9 @@
  * latency percentiles for the monitor path against the replay path.
  *
  * Every escaped cell is shrunk (greedy delta debugging preserving
- * "still escapes on the same component") to a minimal reproducer;
- * --repro-dir writes them as JSON files --replay re-runs exactly.
+ * "still escapes on the same component") to a minimal reproducer and
+ * replayed from its JSON text; --repro-dir writes that text as
+ * vuln_<kind>_r<rate>_s<seed>.json, which --replay re-runs exactly.
  *
  * Usage: bench_vuln_map [--jobs N] [--smoke]
  *                       [--seeds N] [--seed-base N] [--rates R[,R...]]
@@ -61,25 +62,6 @@ using rca::Reproducer;
 
 namespace
 {
-
-/** The value of option @p flag, or @p dflt when it was not given. */
-std::uint64_t
-optionU64(const char *flag, const std::string &text, std::uint64_t dflt)
-{
-    return text.empty() ? dflt : parseU64(flag, text);
-}
-
-std::vector<std::string>
-splitList(const std::string &spec)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(spec);
-    std::string tok;
-    while (std::getline(ss, tok, ','))
-        if (!tok.empty())
-            out.push_back(tok);
-    return out;
-}
 
 /**
  * The campaign scenario of one (kind, rate, seed) cell: a short
@@ -209,8 +191,8 @@ std::string
 reproName(const Cell &cell)
 {
     std::ostringstream os;
-    os << "vuln_" << faults::faultKindName(cell.kind) << "_s"
-       << cell.seed << ".json";
+    os << "vuln_" << faults::faultKindName(cell.kind) << "_r"
+       << cell.rate << "_s" << cell.seed << ".json";
     return os.str();
 }
 
@@ -280,7 +262,8 @@ main(int argc, char **argv)
 
     // ------------------------------------------------ plant-escape
     if (plantEscape) {
-        std::uint64_t seed = optionU64("--seed-base", seedBaseOpt, 1);
+        std::uint64_t seed =
+            benchutil::optionU64("--seed-base", seedBaseOpt, 1);
         Scenario sc = plantEscapeScenario(seed);
         CampaignResult res = rca::runCampaign(sc, rcfg);
         std::uint64_t escapes = 0;
@@ -318,14 +301,15 @@ main(int argc, char **argv)
     }
 
     // --------------------------------------------------- the sweep
-    const std::uint64_t seedBase = optionU64("--seed-base", seedBaseOpt, 1);
+    const std::uint64_t seedBase =
+        benchutil::optionU64("--seed-base", seedBaseOpt, 1);
     const std::uint64_t nSeeds =
-        optionU64("--seeds", seedsOpt, smoke ? 50 : 20);
+        benchutil::optionU64("--seeds", seedsOpt, smoke ? 50 : 20);
     std::vector<double> rates;
     for (const std::string &tok :
-         splitList(ratesOpt.empty()
-                       ? (smoke ? "0.5" : "0.1,0.5,1.0")
-                       : ratesOpt))
+         benchutil::splitList(ratesOpt.empty()
+                                  ? (smoke ? "0.5" : "0.1,0.5,1.0")
+                                  : ratesOpt))
         rates.push_back(parseF64("--rates", tok, 0.0, 1.0));
 
     const auto &kinds = faults::allFaultKinds();
@@ -450,7 +434,11 @@ main(int argc, char **argv)
             ++shrunkCells;
             rep = rca::shrinkReproducer(rep, rcfg);
         }
-        bool ok = rca::replayReproducer(rep, rcfg);
+        // Replay what --repro-dir writes, so the round trip also
+        // covers the JSON serializer and reader.
+        std::string json = rca::reproducerToJson(rep);
+        bool ok =
+            rca::replayReproducer(rca::reproducerFromJson(json), rcfg);
         reproduced += ok ? 1 : 0;
         roundTripFailed += ok ? 0 : 1;
         std::cout << "escape "
@@ -466,7 +454,7 @@ main(int argc, char **argv)
             std::string path = reproDir + "/" + reproName(cell);
             std::ofstream out(path);
             fatal_if(!out, "cannot write reproducer ", path);
-            out << rca::reproducerToJson(rep);
+            out << json;
         }
     }
     if (escapedCells)

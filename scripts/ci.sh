@@ -5,17 +5,17 @@
 #
 #   ci-release     Release build, the full ctest suite (unit tests,
 #                  harness determinism, the bench export files parsing
-#                  and matching across --jobs, fault campaign smoke,
-#                  overload storm smoke with its self-checks, and the
-#                  --jobs 1 vs --jobs 8 identity checks of the
-#                  adversary, domain, cluster and vuln-map sweeps).
+#                  and matching across --jobs, the differential oracle,
+#                  and every bench smoke run as a --jobs 1 vs --jobs 8
+#                  identity check with its self-checks armed).
 #   ci-asan-ubsan  address+undefined sanitizers over the labelled
 #                  corruption paths and the config registry: -L
 #                  faults, resilience, harness, obs, check, adversary,
 #                  domain, cluster, rca, config (the differential-oracle
-#                  tests, including the fixed-seed fuzz slice and its
-#                  planted-bug sensitivity checks, run with
-#                  INDRA_CHECK=ON under both sanitizer configs).
+#                  tests, including the fixed-seed fuzz slice, its
+#                  planted-bug sensitivity checks and the malformed
+#                  scenario-JSON test, run under both sanitizer
+#                  configs).
 #   ci-tsan        thread sanitizer over the parallel sweep harness,
 #                  the storm cells, and the per-cell trace logs:
 #                  -L harness, resilience, obs, check, adversary,

@@ -1,9 +1,9 @@
 /**
  * @file
- * SystemChecker: the production CheckSink. Attached to an IndraSystem
- * (built with -DINDRA_CHECK=ON), it keeps golden RefMemory images per
- * service process — the deploy-time image, the last macro capture,
- * and the current request epoch's image — and compares physical
+ * SystemChecker: the production CheckSink. Attached to an
+ * IndraSystem, it keeps golden RefMemory images per service process —
+ * the deploy-time image, the last macro capture, and the current
+ * request epoch's image — and compares physical
  * memory against the appropriate image whenever the recovery ladder
  * claims to have restored state. The invariant registry is evaluated
  * at every monitor verdict and after every recovery.
@@ -13,8 +13,8 @@
  * failing fuzz cell leaves a machine-readable trail.
  */
 
-#ifndef INDRA_CHECK_CHECKER_HH
-#define INDRA_CHECK_CHECKER_HH
+#ifndef INDRA_ORACLE_CHECKER_HH
+#define INDRA_ORACLE_CHECKER_HH
 
 #include <cstdint>
 #include <map>
@@ -145,4 +145,4 @@ class PlantedBugSink : public CheckSink
 
 } // namespace indra::check
 
-#endif // INDRA_CHECK_CHECKER_HH
+#endif // INDRA_ORACLE_CHECKER_HH

@@ -8,24 +8,20 @@
  * capture, the monitor's per-request verdict, and recovery completion.
  *
  * The hooks follow the zero-cost-when-off contract of the fault and
- * tracing subsystems, but go one step further: the call sites are
- * *compiled out* unless the build sets -DINDRA_CHECK=ON
- * (INDRA_CHECK_ENABLED=1), so a default build's instruction stream —
- * and therefore its timing and its bench output — is bit-identical to
- * a tree without this subsystem.
+ * tracing subsystems: every call site is a null check on the attached
+ * sink, and each fires at most once per request event (never per
+ * instruction), so a run with no checker attached keeps its timing
+ * and its bench output bit-identical. The hooks are compiled into
+ * every build; the oracle runs wherever a sink is attached.
  *
  * This header is dependency-free (sim/types.hh only) so core code can
  * include it without pulling the checking layer's implementation in.
  */
 
-#ifndef INDRA_CHECK_HOOKS_HH
-#define INDRA_CHECK_HOOKS_HH
+#ifndef INDRA_ORACLE_HOOKS_HH
+#define INDRA_ORACLE_HOOKS_HH
 
 #include "sim/types.hh"
-
-#ifndef INDRA_CHECK_ENABLED
-#define INDRA_CHECK_ENABLED 0
-#endif
 
 namespace indra::check
 {
@@ -101,21 +97,4 @@ class CheckSink
 
 } // namespace indra::check
 
-/**
- * Hook invocation macro: expands to a null-checked call when checking
- * is compiled in, and to nothing at all otherwise — call sites cost
- * zero instructions in a default build.
- */
-#if INDRA_CHECK_ENABLED
-#define INDRA_CHECK_HOOK(sink, call)                                   \
-    do {                                                               \
-        if (sink)                                                      \
-            (sink)->call;                                              \
-    } while (0)
-#else
-#define INDRA_CHECK_HOOK(sink, call)                                   \
-    do {                                                               \
-    } while (0)
-#endif
-
-#endif // INDRA_CHECK_HOOKS_HH
+#endif // INDRA_ORACLE_HOOKS_HH

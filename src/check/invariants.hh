@@ -11,8 +11,8 @@
  * fuzzer shrinks.
  */
 
-#ifndef INDRA_CHECK_INVARIANTS_HH
-#define INDRA_CHECK_INVARIANTS_HH
+#ifndef INDRA_ORACLE_INVARIANTS_HH
+#define INDRA_ORACLE_INVARIANTS_HH
 
 #include <cstdint>
 #include <functional>
@@ -141,4 +141,4 @@ class InvariantRegistry
 
 } // namespace indra::check
 
-#endif // INDRA_CHECK_INVARIANTS_HH
+#endif // INDRA_ORACLE_INVARIANTS_HH

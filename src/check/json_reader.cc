@@ -93,15 +93,25 @@ class Parser
         }
     }
 
+    /** Enter one array/object level; recursion is bounded so a
+     *  hostile document dies with an error, not a stack overflow. */
+    void
+    descend()
+    {
+        fail_unless(++depth <= maxDepth, "nesting too deep");
+    }
+
     JsonValue
     object()
     {
         JsonValue v;
         v.kind = JsonValue::Kind::Object;
         expect('{');
+        descend();
         skipSpace();
         if (peek() == '}') {
             ++pos;
+            --depth;
             return v;
         }
         while (true) {
@@ -116,6 +126,7 @@ class Parser
                 continue;
             }
             expect('}');
+            --depth;
             return v;
         }
     }
@@ -126,9 +137,11 @@ class Parser
         JsonValue v;
         v.kind = JsonValue::Kind::Array;
         expect('[');
+        descend();
         skipSpace();
         if (peek() == ']') {
             ++pos;
+            --depth;
             return v;
         }
         while (true) {
@@ -139,6 +152,7 @@ class Parser
                 continue;
             }
             expect(']');
+            --depth;
             return v;
         }
     }
@@ -182,7 +196,11 @@ class Parser
                 v.text.push_back('\t');
                 break;
               case 'u': {
-                fail_unless(pos + 4 <= text.size(), "bad \\u escape");
+                bool hex = pos + 4 <= text.size();
+                for (std::size_t i = 0; hex && i < 4; ++i)
+                    hex = std::isxdigit(
+                        static_cast<unsigned char>(text[pos + i]));
+                fail_unless(hex, "bad \\u escape");
                 unsigned code = static_cast<unsigned>(std::strtoul(
                     text.substr(pos, 4).c_str(), nullptr, 16));
                 pos += 4;
@@ -232,8 +250,12 @@ class Parser
         return v;
     }
 
+    /** Far deeper than any document the writers emit (3 levels). */
+    static constexpr unsigned maxDepth = 64;
+
     const std::string &text;
     std::size_t pos = 0;
+    unsigned depth = 0;
 };
 
 } // anonymous namespace
@@ -298,26 +320,43 @@ JsonValue::u32(const std::string &name, std::uint32_t fallback,
 }
 
 bool
-JsonValue::flag(const std::string &name, bool fallback) const
+JsonValue::flag(const std::string &name, bool fallback,
+                const std::string &path) const
 {
     const JsonValue *v = field(name);
     if (!v)
         return fallback;
     if (v->kind != Kind::Bool)
-        fatal("JSON field '", name, "' is not a boolean");
+        fatal(fieldWhat(name, path), " is not a boolean");
     return v->boolean;
 }
 
 std::string
-JsonValue::str(const std::string &name,
-               const std::string &fallback) const
+JsonValue::str(const std::string &name, const std::string &fallback,
+               const std::string &path) const
 {
     const JsonValue *v = field(name);
     if (!v)
         return fallback;
     if (v->kind != Kind::String)
-        fatal("JSON field '", name, "' is not a string");
+        fatal(fieldWhat(name, path), " is not a string");
     return v->text;
+}
+
+const std::vector<JsonValue> &
+JsonValue::objects(const std::string &name) const
+{
+    static const std::vector<JsonValue> none;
+    const JsonValue *v = field(name);
+    if (!v)
+        return none;
+    if (v->kind != Kind::Array)
+        fatal(fieldWhat(name, ""), " is not an array");
+    for (const JsonValue &item : v->items) {
+        if (item.kind != Kind::Object)
+            fatal(fieldWhat(name + "[]", ""), " is not an object");
+    }
+    return v->items;
 }
 
 JsonValue

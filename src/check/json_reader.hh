@@ -6,8 +6,9 @@
  * sinks, fuzz reproducers) but until now never read any back. This
  * parser covers exactly the subset those writers emit — objects,
  * arrays, strings with escapes, numbers, booleans, null — and calls
- * fatal() with a character position on anything malformed, which is
- * the right behaviour for a --replay file the fuzzer itself produced.
+ * fatal() with a character position on anything malformed, including
+ * nesting deeper than 64 levels, so no input file can crash a
+ * --replay.
  *
  * Numbers keep their source text and are converted only when read,
  * through the strict parsers of sim/parse.hh: an integer field is
@@ -15,8 +16,8 @@
  * out-of-range value in one is fatal, naming the key.
  */
 
-#ifndef INDRA_CHECK_JSON_READER_HH
-#define INDRA_CHECK_JSON_READER_HH
+#ifndef INDRA_ORACLE_JSON_READER_HH
+#define INDRA_ORACLE_JSON_READER_HH
 
 #include <cstdint>
 #include <limits>
@@ -64,9 +65,17 @@ class JsonValue
                       const std::string &path = "") const;
     std::uint32_t u32(const std::string &name, std::uint32_t fallback,
                       const std::string &path = "") const;
-    bool flag(const std::string &name, bool fallback) const;
-    std::string str(const std::string &name,
-                    const std::string &fallback) const;
+    bool flag(const std::string &name, bool fallback,
+              const std::string &path = "") const;
+    std::string str(const std::string &name, const std::string &fallback,
+                    const std::string &path = "") const;
+
+    /**
+     * The items of array field @p name (empty when absent). A field
+     * that is not an array, or an item that is not an object, is
+     * fatal, naming the key.
+     */
+    const std::vector<JsonValue> &objects(const std::string &name) const;
 };
 
 /** Parse @p text as one JSON document; fatal() on malformed input. */
@@ -74,4 +83,4 @@ JsonValue parseJson(const std::string &text);
 
 } // namespace indra::check
 
-#endif // INDRA_CHECK_JSON_READER_HH
+#endif // INDRA_ORACLE_JSON_READER_HH

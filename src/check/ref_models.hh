@@ -20,8 +20,8 @@
  *    rewind may restore falls out by definition.
  */
 
-#ifndef INDRA_CHECK_REF_MODELS_HH
-#define INDRA_CHECK_REF_MODELS_HH
+#ifndef INDRA_ORACLE_REF_MODELS_HH
+#define INDRA_ORACLE_REF_MODELS_HH
 
 #include <cstdint>
 #include <map>
@@ -252,4 +252,4 @@ class RefDomain
 
 } // namespace indra::check
 
-#endif // INDRA_CHECK_REF_MODELS_HH
+#endif // INDRA_ORACLE_REF_MODELS_HH

@@ -137,25 +137,23 @@ Scenario::fromJson(const std::string &text)
     // Absent in reproducer files written before the domain-rewind
     // scheme existed; those replay with the config default.
     sc.domainCount = doc.u32("domain_count", sc.domainCount);
-    if (const JsonValue *fs = doc.field("faults")) {
-        for (const JsonValue &f : fs->items) {
-            FaultSetting setting;
-            setting.kind = faults::faultKindFromName(
-                f.str("kind", "trace-drop"), "faults[].kind");
-            // Fatal outside [0, 1], as FaultPlan::parse is.
-            setting.rate = f.num("rate", 0.0, 0.0, 1.0, "faults[].");
-            setting.magnitude = f.u64("magnitude", 0, "faults[].");
-            sc.faults.push_back(setting);
-        }
+    for (const JsonValue &f : doc.objects("faults")) {
+        FaultSetting setting;
+        // Required: an absent kind dies as an unknown kind ''.
+        setting.kind = faults::faultKindFromName(
+            f.str("kind", "", "faults[]."), "faults[].kind");
+        // Fatal outside [0, 1], as FaultPlan::parse is.
+        setting.rate = f.num("rate", 0.0, 0.0, 1.0, "faults[].");
+        setting.magnitude = f.u64("magnitude", 0, "faults[].");
+        sc.faults.push_back(setting);
     }
-    if (const JsonValue *ss = doc.field("steps")) {
-        for (const JsonValue &s : ss->items) {
-            ScenarioStep step;
-            step.attack = net::attackKindFromName(
-                s.str("attack", "none"), "steps[].attack");
-            step.repeat = s.u32("repeat", 1, "steps[].");
-            sc.steps.push_back(step);
-        }
+    for (const JsonValue &s : doc.objects("steps")) {
+        ScenarioStep step;
+        step.attack = net::attackKindFromName(
+            s.str("attack", net::attackKindName(step.attack), "steps[]."),
+            "steps[].attack");
+        step.repeat = s.u32("repeat", 1, "steps[].");
+        sc.steps.push_back(step);
     }
     return sc;
 }

@@ -16,8 +16,8 @@
  * reproducer files the bench can --replay.
  */
 
-#ifndef INDRA_CHECK_SCENARIO_HH
-#define INDRA_CHECK_SCENARIO_HH
+#ifndef INDRA_ORACLE_SCENARIO_HH
+#define INDRA_ORACLE_SCENARIO_HH
 
 #include <cstdint>
 #include <functional>
@@ -141,12 +141,13 @@ struct ScenarioVerdict
     std::uint64_t requests = 0;  //!< requests actually executed
     std::uint64_t checks = 0;    //!< oracle checks evaluated
     std::uint64_t violations = 0;
+
+    bool operator==(const ScenarioVerdict &) const = default;
 };
 
 /**
  * Build the system described by @p sc, attach the oracle, run the
- * schedule (and storm phase, if armed), and report. With checking
- * compiled out the run still executes but no oracle ever fires.
+ * schedule (and storm phase, if armed), and report.
  */
 ScenarioVerdict runScenario(const Scenario &sc);
 
@@ -177,4 +178,4 @@ ShrinkResult shrinkScenario(const Scenario &sc,
 
 } // namespace indra::check
 
-#endif // INDRA_CHECK_SCENARIO_HH
+#endif // INDRA_ORACLE_SCENARIO_HH

@@ -141,6 +141,9 @@ struct ClusterReport
     double rawThroughput() const;
     /** max node arrivals / mean node arrivals (sharding skew). */
     double arrivalImbalance() const;
+
+    /** Field-wise equality: the determinism tests' one comparison. */
+    bool operator==(const ClusterReport &) const = default;
 };
 
 /** One fleet experiment: construct, then run() exactly once. */

@@ -161,7 +161,8 @@ IndraSystem::deployService(const net::DaemonProfile &profile)
         wireSlotTracing(*s);
 
     slots.push_back(std::move(s));
-    INDRA_CHECK_HOOK(checkSinkPtr, onDeploy(slots.back()->pid));
+    if (checkSinkPtr)
+        checkSinkPtr->onDeploy(slots.back()->pid);
     return idx;
 }
 
@@ -243,7 +244,8 @@ IndraSystem::onRequestCheckpoint(Tick tick, Pid pid)
     panic_if(!refs, "no service for pid ", pid);
     Cycles cost = refs->policy->onRequestBegin(tick);
     refs->recovery->noteRequestBegin(tick);
-    INDRA_CHECK_HOOK(checkSinkPtr, onEpochBegin(tick, pid));
+    if (checkSinkPtr)
+        checkSinkPtr->onEpochBegin(tick, pid);
     return cost;
 }
 
@@ -261,8 +263,6 @@ IndraSystem::deployCoService(std::size_t host_slot,
                              const net::DaemonProfile &profile)
 {
     ServiceSlot &s = slot(host_slot);
-    os::Process &host_proc = kernelPtr->process(s.pid);
-    (void)host_proc;
 
     auto co = std::make_unique<CoService>();
     co->pid = kernelPtr->createProcess(profile.name, s.coreId);
@@ -301,15 +301,11 @@ IndraSystem::deployCoService(std::size_t host_slot,
 
     co->recovery->takeMacroCheckpoint(s.core->curTick());
 
-    if (traceLogPtr) {
-        auto src = static_cast<std::uint32_t>(s.coreId);
-        co->policy->setTraceLog(traceLogPtr, src);
-        co->macro->setTraceLog(traceLogPtr, src);
-        co->recovery->setTraceLog(traceLogPtr, src);
-    }
-
     s.coServices.push_back(std::move(co));
-    INDRA_CHECK_HOOK(checkSinkPtr, onDeploy(s.coServices.back()->pid));
+    if (traceLogPtr)
+        wireSlotTracing(s);
+    if (checkSinkPtr)
+        checkSinkPtr->onDeploy(s.coServices.back()->pid);
     return s.coServices.size() - 1;
 }
 
@@ -397,8 +393,8 @@ IndraSystem::runOneRequest(const ServiceRefs &refs,
             break;
     }
 
-    INDRA_CHECK_HOOK(checkSinkPtr,
-                     onVerdict(s.core->curTick(), refs.pid, detected));
+    if (checkSinkPtr)
+        checkSinkPtr->onVerdict(s.core->curTick(), refs.pid, detected);
 
     if (failed) {
         handleFailure(refs, out, fail_tick, detected, out.violation);
@@ -411,8 +407,8 @@ IndraSystem::runOneRequest(const ServiceRefs &refs,
             *refs.requestsSinceMacro = 0;
             if (s.guard)
                 s.guard->noteMacroEpoch();
-            INDRA_CHECK_HOOK(checkSinkPtr,
-                             onMacroCapture(s.core->curTick(), refs.pid));
+            if (checkSinkPtr)
+                checkSinkPtr->onMacroCapture(s.core->curTick(), refs.pid);
         }
     }
 
@@ -507,7 +503,6 @@ IndraSystem::handleFailure(const ServiceRefs &refs,
         // attribution leak into the next failure.
         if (dom_engine && dom_engine->attributionPending())
             dom_engine->clearAttribution();
-#if INDRA_CHECK_ENABLED
         // The oracle audits the *post-recovery* state — after the
         // dormant heal above, so the no-surviving-reinfection
         // invariant sees what the next request will see.
@@ -528,7 +523,6 @@ IndraSystem::handleFailure(const ServiceRefs &refs,
                                 : check::RestoreLevel::Rejuvenation;
             checkSinkPtr->onRecovered(s.core->curTick(), refs.pid, rl);
         }
-#endif
         return;
     }
 
@@ -560,9 +554,9 @@ IndraSystem::proactiveRejuvenate(std::size_t slot_idx, Tick now,
     refs.recovery->proactiveRestore(t0);
     refs.app->healDormantDamage();
     *refs.requestsSinceMacro = 0;
-    INDRA_CHECK_HOOK(checkSinkPtr,
-                     onRecovered(s.core->curTick(), refs.pid,
-                                 check::RestoreLevel::Rejuvenation));
+    if (checkSinkPtr)
+        checkSinkPtr->onRecovered(s.core->curTick(), refs.pid,
+                                  check::RestoreLevel::Rejuvenation);
     if (s.guard)
         s.guard->noteProactiveRestore(s.core->curTick());
     INDRA_TRACE(traceLogPtr, s.core->curTick(),

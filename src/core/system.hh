@@ -247,7 +247,6 @@ class IndraSystem : public os::KernelListener
 
     // ------------------------------------------------------- access
     const SystemConfig &config() const { return cfg; }
-    std::size_t serviceCount() const { return slots.size(); }
     ServiceSlot &slot(std::size_t idx);
     mem::PhysicalMemory &physMem() { return *phys; }
     mem::MemWatchdog *watchdog() { return watchdogPtr.get(); }
@@ -275,15 +274,10 @@ class IndraSystem : public os::KernelListener
 
     /**
      * Attach a differential-oracle sink (nullable). The sink sees
-     * deploy/epoch/macro/verdict/recovery boundaries — but only in a
-     * build configured with -DINDRA_CHECK=ON; in the default build
-     * the hook sites compile out entirely and an attached sink is
-     * never called.
+     * deploy/epoch/macro/verdict/recovery boundaries; with no sink
+     * attached each hook site is one null check.
      */
     void attachChecker(check::CheckSink *sink) { checkSinkPtr = sink; }
-
-    /** The attached oracle sink, or nullptr. */
-    check::CheckSink *checker() { return checkSinkPtr; }
 
     /** The resilience config the system was built with. */
     const resilience::ResilienceConfig &

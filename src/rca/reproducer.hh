@@ -41,6 +41,8 @@ struct Reproducer
     std::uint64_t expectFirstEscapeSeq = 0;
     /** Campaign evaluations the shrinker spent (0 = never shrunk). */
     std::uint64_t shrinkRuns = 0;
+
+    bool operator==(const Reproducer &) const = default;
 };
 
 /** Escaped failures in @p res attributed to @p component. */

@@ -161,6 +161,9 @@ struct StormReport
 
     /** Executed requests (any class) per million cycles. */
     double rawThroughput() const;
+
+    /** Field-wise equality: the determinism tests' one comparison. */
+    bool operator==(const StormReport &) const = default;
 };
 
 /**

@@ -103,22 +103,6 @@ reinfectStorm()
     return plan;
 }
 
-void
-expectDomainReportsEqual(const resilience::StormReport &a,
-                         const resilience::StormReport &b)
-{
-    EXPECT_EQ(a.legitArrivals, b.legitArrivals);
-    EXPECT_EQ(a.attackArrivals, b.attackArrivals);
-    EXPECT_EQ(a.legitServed, b.legitServed);
-    EXPECT_EQ(a.executed, b.executed);
-    EXPECT_EQ(a.sheds, b.sheds);
-    EXPECT_EQ(a.endTick, b.endTick);
-    EXPECT_EQ(a.legitP99, b.legitP99);
-    EXPECT_EQ(a.reinfections, b.reinfections);
-    EXPECT_EQ(a.domainRewinds, b.domainRewinds);
-    EXPECT_EQ(a.dormantAfterRewind, b.dormantAfterRewind);
-}
-
 } // anonymous namespace
 
 // ======================================== DomainMap vs RefDomain
@@ -357,9 +341,7 @@ TEST(DomainStorm, ReportIsBitIdenticalAcrossSweepJobs)
     };
     auto serial = run_cells(1);
     auto threaded = run_cells(8);
-    ASSERT_EQ(serial.size(), threaded.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        expectDomainReportsEqual(serial[i], threaded[i]);
+    EXPECT_EQ(serial, threaded);
 }
 
 // ============================================== ablation routing

@@ -388,12 +388,7 @@ TEST(ObsEndToEnd, TracingDoesNotPerturbSimulation)
     resilience::StormReport untraced = runTracedStorm(nullptr);
     TraceLog log;
     resilience::StormReport traced = runTracedStorm(&log);
-    EXPECT_EQ(untraced.executed, traced.executed);
-    EXPECT_EQ(untraced.legitServed, traced.legitServed);
-    EXPECT_EQ(untraced.endTick, traced.endTick);
-    EXPECT_EQ(untraced.sheds, traced.sheds);
-    EXPECT_EQ(untraced.transitions, traced.transitions);
-    EXPECT_EQ(untraced.fullCycles, traced.fullCycles);
+    EXPECT_EQ(untraced, traced);
 }
 
 // A storm composed with injected faults must light up the whole event

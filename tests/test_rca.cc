@@ -318,13 +318,7 @@ TEST(RcaReproducer, ShrunkReproducerReplaysSameVerdict)
     // and the sidecar keys stay invisible to the plain parser.
     std::string json = rca::reproducerToJson(shrunk);
     Reproducer parsed = rca::reproducerFromJson(json);
-    EXPECT_EQ(parsed.scenario, shrunk.scenario);
-    EXPECT_EQ(parsed.kind, shrunk.kind);
-    EXPECT_EQ(parsed.component, shrunk.component);
-    EXPECT_EQ(parsed.expectEscapes, shrunk.expectEscapes);
-    EXPECT_EQ(parsed.expectFailures, shrunk.expectFailures);
-    EXPECT_EQ(parsed.expectFirstEscapeSeq,
-              shrunk.expectFirstEscapeSeq);
+    EXPECT_EQ(parsed, shrunk);
     EXPECT_EQ(Scenario::fromJson(json), shrunk.scenario);
     EXPECT_TRUE(rca::replayReproducer(parsed, rcfg));
 }

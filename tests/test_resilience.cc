@@ -691,29 +691,6 @@ runSmallStorm(const ResilienceConfig &rc)
     return core::runStorm(sys, slot, smallStorm());
 }
 
-void
-expectReportsEqual(const StormReport &a, const StormReport &b)
-{
-    EXPECT_EQ(a.legitArrivals, b.legitArrivals);
-    EXPECT_EQ(a.attackArrivals, b.attackArrivals);
-    EXPECT_EQ(a.probes, b.probes);
-    EXPECT_EQ(a.legitServed, b.legitServed);
-    EXPECT_EQ(a.legitFailed, b.legitFailed);
-    EXPECT_EQ(a.legitGaveUp, b.legitGaveUp);
-    EXPECT_EQ(a.retries, b.retries);
-    EXPECT_EQ(a.attackExecuted, b.attackExecuted);
-    EXPECT_EQ(a.executed, b.executed);
-    EXPECT_EQ(a.sheds, b.sheds);
-    EXPECT_EQ(a.endTick, b.endTick);
-    EXPECT_EQ(a.legitP50, b.legitP50);
-    EXPECT_EQ(a.legitP99, b.legitP99);
-    EXPECT_EQ(a.timeIn, b.timeIn);
-    EXPECT_EQ(a.transitions, b.transitions);
-    EXPECT_EQ(a.fullCycles, b.fullCycles);
-    EXPECT_EQ(a.bpEngagements, b.bpEngagements);
-    EXPECT_EQ(a.requestsToRevival, b.requestsToRevival);
-}
-
 } // anonymous namespace
 
 TEST(Guard, DisarmedConfigCreatesNoGuard)
@@ -739,7 +716,7 @@ TEST(Storm, RerunIsBitIdentical)
 {
     StormReport a = runSmallStorm(stormResilienceConfig());
     StormReport b = runSmallStorm(stormResilienceConfig());
-    expectReportsEqual(a, b);
+    EXPECT_EQ(a, b);
     // And the storm did something worth reproducing.
     EXPECT_GT(a.legitServed, 0u);
     EXPECT_GT(a.attackArrivals, 0u);
@@ -759,9 +736,7 @@ TEST(Storm, ShedAdmitSequenceIdenticalAcrossSweepJobs)
     };
     auto serial = run_cells(1);
     auto threaded = run_cells(4);
-    ASSERT_EQ(serial.size(), threaded.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        expectReportsEqual(serial[i], threaded[i]);
+    EXPECT_EQ(serial, threaded);
 }
 
 TEST(Storm, BoundedQueueShedsUnderAttackAndReportsTyped)
