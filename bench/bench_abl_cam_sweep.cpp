@@ -12,32 +12,29 @@ using namespace indra;
 int
 main(int argc, char **argv)
 {
-    setLogVerbosity(0);
-    benchutil::BenchCli cli("bench_abl_cam_sweep",
-                            "Ablation: filter CAM size sweep");
-    auto sweep = cli.parse(argc, argv);
+    benchutil::BenchRecipe bench("bench_abl_cam_sweep",
+                                 "Ablation: filter CAM size sweep");
+    bench.parse(argc, argv);
     SystemConfig base;
     base.checkpointScheme = CheckpointScheme::None;
     benchutil::printHeader("Ablation: filter CAM size sweep", base);
 
     const std::vector<std::uint32_t> sizes = {0, 8, 16, 32, 64, 128,
                                               256};
-    benchutil::ObsCollector collector("bench_abl_cam_sweep", cli.obs());
-    collector.resize(sizes.size());
     std::cout << std::left << std::setw(10) << "entries"
               << std::right << std::setw(16) << "residual_%"
               << std::setw(20) << "origin_records/req" << "\n";
 
     net::DaemonProfile profile = net::daemonByName("httpd");
     struct Row { double residual, records; };
-    auto rows = sweep.run(sizes.size(), [&](std::size_t i) {
+    auto rows = bench.run(sizes.size(), [&](std::size_t i,
+                                            benchutil::CellObs cell) {
         SystemConfig cfg = base;
         cfg.filterCamEntries = sizes[i];
         auto run = benchutil::runBenign(core::NodeConfig{cfg}, profile, 2, 6,
-                                        collector.traceFor(i));
+                                        cell,
+                                        "cam_" + std::to_string(sizes[i]));
         auto &cam = run.serviceSlot().core->filterCam();
-        collector.snapshot(i, "cam_" + std::to_string(sizes[i]),
-                           run.system->rootStats());
         return Row{cam.missRatio() * 100.0,
                    (cam.lookups() - cam.hits()) / 6.0};
     });
@@ -50,6 +47,5 @@ main(int argc, char **argv)
     }
     std::cout << "\npaper: 32 entries already waive >90% of checks"
               << std::endl;
-    collector.write();
     return 0;
 }

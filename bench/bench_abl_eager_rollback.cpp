@@ -21,25 +21,23 @@ namespace
 double
 recoveryToNextResponse(const SystemConfig &cfg,
                        const net::DaemonProfile &profile,
-                       benchutil::ObsCollector &collector,
-                       std::size_t cell, const std::string &label)
+                       benchutil::CellObs cell, const std::string &label)
 {
     core::IndraSystem sys(core::NodeConfig{cfg});
-    sys.attachTraceLog(collector.traceFor(cell));
-    sys.boot();
-    std::size_t slot = sys.deployService(profile);
-    sys.runScript(net::ClientScript::benign(2), slot);
+    return cell.capture(sys, label, [&] {
+        std::size_t slot = sys.deployService(profile);
+        sys.runScript(net::ClientScript::benign(2), slot);
 
-    net::ServiceRequest bad;
-    bad.seq = 3;
-    bad.attack = net::AttackKind::DosFlood;
-    auto attacked = sys.processRequest(slot, bad);
+        net::ServiceRequest bad;
+        bad.seq = 3;
+        bad.attack = net::AttackKind::DosFlood;
+        auto attacked = sys.processRequest(slot, bad);
 
-    net::ServiceRequest next;
-    next.seq = 4;
-    auto served = sys.processRequest(slot, next);
-    collector.snapshot(cell, label, sys.rootStats());
-    return static_cast<double>(served.endTick - attacked.startTick);
+        net::ServiceRequest next;
+        next.seq = 4;
+        auto served = sys.processRequest(slot, next);
+        return static_cast<double>(served.endTick - attacked.startTick);
+    });
 }
 
 } // anonymous namespace
@@ -47,10 +45,10 @@ recoveryToNextResponse(const SystemConfig &cfg,
 int
 main(int argc, char **argv)
 {
-    setLogVerbosity(0);
-    benchutil::BenchCli cli("bench_abl_eager_rollback",
-                            "Ablation: rollback on demand vs eager rollback");
-    auto sweep = cli.parse(argc, argv);
+    benchutil::BenchRecipe bench("bench_abl_eager_rollback",
+                                 "Ablation: rollback on demand vs eager "
+                                 "rollback");
+    bench.parse(argc, argv);
     SystemConfig lazy;
     lazy.monitorEnabled = false;
     SystemConfig eager = lazy;
@@ -61,24 +59,18 @@ main(int argc, char **argv)
 
     benchutil::printCols({"lazy_cycles", "eager_cycles", "eager/lazy"});
     const auto &daemons = net::standardDaemons();
-    benchutil::ObsCollector collector("bench_abl_eager_rollback",
-                                      cli.obs());
-    collector.resize(daemons.size());
-    struct Row { double tl, te; };
-    auto rows = sweep.run(daemons.size(), [&](std::size_t i) {
+    auto rows = bench.run(daemons.size(), [&](std::size_t i,
+                                              benchutil::CellObs cell) {
         std::string name = daemons[i].name;
-        return Row{recoveryToNextResponse(lazy, daemons[i], collector,
-                                          i, name + ".lazy"),
-                   recoveryToNextResponse(eager, daemons[i], collector,
-                                          i, name + ".eager")};
+        double tl = recoveryToNextResponse(lazy, daemons[i], cell,
+                                           name + ".lazy");
+        double te = recoveryToNextResponse(eager, daemons[i], cell,
+                                           name + ".eager");
+        return std::vector<double>{tl, te, te / tl};
     });
-    for (std::size_t i = 0; i < daemons.size(); ++i) {
-        benchutil::printRow(daemons[i].name,
-                            {rows[i].tl, rows[i].te,
-                             rows[i].te / rows[i].tl});
-    }
+    for (std::size_t i = 0; i < daemons.size(); ++i)
+        benchutil::printRow(daemons[i].name, rows[i]);
     std::cout << "\nlazy recovery overlaps restoration with the next "
                  "request; eager pays it up front" << std::endl;
-    collector.write();
     return 0;
 }

@@ -17,10 +17,9 @@ using namespace indra;
 int
 main(int argc, char **argv)
 {
-    setLogVerbosity(0);
-    benchutil::BenchCli cli("bench_abl_granularity",
-                            "Ablation: delta backup line granularity");
-    auto sweep = cli.parse(argc, argv);
+    benchutil::BenchRecipe bench("bench_abl_granularity",
+                                 "Ablation: delta backup line granularity");
+    bench.parse(argc, argv);
     SystemConfig base;
     base.monitorEnabled = false;
     benchutil::printHeader(
@@ -34,23 +33,18 @@ main(int argc, char **argv)
 
     const std::vector<std::string> names = {"httpd", "bind"};
     const std::vector<std::uint32_t> lineSizes = {32, 64, 128};
-    benchutil::ObsCollector collector("bench_abl_granularity",
-                                      cli.obs());
-    collector.resize(names.size() * lineSizes.size());
     struct Row { double backup_cyc, lines; };
-    auto rows = sweep.run(
-        names.size() * lineSizes.size(), [&](std::size_t i) {
+    auto rows = bench.run(
+        names.size() * lineSizes.size(),
+        [&](std::size_t i, benchutil::CellObs cell) {
             net::DaemonProfile profile =
                 net::daemonByName(names[i / lineSizes.size()]);
             SystemConfig cfg = base;
             cfg.backupLineBytes = lineSizes[i % lineSizes.size()];
-            auto run = benchutil::runBenign(core::NodeConfig{cfg}, profile, 2, 6,
-                                            collector.traceFor(i));
-            collector.snapshot(
-                i,
+            auto run = benchutil::runBenign(
+                core::NodeConfig{cfg}, profile, 2, 6, cell,
                 profile.name + ".line" +
-                    std::to_string(cfg.backupLineBytes),
-                run.system->rootStats());
+                    std::to_string(cfg.backupLineBytes));
             auto &policy = *run.serviceSlot().policy;
             return Row{policy.backupCycles() / 6.0,
                        static_cast<double>(policy.linesBackedUp())};
@@ -70,6 +64,5 @@ main(int argc, char **argv)
     std::cout << "\nfiner lines copy fewer bytes; coarser lines cut "
                  "per-line bookkeeping — 64B is the sweet spot"
               << std::endl;
-    collector.write();
     return 0;
 }

@@ -16,10 +16,10 @@ using namespace indra;
 int
 main(int argc, char **argv)
 {
-    setLogVerbosity(0);
-    benchutil::BenchCli cli("bench_abl_hybrid",
-                            "Ablation: hybrid recovery macro-checkpoint period");
-    auto sweep = cli.parse(argc, argv);
+    benchutil::BenchRecipe bench("bench_abl_hybrid",
+                                 "Ablation: hybrid recovery macro-checkpoint "
+                                 "period");
+    bench.parse(argc, argv);
     SystemConfig base;
     base.consecutiveFailureThreshold = 2;
     benchutil::printHeader(
@@ -35,24 +35,24 @@ main(int argc, char **argv)
     profile.instrPerRequest = 60000;
 
     const std::vector<std::uint64_t> periods = {2, 5, 10, 25};
-    benchutil::ObsCollector collector("bench_abl_hybrid", cli.obs());
-    collector.resize(periods.size());
     struct Row
     {
         std::uint64_t captures, restores, crashes;
         double availability;
     };
-    auto rows = sweep.run(periods.size(), [&](std::size_t i) {
+    auto rows = bench.run(periods.size(), [&](std::size_t i,
+                                              benchutil::CellObs cell) {
         SystemConfig cfg = base;
         cfg.macroCheckpointPeriod = periods[i];
         core::IndraSystem sys(core::NodeConfig{cfg});
-        sys.attachTraceLog(collector.traceFor(i));
-        sys.boot();
-        std::size_t slot = sys.deployService(profile);
-
-        auto script = net::ClientScript::benign(30);
-        script[9].attack = net::AttackKind::Dormant;
-        auto outcomes = sys.runScript(script, slot);
+        std::size_t slot = 0;
+        auto label = "period_" + std::to_string(periods[i]);
+        auto outcomes = cell.capture(sys, label, [&] {
+            slot = sys.deployService(profile);
+            auto script = net::ClientScript::benign(30);
+            script[9].attack = net::AttackKind::Dormant;
+            return sys.runScript(script, slot);
+        });
         auto report = net::AvailabilityReport::build(outcomes);
 
         std::uint64_t crashes = 0;
@@ -60,8 +60,6 @@ main(int argc, char **argv)
             if (o.status == net::RequestStatus::CrashedRecovered)
                 ++crashes;
         }
-        collector.snapshot(i, "period_" + std::to_string(periods[i]),
-                           sys.rootStats());
         return Row{sys.slot(slot).macro->captures(),
                    sys.slot(slot).macro->restores(), crashes,
                    report.availability()};
@@ -77,6 +75,5 @@ main(int argc, char **argv)
     std::cout << "\ndormant damage defeats micro recovery; the macro "
                  "fallback (Fig. 8) revives the service at any period"
               << std::endl;
-    collector.write();
     return 0;
 }

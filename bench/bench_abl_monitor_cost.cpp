@@ -14,10 +14,9 @@ using namespace indra;
 int
 main(int argc, char **argv)
 {
-    setLogVerbosity(0);
-    benchutil::BenchCli cli("bench_abl_monitor_cost",
-                            "Ablation: monitor check-cost scaling");
-    auto sweep = cli.parse(argc, argv);
+    benchutil::BenchRecipe bench("bench_abl_monitor_cost",
+                                 "Ablation: monitor check-cost scaling");
+    bench.parse(argc, argv);
     SystemConfig base;
     base.monitorEnabled = false;
     base.checkpointScheme = CheckpointScheme::None;
@@ -30,13 +29,11 @@ main(int argc, char **argv)
 
     const std::vector<double> scales = {0.25, 0.5, 1.0, 2.0, 4.0};
     const auto &daemons = net::standardDaemons();
-    benchutil::ObsCollector collector("bench_abl_monitor_cost",
-                                      cli.obs());
-    collector.resize(scales.size() * daemons.size());
     // One cell per (scale, daemon); each recomputes its own baseline
     // run, matching the historical serial loop exactly.
-    auto overheads = sweep.run(
-        scales.size() * daemons.size(), [&](std::size_t i) {
+    auto overheads = bench.run(
+        scales.size() * daemons.size(),
+        [&](std::size_t i, benchutil::CellObs cell) {
             double scale = scales[i / daemons.size()];
             SystemConfig cfg = base;
             cfg.monitorEnabled = true;
@@ -51,25 +48,22 @@ main(int argc, char **argv)
 
             const auto &profile = daemons[i % daemons.size()];
             auto off = benchutil::runBenign(core::NodeConfig{base}, profile, 2, 4);
-            auto on = benchutil::runBenign(core::NodeConfig{cfg}, profile, 2, 4,
-                                           collector.traceFor(i));
             std::ostringstream label;
             label << profile.name << ".x" << scale;
-            collector.snapshot(i, label.str(),
-                               on.system->rootStats());
-            return (on.totalResponse() / off.totalResponse() - 1.0) *
-                100.0;
+            auto on = benchutil::runBenign(core::NodeConfig{cfg}, profile,
+                                           2, 4, cell, label.str());
+            return std::vector<double>{
+                (on.totalResponse() / off.totalResponse() - 1.0) * 100.0};
         });
     for (std::size_t s = 0; s < scales.size(); ++s) {
-        double sum = 0;
-        for (std::size_t d = 0; d < daemons.size(); ++d)
-            sum += overheads[s * daemons.size() + d];
         std::cout << std::left << std::setw(10) << scales[s]
                   << std::right << std::fixed << std::setprecision(3)
-                  << std::setw(16) << sum / daemons.size() << "\n";
+                  << std::setw(16)
+                  << benchutil::meanRow(overheads, s * daemons.size(),
+                                        daemons.size())[0]
+                  << "\n";
     }
     std::cout << "\nsoftware monitoring stays cheap until checks cost "
                  "several hundred resurrector cycles" << std::endl;
-    collector.write();
     return 0;
 }

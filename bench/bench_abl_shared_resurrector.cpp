@@ -14,10 +14,9 @@ using namespace indra;
 int
 main(int argc, char **argv)
 {
-    setLogVerbosity(0);
-    benchutil::BenchCli cli("bench_abl_shared_resurrector",
-                            "Ablation: shared resurrector time-slicing");
-    auto sweep = cli.parse(argc, argv);
+    benchutil::BenchRecipe bench("bench_abl_shared_resurrector",
+                                 "Ablation: shared resurrector time-slicing");
+    bench.parse(argc, argv);
     SystemConfig base;
     base.checkpointScheme = CheckpointScheme::None;
     base.monitorEnabled = false;
@@ -33,27 +32,24 @@ main(int argc, char **argv)
     auto off = benchutil::runBenign(core::NodeConfig{base}, profile, 2, 5);
 
     const std::vector<std::uint32_t> counts = {1, 2, 4};
-    benchutil::ObsCollector collector("bench_abl_shared_resurrector",
-                                      cli.obs());
-    collector.resize(counts.size());
     struct Row { double shared_total, dedic_total; };
-    auto rows = sweep.run(counts.size(), [&](std::size_t i) {
+    auto rows = bench.run(counts.size(), [&](std::size_t i,
+                                             benchutil::CellObs cell) {
         SystemConfig shared = base;
         shared.monitorEnabled = true;
         shared.numResurrectees = counts[i];
         shared.sharedResurrector = true;
         auto s = benchutil::runBenign(core::NodeConfig{shared}, profile, 2, 5,
-                                      collector.traceFor(i));
-        collector.snapshot(i,
-                           "shared_" + std::to_string(counts[i]),
-                           s.system->rootStats());
+                                      cell,
+                                      "shared_" + std::to_string(counts[i]));
 
+        // Exported but left out of the trace, which shows the shared
+        // resurrector only.
         SystemConfig dedicated = shared;
         dedicated.sharedResurrector = false;
         auto d = benchutil::runBenign(core::NodeConfig{dedicated}, profile, 2, 5);
-        collector.snapshot(i,
-                           "dedicated_" + std::to_string(counts[i]),
-                           d.system->rootStats());
+        cell.snapshot("dedicated_" + std::to_string(counts[i]),
+                      d.system->rootStats());
         return Row{s.totalResponse(), d.totalResponse()};
     });
     for (std::size_t i = 0; i < counts.size(); ++i) {
@@ -69,6 +65,5 @@ main(int argc, char **argv)
     }
     std::cout << "\na single resurrector saturates as service cores "
                  "are added; dedicated monitors stay flat" << std::endl;
-    collector.write();
     return 0;
 }

@@ -98,7 +98,7 @@ Cell
 runCell(const AttackerSpec &a, resilience::RejuvenationTrigger policy,
         std::uint64_t budget, std::uint64_t legit_requests,
         const std::vector<std::string> &ablations,
-        benchutil::ObsCollector &collector, std::size_t cell_idx)
+        benchutil::CellObs cell_obs)
 {
     resilience::StormPlan plan =
         a.adaptive
@@ -116,8 +116,8 @@ runCell(const AttackerSpec &a, resilience::RejuvenationTrigger policy,
     Cell cell;
     cell.label = std::string(a.label) + ":" +
                  resilience::rejuvenationTriggerName(policy);
-    cell.rep = benchutil::runStormCell(node, "httpd", plan, &collector,
-                                       cell_idx, cell.label);
+    cell.rep =
+        benchutil::runStormCell(node, "httpd", plan, cell_obs, cell.label);
     return cell;
 }
 
@@ -143,18 +143,17 @@ printCell(const Cell &c)
 int
 main(int argc, char **argv)
 {
-    setLogVerbosity(0);
-    benchutil::BenchCli cli(
+    benchutil::BenchRecipe bench(
         "bench_adaptive_adversary",
         "Survivability matrix: adaptive attacker strategies vs "
         "proactive rejuvenation policies, at equal attack budget");
     bool smoke = false;
-    cli.flag("--smoke", "CI-sized subset with self-checks", &smoke);
-    cli.ablateOption("NodeConfig key overrides (adversary.*, "
+    bench.cli.flag("--smoke", "CI-sized subset with self-checks", &smoke);
+    bench.cli.ablateOption("NodeConfig key overrides (adversary.*, "
                      "rejuvenation.*, resilience.*, domain.*, ...) "
                      "applied to every cell");
-    auto sweep = cli.parse(argc, argv);
-    const std::vector<std::string> ablations = cli.ablations();
+    bench.parse(argc, argv);
+    const std::vector<std::string> ablations = bench.cli.ablations();
 
     const std::uint64_t legit_requests = smoke ? 60 : 140;
 
@@ -162,10 +161,7 @@ main(int argc, char **argv)
     // the request volume the static storm delivers. A pure rerun of
     // the same cell appears in the matrix, so the anchor costs one
     // extra run but keeps the sweep uniform.
-    benchutil::ObsCollector collector("bench_adaptive_adversary",
-                                      cli.obs());
     const std::size_t n = nAttackers * nPolicies;
-    collector.resize(n);
     const std::uint64_t budget = benchutil::equalBudget(legit_requests);
 
     benchutil::printHeader(
@@ -173,7 +169,7 @@ main(int argc, char **argv)
             std::to_string(budget),
         benchutil::stormSystem());
     if (!ablations.empty())
-        std::cout << "ablations: " << cli.ablateSpec() << "\n\n";
+        std::cout << "ablations: " << bench.cli.ablateSpec() << "\n\n";
     std::cout << std::left << std::setw(24) << "cell" << std::right
               << std::setw(9) << "goodput"
               << std::setw(9) << "raw_tput"
@@ -185,20 +181,17 @@ main(int argc, char **argv)
               << std::setw(11) << "t_reinf"
               << std::setw(8) << "proact" << "\n";
 
-    auto cells = sweep.run(n, [&](std::size_t i) {
+    auto cells = bench.run(n, [&](std::size_t i, benchutil::CellObs cell_obs) {
         const AttackerSpec &a = attackers[i / nPolicies];
         resilience::RejuvenationTrigger policy = policies[i % nPolicies];
-        return runCell(a, policy, budget, legit_requests, ablations,
-                       collector, i);
+        return runCell(a, policy, budget, legit_requests, ablations, cell_obs);
     });
 
     for (const Cell &c : cells)
         printCell(c);
 
-    if (!smoke) {
-        collector.write();
+    if (!smoke)
         return 0;
-    }
 
     // ------------------------------------------------- self checks
     benchutil::SmokeChecks check;
@@ -262,7 +255,5 @@ main(int argc, char **argv)
     }
     check(proact > 0, "no proactive restore fired anywhere");
 
-    int status = check.finish();
-    collector.write();
-    return status;
+    return check.finish();
 }

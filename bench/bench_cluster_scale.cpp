@@ -150,7 +150,7 @@ main(int argc, char **argv)
     cli.ablateOption("dotted NodeConfig overrides applied to every node "
                      "of every cell");
     cli.clusterPreset(&copts);
-    auto sweep = cli.parse(argc, argv);
+    harness::ParallelSweep sweep(cli.parse(argc, argv));
     const std::vector<std::string> ablations = cli.ablations();
 
     std::vector<std::uint32_t> nodeAxis = copts.nodeCounts(

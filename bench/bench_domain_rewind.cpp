@@ -69,8 +69,7 @@ struct Cell
 
 Cell
 runCell(const DefenseSpec &d, std::uint64_t budget,
-        std::uint64_t legit_requests,
-        benchutil::ObsCollector &collector, std::size_t cell_idx)
+        std::uint64_t legit_requests, benchutil::CellObs cell_obs)
 {
     core::NodeConfig node(benchutil::stormSystem(), {},
                           benchutil::stormDefense());
@@ -84,7 +83,7 @@ runCell(const DefenseSpec &d, std::uint64_t budget,
         node, "httpd",
         benchutil::adaptiveStorm(adversary::AdversaryStrategy::Reinfect,
                                  budget, legit_requests),
-        &collector, cell_idx, cell.label,
+        cell_obs, cell.label,
         [&cell](core::IndraSystem &sys, std::size_t slot) {
             cell.rejuvenations = sys.slot(slot).recovery->rejuvenations();
         });
@@ -113,22 +112,19 @@ printCell(const Cell &c)
 int
 main(int argc, char **argv)
 {
-    setLogVerbosity(0);
-    benchutil::BenchCli cli(
+    benchutil::BenchRecipe bench(
         "bench_domain_rewind",
         "Confined domain rewind vs full rejuvenation under the "
         "reinfect adversary, at equal attack budget");
     bool smoke = false;
-    cli.flag("--smoke", "CI-sized subset with self-checks", &smoke);
-    auto sweep = cli.parse(argc, argv);
+    bench.cli.flag("--smoke", "CI-sized subset with self-checks", &smoke);
+    bench.parse(argc, argv);
 
     const std::uint64_t legit_requests = smoke ? 60 : 140;
 
     // The equal-budget anchor: grant the reinfect adversary exactly
     // the attack volume the static storm delivers, so every defense
     // faces the same attacker spend.
-    benchutil::ObsCollector collector("bench_domain_rewind", cli.obs());
-    collector.resize(nDefenses);
     const std::uint64_t budget = benchutil::equalBudget(legit_requests);
 
     benchutil::printHeader(
@@ -146,18 +142,16 @@ main(int argc, char **argv)
               << std::setw(7) << "reinf"
               << std::setw(7) << "rejuv" << "\n";
 
-    auto cells = sweep.run(nDefenses, [&](std::size_t i) {
-        return runCell(defenses[i], budget, legit_requests, collector,
-                       i);
+    auto cells = bench.run(nDefenses, [&](std::size_t i,
+                                          benchutil::CellObs cell_obs) {
+        return runCell(defenses[i], budget, legit_requests, cell_obs);
     });
 
     for (const Cell &c : cells)
         printCell(c);
 
-    if (!smoke) {
-        collector.write();
+    if (!smoke)
         return 0;
-    }
 
     // ------------------------------------------------- self checks
     benchutil::SmokeChecks check;
@@ -195,7 +189,5 @@ main(int argc, char **argv)
                   " did not strictly beat full rejuvenation's goodput");
     }
 
-    int status = check.finish();
-    collector.write();
-    return status;
+    return check.finish();
 }

@@ -76,14 +76,13 @@ meanRequestsToRevival(const std::vector<net::RequestOutcome> &outcomes)
 int
 main(int argc, char **argv)
 {
-    setLogVerbosity(0);
-    benchutil::BenchCli cli(
+    benchutil::BenchRecipe bench(
         "bench_fault_campaign",
         "Fault campaign: component failures vs the recovery ladder");
     bool smoke = false;
-    cli.flag("--smoke", "single-seed single-daemon CI-sized subset",
-             &smoke);
-    auto sweep = cli.parse(argc, argv);
+    bench.cli.flag("--smoke", "single-seed single-daemon CI-sized subset",
+                   &smoke);
+    bench.parse(argc, argv);
 
     SystemConfig base;
     base.physMemBytes = 128ULL * 1024 * 1024;
@@ -118,11 +117,8 @@ main(int argc, char **argv)
 
     std::size_t cells_n =
         kinds.size() * rates.size() * seeds.size() * daemons.size();
-    benchutil::ObsCollector collector("bench_fault_campaign",
-                                      cli.obs());
-    collector.resize(cells_n);
-
-    auto cells = sweep.run(cells_n, [&](std::size_t i) {
+    auto cells = bench.run(cells_n, [&](std::size_t i,
+                                        benchutil::CellObs cell_obs) {
         std::size_t di = i % daemons.size();
         std::size_t rest = i / daemons.size();
         std::size_t si = rest % seeds.size();
@@ -147,23 +143,24 @@ main(int argc, char **argv)
         profile.instrPerRequest = 25000;
 
         core::IndraSystem sys(core::NodeConfig{cfg, plan});
-        sys.attachTraceLog(collector.traceFor(i));
-        sys.boot();
-        std::size_t slot = sys.deployService(profile);
-        auto outcomes = sys.runScript(
-            net::ClientScript::randomMix(
-                requests, 0.3,
-                {net::AttackKind::StackSmash,
-                 net::AttackKind::CodeInjection,
-                 net::AttackKind::DosFlood, net::AttackKind::Dormant},
-                seeds[si] * 7919 + i),
-            slot);
-
-        core::ServiceSlot &s = sys.slot(slot);
         CampaignCell cell;
         cell.label = std::string(faults::faultKindName(kind)) + ":" +
                      (rates[ri] == 0.5 ? "0.50" : "0.05") + ":s" +
                      std::to_string(seeds[si]) + ":" + daemons[di];
+        std::size_t slot = 0;
+        auto outcomes = cell_obs.capture(sys, cell.label, [&] {
+            slot = sys.deployService(profile);
+            return sys.runScript(
+                net::ClientScript::randomMix(
+                    requests, 0.3,
+                    {net::AttackKind::StackSmash,
+                     net::AttackKind::CodeInjection,
+                     net::AttackKind::DosFlood, net::AttackKind::Dormant},
+                    seeds[si] * 7919 + i),
+                slot);
+        });
+
+        core::ServiceSlot &s = sys.slot(slot);
         cell.injected = sys.faultInjector()->totalInjected();
         cell.corruptDetected = s.policy->corruptionDetected() +
                                s.macro->corruptionDetected();
@@ -193,7 +190,6 @@ main(int argc, char **argv)
                            s.recovery->macroRestoreFailures() +
                            s.recovery->missingSnapshotRecoveries();
         cell.reqToRevival = meanRequestsToRevival(outcomes);
-        collector.snapshot(i, cell.label, sys.rootStats());
         return cell;
     });
 
@@ -223,6 +219,5 @@ main(int argc, char **argv)
     std::cout << "\ntotal injected " << tot_inj
               << ", macro recoveries " << tot_macro
               << ", rejuvenations " << tot_rejuv << "\n";
-    collector.write();
     return 0;
 }

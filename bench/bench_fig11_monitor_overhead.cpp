@@ -13,10 +13,10 @@ using namespace indra;
 int
 main(int argc, char **argv)
 {
-    setLogVerbosity(0);
-    benchutil::BenchCli cli("bench_fig11_monitor_overhead",
-                            "Figure 11: monitoring overhead on service response time");
-    auto sweep = cli.parse(argc, argv);
+    benchutil::BenchRecipe bench("bench_fig11_monitor_overhead",
+                                 "Figure 11: monitoring overhead on service "
+                                 "response time");
+    bench.parse(argc, argv);
     SystemConfig base;
     base.monitorEnabled = false;
     base.checkpointScheme = CheckpointScheme::None;
@@ -27,27 +27,19 @@ main(int argc, char **argv)
         "Figure 11: monitoring overhead on service response time (%)",
         monitored);
 
-    benchutil::printCols({"overhead_%"});
     const auto &daemons = net::standardDaemons();
-    benchutil::ObsCollector collector("bench_fig11_monitor_overhead",
-                                      cli.obs());
-    collector.resize(daemons.size());
-    auto overheads = sweep.run(daemons.size(), [&](std::size_t i) {
-        auto off = benchutil::runBenign(core::NodeConfig{base}, daemons[i], 3, 8);
-        auto on = benchutil::runBenign(core::NodeConfig{monitored}, daemons[i], 3, 8,
-                                       collector.traceFor(i));
-        collector.snapshot(i, daemons[i].name,
-                           on.system->rootStats());
-        return (on.totalResponse() / off.totalResponse() - 1.0) * 100.0;
+    auto overheads = bench.run(daemons.size(), [&](std::size_t i,
+                                                   benchutil::CellObs cell) {
+        auto off = benchutil::runBenign(core::NodeConfig{base}, daemons[i],
+                                        3, 8);
+        auto on = benchutil::runBenign(core::NodeConfig{monitored},
+                                       daemons[i], 3, 8, cell,
+                                       daemons[i].name);
+        return std::vector<double>{
+            (on.totalResponse() / off.totalResponse() - 1.0) * 100.0};
     });
-    double sum = 0;
-    for (std::size_t i = 0; i < daemons.size(); ++i) {
-        benchutil::printRow(daemons[i].name, {overheads[i]});
-        sum += overheads[i];
-    }
-    benchutil::printRow("average", {sum / daemons.size()});
+    benchutil::printDaemonTable({"overhead_%"}, overheads);
     std::cout << "\npaper: all daemons below ~10% overhead"
               << std::endl;
-    collector.write();
     return 0;
 }

@@ -14,10 +14,10 @@ using namespace indra;
 int
 main(int argc, char **argv)
 {
-    setLogVerbosity(0);
-    benchutil::BenchCli cli("bench_fig12_queue_size",
-                            "Figure 12: normalized response time vs trace-FIFO size");
-    auto sweep = cli.parse(argc, argv);
+    benchutil::BenchRecipe bench("bench_fig12_queue_size",
+                                 "Figure 12: normalized response time vs "
+                                 "trace-FIFO size");
+    bench.parse(argc, argv);
     const std::vector<std::uint32_t> sizes = {8, 16, 24, 32, 48, 64};
 
     SystemConfig cfg;
@@ -28,34 +28,26 @@ main(int argc, char **argv)
     // Per-size mean response across daemons, normalized to the
     // largest queue. One sweep cell per (size, daemon) pair.
     const auto &daemons = net::standardDaemons();
-    benchutil::ObsCollector collector("bench_fig12_queue_size",
-                                      cli.obs());
-    collector.resize(sizes.size() * daemons.size());
-    auto cellMeans =
-        sweep.run(sizes.size() * daemons.size(), [&](std::size_t i) {
+    auto cellMeans = bench.run(
+        sizes.size() * daemons.size(),
+        [&](std::size_t i, benchutil::CellObs cell) {
             SystemConfig c = cfg;
             c.traceFifoEntries = sizes[i / daemons.size()];
+            const auto &profile = daemons[i % daemons.size()];
             auto run = benchutil::runBenign(
-                core::NodeConfig{c}, daemons[i % daemons.size()], 2, 5,
-                collector.traceFor(i));
-            collector.snapshot(
-                i,
-                daemons[i % daemons.size()].name + ".fifo" +
-                    std::to_string(c.traceFifoEntries),
-                run.system->rootStats());
-            return run.meanResponse();
+                core::NodeConfig{c}, profile, 2, 5, cell,
+                profile.name + ".fifo" +
+                    std::to_string(c.traceFifoEntries));
+            return std::vector<double>{run.meanResponse()};
         });
     std::vector<double> means;
     for (std::size_t s = 0; s < sizes.size(); ++s) {
-        double total = 0;
-        for (std::size_t d = 0; d < daemons.size(); ++d)
-            total += cellMeans[s * daemons.size() + d];
-        means.push_back(total / daemons.size());
+        means.push_back(benchutil::meanRow(
+            cellMeans, s * daemons.size(), daemons.size())[0]);
     }
 
     std::cout << std::left << std::setw(12) << "entries"
-              << std::right << std::setw(14) << "normalized"
-              << std::setw(18) << "stall_cycles/req" << "\n";
+              << std::right << std::setw(14) << "normalized" << "\n";
     for (std::size_t i = 0; i < sizes.size(); ++i) {
         std::cout << std::left << std::setw(12) << sizes[i]
                   << std::right << std::setw(14) << std::fixed
@@ -64,6 +56,5 @@ main(int argc, char **argv)
     }
     std::cout << "\npaper: 16 entries too small; saturation at >= 32"
               << std::endl;
-    collector.write();
     return 0;
 }

@@ -14,25 +14,21 @@ using namespace indra;
 int
 main(int argc, char **argv)
 {
-    setLogVerbosity(0);
-    benchutil::BenchCli cli("bench_fig13_request_interval",
-                            "Figure 13: instructions between service requests");
-    auto sweep = cli.parse(argc, argv);
+    benchutil::BenchRecipe bench("bench_fig13_request_interval",
+                                 "Figure 13: instructions between service "
+                                 "requests");
+    bench.parse(argc, argv);
     SystemConfig cfg;
     benchutil::printHeader(
         "Figure 13: instructions between service requests", cfg);
 
     benchutil::printCols({"instructions", "cpi"});
     const auto &daemons = net::standardDaemons();
-    benchutil::ObsCollector collector("bench_fig13_request_interval",
-                                      cli.obs());
-    collector.resize(daemons.size());
     struct Row { double avg, cpi; };
-    auto rows = sweep.run(daemons.size(), [&](std::size_t i) {
-        auto run = benchutil::runBenign(core::NodeConfig{cfg}, daemons[i], 2, 8,
-                                        collector.traceFor(i));
-        collector.snapshot(i, daemons[i].name,
-                           run.system->rootStats());
+    auto rows = bench.run(daemons.size(), [&](std::size_t i,
+                                              benchutil::CellObs cell) {
+        auto run = benchutil::runBenign(core::NodeConfig{cfg}, daemons[i],
+                                        2, 8, cell, daemons[i].name);
         double total = 0;
         for (const auto &o : run.outcomes)
             total += static_cast<double>(o.instructions);
@@ -46,6 +42,5 @@ main(int argc, char **argv)
         sum += rows[i].avg;
     }
     benchutil::printRow("average", {sum / daemons.size()}, 0);
-    collector.write();
     return 0;
 }

@@ -15,10 +15,10 @@ using namespace indra;
 int
 main(int argc, char **argv)
 {
-    setLogVerbosity(0);
-    benchutil::BenchCli cli("bench_fig14_page_copy_slowdown",
-                            "Figure 14: slowdown with page-copy virtual checkpointing");
-    auto sweep = cli.parse(argc, argv);
+    benchutil::BenchRecipe bench("bench_fig14_page_copy_slowdown",
+                                 "Figure 14: slowdown with page-copy virtual "
+                                 "checkpointing");
+    bench.parse(argc, argv);
     SystemConfig base;
     base.monitorEnabled = false;
     base.checkpointScheme = CheckpointScheme::None;
@@ -29,27 +29,18 @@ main(int argc, char **argv)
         "Figure 14: slowdown with page-copy virtual checkpointing",
         paged);
 
-    benchutil::printCols({"slowdown_x"});
     const auto &daemons = net::standardDaemons();
-    benchutil::ObsCollector collector("bench_fig14_page_copy_slowdown",
-                                      cli.obs());
-    collector.resize(daemons.size());
-    auto slowdowns = sweep.run(daemons.size(), [&](std::size_t i) {
-        auto off = benchutil::runBenign(core::NodeConfig{base}, daemons[i], 2, 6);
-        auto on = benchutil::runBenign(core::NodeConfig{paged}, daemons[i], 2, 6,
-                                       collector.traceFor(i));
-        collector.snapshot(i, daemons[i].name,
-                           on.system->rootStats());
-        return on.totalResponse() / off.totalResponse();
+    auto slowdowns = bench.run(daemons.size(), [&](std::size_t i,
+                                                   benchutil::CellObs cell) {
+        auto off = benchutil::runBenign(core::NodeConfig{base}, daemons[i],
+                                        2, 6);
+        auto on = benchutil::runBenign(core::NodeConfig{paged}, daemons[i],
+                                       2, 6, cell, daemons[i].name);
+        return std::vector<double>{on.totalResponse() /
+                                   off.totalResponse()};
     });
-    double sum = 0;
-    for (std::size_t i = 0; i < daemons.size(); ++i) {
-        benchutil::printRow(daemons[i].name, {slowdowns[i]});
-        sum += slowdowns[i];
-    }
-    benchutil::printRow("average", {sum / daemons.size()});
+    benchutil::printDaemonTable({"slowdown_x"}, slowdowns);
     std::cout << "\npaper: multi-x slowdowns (roughly 2-14x)"
               << std::endl;
-    collector.write();
     return 0;
 }

@@ -17,44 +17,28 @@ using namespace indra;
 int
 main(int argc, char **argv)
 {
-    setLogVerbosity(0);
-    benchutil::BenchCli cli("bench_fig15_dirty_lines",
-                            "Figure 15: touched-page lines requiring backup");
-    auto sweep = cli.parse(argc, argv);
+    benchutil::BenchRecipe bench("bench_fig15_dirty_lines",
+                                 "Figure 15: touched-page lines requiring "
+                                 "backup");
+    bench.parse(argc, argv);
     SystemConfig cfg;
     cfg.monitorEnabled = false;
     cfg.checkpointScheme = CheckpointScheme::DeltaBackup;
     benchutil::printHeader(
         "Figure 15: % of touched-page lines requiring backup", cfg);
 
-    benchutil::printCols({"dirty_lines_%", "pages/request"});
     const auto &daemons = net::standardDaemons();
-    benchutil::ObsCollector collector("bench_fig15_dirty_lines",
-                                      cli.obs());
-    collector.resize(daemons.size());
-    struct Row { double ratio, pages; };
-    auto rows = sweep.run(daemons.size(), [&](std::size_t i) {
-        auto run = benchutil::runBenign(core::NodeConfig{cfg}, daemons[i], 2, 8,
-                                        collector.traceFor(i));
-        collector.snapshot(i, daemons[i].name,
-                           run.system->rootStats());
+    auto rows = bench.run(daemons.size(), [&](std::size_t i,
+                                              benchutil::CellObs cell) {
+        auto run = benchutil::runBenign(core::NodeConfig{cfg}, daemons[i],
+                                        2, 8, cell, daemons[i].name);
         auto *delta = dynamic_cast<ckpt::DeltaBackup *>(
             run.serviceSlot().policy.get());
-        return Row{delta->dirtyLineRatio().mean() * 100.0,
-                   delta->pagesPerRequest().mean()};
+        return std::vector<double>{delta->dirtyLineRatio().mean() * 100.0,
+                                   delta->pagesPerRequest().mean()};
     });
-    double sum = 0;
-    double page_sum = 0;
-    for (std::size_t i = 0; i < daemons.size(); ++i) {
-        benchutil::printRow(daemons[i].name,
-                            {rows[i].ratio, rows[i].pages});
-        sum += rows[i].ratio;
-        page_sum += rows[i].pages;
-    }
-    std::size_t n = daemons.size();
-    benchutil::printRow("average", {sum / n, page_sum / n});
+    benchutil::printDaemonTable({"dirty_lines_%", "pages/request"}, rows);
     std::cout << "\npaper: bind ~45%, others mostly 10-25%"
               << std::endl;
-    collector.write();
     return 0;
 }

@@ -16,10 +16,10 @@ using namespace indra;
 int
 main(int argc, char **argv)
 {
-    setLogVerbosity(0);
-    benchutil::BenchCli cli("bench_fig16_backup_rollback",
-                            "Figure 16: slowdown of monitor+backup and rollback every other request");
-    auto sweep = cli.parse(argc, argv);
+    benchutil::BenchRecipe bench("bench_fig16_backup_rollback",
+                                 "Figure 16: slowdown of monitor+backup and "
+                                 "rollback every other request");
+    bench.parse(argc, argv);
     SystemConfig base;
     base.monitorEnabled = false;
     base.checkpointScheme = CheckpointScheme::None;
@@ -30,13 +30,9 @@ main(int argc, char **argv)
         "other request",
         indra_cfg);
 
-    benchutil::printCols({"mon+backup", "+rollback/2"});
     const auto &daemons = net::standardDaemons();
-    benchutil::ObsCollector collector("bench_fig16_backup_rollback",
-                                      cli.obs());
-    collector.resize(daemons.size());
-    struct Row { double backup, rollback; };
-    auto rows = sweep.run(daemons.size(), [&](std::size_t i) {
+    auto rows = bench.run(daemons.size(), [&](std::size_t i,
+                                              benchutil::CellObs cell) {
         const auto &profile = daemons[i];
         auto off = benchutil::runBenign(core::NodeConfig{base}, profile, 2, 8);
 
@@ -52,27 +48,15 @@ main(int argc, char **argv)
             16, net::AttackKind::DosFlood, 2);
         for (auto &r : attack_script)
             r.seq += 2;
-        auto rb = benchutil::runScript(core::NodeConfig{indra_cfg}, profile, 2,
-                                       attack_script,
-                                       collector.traceFor(i));
-        collector.snapshot(i, profile.name,
-                           rb.system->rootStats());
+        auto rb = benchutil::runScript(core::NodeConfig{indra_cfg}, profile,
+                                       2, attack_script, cell, profile.name);
         double rollback = (rb.totalResponse() / 8.0) /
             (off.totalResponse() / 8.0);
-        return Row{backup, rollback};
+        return std::vector<double>{backup, rollback};
     });
-    double s1 = 0, s2 = 0;
-    for (std::size_t i = 0; i < daemons.size(); ++i) {
-        benchutil::printRow(daemons[i].name,
-                            {rows[i].backup, rows[i].rollback});
-        s1 += rows[i].backup;
-        s2 += rows[i].rollback;
-    }
-    std::size_t n = daemons.size();
-    benchutil::printRow("average", {s1 / n, s2 / n});
+    benchutil::printDaemonTable({"mon+backup", "+rollback/2"}, rows);
     std::cout << "\npaper: ~1.0-1.5x overall; bind the >2x outlier "
                  "under frequent rollback"
               << std::endl;
-    collector.write();
     return 0;
 }

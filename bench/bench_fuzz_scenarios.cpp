@@ -102,7 +102,7 @@ main(int argc, char **argv)
     cli.option("--out", "FILE",
                "reproducer output path (default fuzz_reproducer.json)",
                &outPath);
-    auto sweep = cli.parse(argc, argv);
+    harness::ParallelSweep sweep(cli.parse(argc, argv));
 
     const std::uint64_t seedBase =
         benchutil::optionU64("--seed-base", seedBaseOpt, 1);

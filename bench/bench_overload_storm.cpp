@@ -72,7 +72,7 @@ baseConfig()
 StormCell
 runCell(const CellParams &p, std::uint64_t legit_requests,
         bool plant_dormant, const faults::FaultPlan &fplan,
-        benchutil::ObsCollector &collector, std::size_t cell_idx)
+        benchutil::CellObs cell_obs)
 {
     // A queue bound of 0 is the disarmed control.
     resilience::ResilienceConfig rc;
@@ -93,7 +93,7 @@ runCell(const CellParams &p, std::uint64_t legit_requests,
                  std::to_string(p.bound);
     cell.rep = benchutil::runStormCell(
         core::NodeConfig(baseConfig(), fplan, rc), p.daemon, plan,
-        &collector, cell_idx, cell.label);
+        cell_obs, cell.label);
     return cell;
 }
 
@@ -126,20 +126,20 @@ printCell(const StormCell &c)
 int
 main(int argc, char **argv)
 {
-    setLogVerbosity(0);
-    benchutil::BenchCli cli(
+    benchutil::BenchRecipe bench(
         "bench_overload_storm",
         "Graceful degradation under attack storms: admission control, "
         "health state machine, goodput vs raw throughput");
     bool smoke = false;
     std::string fault_spec;
-    cli.flag("--smoke",
-             "CI-sized subset plus revival scenario, with self-checks",
-             &smoke);
-    cli.option("--faults", "KIND:RATE[:MAG][,...]",
-               "compose an injected-fault plan into every cell",
-               &fault_spec);
-    auto sweep = cli.parse(argc, argv);
+    bench.cli.flag("--smoke",
+                   "CI-sized subset plus revival scenario, with "
+                   "self-checks",
+                   &smoke);
+    bench.cli.option("--faults", "KIND:RATE[:MAG][,...]",
+                     "compose an injected-fault plan into every cell",
+                     &fault_spec);
+    bench.parse(argc, argv);
 
     faults::FaultPlan fplan;
     if (!fault_spec.empty())
@@ -176,48 +176,42 @@ main(int argc, char **argv)
 
     std::size_t n =
         daemons.size() * rates.size() * bursts.size() * bounds.size();
-    // One extra cell for the smoke run's revival scenario.
-    benchutil::ObsCollector collector("bench_overload_storm",
-                                      cli.obs());
-    collector.resize(n + (smoke ? 1 : 0));
-    auto cells = sweep.run(n, [&](std::size_t i) {
-        CellParams p;
-        p.daemon = daemons[i % daemons.size()];
-        std::size_t rest = i / daemons.size();
-        p.bound = bounds[rest % bounds.size()];
-        rest /= bounds.size();
-        p.burst = bursts[rest % bursts.size()];
-        p.attackRate = rates[rest / bursts.size()];
-        return runCell(p, legit_requests, false, fplan, collector, i);
-    });
+    // The smoke run adds cell n, the revival scenario: a persistent
+    // storm with a dormant plant, against a backup engine whose macro
+    // restores are corrupted. Probes crash on the surfaced damage
+    // while quarantined, the ladder escalates through the failed
+    // macro restore to rejuvenation, and the reborn service's first
+    // served probe closes the cycle.
+    auto cells = bench.run(
+        n + (smoke ? 1 : 0),
+        [&](std::size_t i, benchutil::CellObs cell_obs) {
+            if (i == n) {
+                return runCell({.daemon = "httpd", .attackRate = 8.0,
+                                .burst = 4, .bound = 6},
+                               legit_requests, true,
+                               faults::FaultPlan::parse("macro-corrupt:1.0"),
+                               cell_obs);
+            }
+            CellParams p;
+            p.daemon = daemons[i % daemons.size()];
+            std::size_t rest = i / daemons.size();
+            p.bound = bounds[rest % bounds.size()];
+            rest /= bounds.size();
+            p.burst = bursts[rest % bursts.size()];
+            p.attackRate = rates[rest / bursts.size()];
+            return runCell(p, legit_requests, false, fplan, cell_obs);
+        });
 
-    for (const StormCell &c : cells)
-        printCell(c);
+    for (std::size_t i = 0; i < n; ++i)
+        printCell(cells[i]);
 
-    if (!smoke) {
-        collector.write();
+    if (!smoke)
         return 0;
-    }
 
-    // ------------------------------------------- the smoke scenario
-    // A persistent storm with a dormant plant, against a backup
-    // engine whose macro restores are corrupted: probes crash on the
-    // surfaced damage while quarantined, the ladder escalates through
-    // the failed macro restore to rejuvenation, and the reborn
-    // service's first served probe closes the cycle.
-    CellParams revival;
-    revival.daemon = "httpd";
-    revival.attackRate = 8.0;
-    revival.burst = 4;
-    revival.bound = 6;
-    faults::FaultPlan corrupt =
-        faults::FaultPlan::parse("macro-corrupt:1.0");
-    StormCell rc = runCell(revival, legit_requests, true, corrupt,
-                           collector, n);
+    const StormCell &rc = cells[n];
     std::cout << "\nrevival scenario (dormant plant, "
                  "macro-corrupt:1.0):\n";
     printCell(rc);
-    const auto *log_guard = &rc.rep; // full transition data is in rep
 
     // ------------------------------------------------- self checks
     benchutil::SmokeChecks check;
@@ -237,16 +231,14 @@ main(int argc, char **argv)
     }
 
     // The bound must actually shed under the heaviest storm.
-    const StormCell &heavy = cells[cells.size() - 1];
+    const StormCell &heavy = cells[n - 1];
     check(heavy.rep.shedTotal() > 0,
           "no sheds despite a bounded queue under max attack rate");
 
     // The revival scenario must walk the whole state machine.
-    check(log_guard->fullCycles >= 1,
+    check(rc.rep.fullCycles >= 1,
           "no full Healthy->Degraded->Quarantined->Rejuvenating->"
           "Healthy cycle in the revival scenario");
 
-    int status = check.finish();
-    collector.write();
-    return status;
+    return check.finish();
 }

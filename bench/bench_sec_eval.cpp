@@ -16,10 +16,10 @@ using namespace indra;
 int
 main(int argc, char **argv)
 {
-    setLogVerbosity(0);
-    benchutil::BenchCli cli("bench_sec_eval",
-                            "Security evaluation (Section 4.1): documented exploits");
-    auto sweep = cli.parse(argc, argv);
+    benchutil::BenchRecipe bench("bench_sec_eval",
+                                 "Security evaluation (Section 4.1): "
+                                 "documented exploits");
+    bench.parse(argc, argv);
     SystemConfig cfg;
     cfg.consecutiveFailureThreshold = 2;
     benchutil::printHeader(
@@ -32,33 +32,30 @@ main(int argc, char **argv)
               << "availability\n";
 
     const auto &scenarios = net::documentedExploits();
-    benchutil::ObsCollector collector("bench_sec_eval", cli.obs());
-    collector.resize(scenarios.size());
     struct Row
     {
         net::RequestOutcome bad;
         net::AvailabilityReport report;
     };
-    auto rows = sweep.run(scenarios.size(), [&](std::size_t i) {
+    auto rows = bench.run(scenarios.size(), [&](std::size_t i,
+                                                benchutil::CellObs cell) {
         const auto &scenario = scenarios[i];
         net::DaemonProfile profile = net::daemonByName(scenario.daemon);
         profile.instrPerRequest =
             std::min<std::uint64_t>(profile.instrPerRequest, 120000);
 
         core::IndraSystem sys(core::NodeConfig{cfg});
-        sys.attachTraceLog(collector.traceFor(i));
-        sys.boot();
-        std::size_t slot = sys.deployService(profile);
-
-        // 2 warm requests, the exploit, then 6 more benign requests
-        // (which for the dormant plant include the surfacing crash
-        // and the hybrid macro recovery).
-        auto script = net::ClientScript::benign(9);
-        script[2].attack = scenario.kind;
-        auto outcomes = sys.runScript(script, slot);
-        collector.snapshot(i, scenario.id, sys.rootStats());
-        return Row{outcomes[2],
-                   net::AvailabilityReport::build(outcomes)};
+        return cell.capture(sys, scenario.id, [&] {
+            std::size_t slot = sys.deployService(profile);
+            // 2 warm requests, the exploit, then 6 more benign
+            // requests (which for the dormant plant include the
+            // surfacing crash and the hybrid macro recovery).
+            auto script = net::ClientScript::benign(9);
+            script[2].attack = scenario.kind;
+            auto outcomes = sys.runScript(script, slot);
+            return Row{outcomes[2],
+                       net::AvailabilityReport::build(outcomes)};
+        });
     });
     bool all_ok = true;
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
@@ -80,6 +77,5 @@ main(int argc, char **argv)
                         "lost (paper: INDRA detects and recovers)"
                       : "\nSOME SCENARIO LOST SERVICE")
               << std::endl;
-    collector.write();
     return all_ok ? 0 : 1;
 }

@@ -14,10 +14,9 @@ using namespace indra;
 int
 main(int argc, char **argv)
 {
-    setLogVerbosity(0);
-    benchutil::BenchCli cli("bench_table2_detection",
-                            "Table 2: remote exploit inspection");
-    auto sweep = cli.parse(argc, argv);
+    benchutil::BenchRecipe bench("bench_table2_detection",
+                                 "Table 2: remote exploit inspection");
+    bench.parse(argc, argv);
     SystemConfig cfg;
     benchutil::printHeader("Table 2: remote exploit inspection", cfg);
 
@@ -34,23 +33,18 @@ main(int argc, char **argv)
 
     net::DaemonProfile profile = net::daemonByName("httpd");
     profile.instrPerRequest = 40000;
-    benchutil::ObsCollector collector("bench_table2_detection",
-                                      cli.obs());
-    collector.resize(kinds.size());
-    auto outs = sweep.run(kinds.size(), [&](std::size_t i) {
+    auto outs = bench.run(kinds.size(), [&](std::size_t i,
+                                            benchutil::CellObs cell) {
+        // No warm-up reset: the snapshot covers the whole run.
         core::IndraSystem sys(core::NodeConfig{cfg});
-        sys.attachTraceLog(collector.traceFor(i));
-        sys.boot();
-        std::size_t slot = sys.deployService(profile);
-        sys.runScript(net::ClientScript::benign(2), slot);
-
-        net::ServiceRequest req;
-        req.seq = 3;
-        req.attack = kinds[i];
-        auto out = sys.processRequest(slot, req);
-        collector.snapshot(i, net::attackKindName(kinds[i]),
-                           sys.rootStats());
-        return out;
+        return cell.capture(sys, net::attackKindName(kinds[i]), [&] {
+            std::size_t slot = sys.deployService(profile);
+            sys.runScript(net::ClientScript::benign(2), slot);
+            net::ServiceRequest req;
+            req.seq = 3;
+            req.attack = kinds[i];
+            return sys.processRequest(slot, req);
+        });
     });
     for (std::size_t i = 0; i < kinds.size(); ++i) {
         const auto &out = outs[i];
@@ -67,6 +61,5 @@ main(int argc, char **argv)
     std::cout << "\nTable 2 mapping: stack smash -> call/return "
                  "inspection;\ninjected code -> code origin; function "
                  "pointer / virtual function -> control transfer\n";
-    collector.write();
     return 0;
 }

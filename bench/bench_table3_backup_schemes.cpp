@@ -17,10 +17,9 @@ using namespace indra;
 int
 main(int argc, char **argv)
 {
-    setLogVerbosity(0);
-    benchutil::BenchCli cli("bench_table3_backup_schemes",
-                            "Table 3: memory backup approaches");
-    auto sweep = cli.parse(argc, argv);
+    benchutil::BenchRecipe bench("bench_table3_backup_schemes",
+                                 "Table 3: memory backup approaches");
+    bench.parse(argc, argv);
     SystemConfig base;
     base.monitorEnabled = false;
     base.checkpointScheme = CheckpointScheme::None;
@@ -43,22 +42,16 @@ main(int argc, char **argv)
               << std::setw(14) << "slow_atk/2" << "\n";
 
     const std::vector<std::string> daemons = {"httpd", "bind"};
-    benchutil::ObsCollector collector("bench_table3_backup_schemes",
-                                      cli.obs());
-    collector.resize(schemes.size() * daemons.size());
-    struct Cell
-    {
-        double backup_per_req = 0, recovery_per_rb = 0;
-        double slowdown4 = 0, slowdown2 = 0;
-    };
-    // One cell per (scheme, daemon) pair; per-scheme totals are
-    // summed below in daemon order, exactly as the serial loop did.
-    auto cells = sweep.run(
-        schemes.size() * daemons.size(), [&](std::size_t i) {
+    // One cell per (scheme, daemon) pair: backup cycles per request,
+    // recovery cycles per rollback, and the two slowdowns. Per-scheme
+    // means are summed below in daemon order, as the serial loop did.
+    auto cells = bench.run(
+        schemes.size() * daemons.size(),
+        [&](std::size_t i, benchutil::CellObs cell_obs) {
             CheckpointScheme scheme = schemes[i / daemons.size()];
             net::DaemonProfile profile =
                 net::daemonByName(daemons[i % daemons.size()]);
-            Cell cell;
+            double backup_per_req = 0, recovery_per_rb = 0;
 
             auto off = benchutil::runBenign(core::NodeConfig{base}, profile, 2, 6);
             SystemConfig cfg = base;
@@ -73,12 +66,9 @@ main(int argc, char **argv)
                 for (auto &r : script)
                     r.seq += 2;
                 auto run = benchutil::runScript(
-                    core::NodeConfig{cfg}, profile, 2, script, collector.traceFor(i));
-                collector.snapshot(
-                    i,
+                    core::NodeConfig{cfg}, profile, 2, script, cell_obs,
                     std::string(checkpointSchemeName(scheme)) + "." +
-                        profile.name + ".atk" + std::to_string(period),
-                    run.system->rootStats());
+                        profile.name + ".atk" + std::to_string(period));
                 std::uint64_t benign_n = 0;
                 for (const auto &o : run.outcomes) {
                     if (o.attack == net::AttackKind::None)
@@ -86,34 +76,24 @@ main(int argc, char **argv)
                 }
                 auto &policy = *run.serviceSlot().policy;
                 if (period == 4) {
-                    cell.backup_per_req +=
-                        static_cast<double>(policy.backupCycles()) /
-                        8.0;
-                    cell.recovery_per_rb += static_cast<double>(
-                                                policy.recoveryCycles()) /
-                        2.0;
+                    backup_per_req =
+                        static_cast<double>(policy.backupCycles()) / 8.0;
+                    recovery_per_rb =
+                        static_cast<double>(policy.recoveryCycles()) / 2.0;
                 }
                 return (run.totalResponse() / benign_n) /
                     off.meanResponse();
             };
-            cell.slowdown4 = busy_per_benign(4);
-            cell.slowdown2 = busy_per_benign(2);
-            return cell;
+            double slowdown4 = busy_per_benign(4);
+            double slowdown2 = busy_per_benign(2);
+            return std::vector<double>{backup_per_req, recovery_per_rb,
+                                       slowdown4, slowdown2};
         });
     for (std::size_t s = 0; s < schemes.size(); ++s) {
-        double backup_per_req = 0, recovery_per_rb = 0;
-        double slowdown4 = 0, slowdown2 = 0;
-        for (std::size_t d = 0; d < daemons.size(); ++d) {
-            const Cell &cell = cells[s * daemons.size() + d];
-            backup_per_req += cell.backup_per_req;
-            recovery_per_rb += cell.recovery_per_rb;
-            slowdown4 += cell.slowdown4;
-            slowdown2 += cell.slowdown2;
-        }
-        benchutil::printRow(checkpointSchemeName(schemes[s]),
-                            {backup_per_req / 2, recovery_per_rb / 2,
-                             slowdown4 / 2, slowdown2 / 2},
-                            1);
+        benchutil::printRow(
+            checkpointSchemeName(schemes[s]),
+            benchutil::meanRow(cells, s * daemons.size(), daemons.size()),
+            1);
     }
     std::cout << "\ncolumns: slowdown with an attack every 4th / every "
                  "2nd request.\npaper ordering: delta backup fast on "
@@ -121,6 +101,5 @@ main(int argc, char **argv)
                  "(and it falls behind delta as rollbacks become "
                  "frequent); page schemes slow backup / fast recovery"
               << std::endl;
-    collector.write();
     return 0;
 }

@@ -1,8 +1,8 @@
 /**
  * @file
- * Shared helpers for the experiment-reproduction benches: building
- * systems, running warm measured request batches, and printing
- * paper-style tables.
+ * Shared helpers for the experiment-reproduction benches: the bench
+ * command line, the paper-bench recipe (sweep + per-cell observability
+ * capture), warm measured request batches, and paper-style tables.
  */
 
 #ifndef INDRA_BENCH_UTIL_HH
@@ -10,7 +10,6 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <iomanip>
 #include <iostream>
 #include <limits>
@@ -56,23 +55,6 @@ optionU64(const char *flag, const std::string &text, std::uint64_t dflt)
 }
 
 /**
- * The observability slice of a bench command line: where to export
- * the stats tree (--stats-json) and the structured event trace
- * (--trace / --trace-format). Both default off, in which case the
- * bench's stdout is bit-identical to a build without the obs layer.
- */
-struct ObsOptions
-{
-    std::string statsJsonPath; //!< --stats-json PATH ("" = off)
-    std::string tracePath;     //!< --trace PATH ("" = off)
-    std::string formatName = "jsonl"; //!< --trace-format name
-    obs::TraceFormat traceFormat = obs::TraceFormat::Jsonl;
-
-    bool wantStats() const { return !statsJsonPath.empty(); }
-    bool wantTrace() const { return !tracePath.empty(); }
-};
-
-/**
  * The cluster slice of a bench command line: fleet shape and user
  * skew for the cluster-scale sweeps. Registered as a BenchCli preset
  * (clusterPreset()) so every cluster bench spells the flags the same
@@ -92,8 +74,9 @@ struct ClusterOptions
         if (nodesSpec.empty())
             return defaults;
         std::vector<std::uint32_t> out;
-        for (const std::string &tok : splitList(nodesSpec, "--nodes"))
+        for (const std::string &tok : splitList(nodesSpec))
             out.push_back(parseU32("--nodes", tok, 1));
+        fatal_if(out.empty(), "--nodes wants a comma-separated list");
         return out;
     }
 
@@ -104,11 +87,12 @@ struct ClusterOptions
         if (ratioSpec.empty())
             return defaults;
         std::vector<double> out;
-        for (const std::string &tok : splitList(ratioSpec, "--ratio")) {
+        for (const std::string &tok : splitList(ratioSpec)) {
             out.push_back(parseF64("--ratio", tok, 0.0,
                                    std::numeric_limits<double>::max(),
                                    true));
         }
+        fatal_if(out.empty(), "--ratio wants a comma-separated list");
         return out;
     }
 
@@ -129,19 +113,6 @@ struct ClusterOptions
             return fallback;
         return parseU64("--users", usersSpec, 1);
     }
-
-  private:
-    static std::vector<std::string>
-    splitList(const std::string &spec, const char *flag)
-    {
-        std::vector<std::string> out;
-        std::string tok;
-        std::istringstream is(spec);
-        while (std::getline(is, tok, ','))
-            out.push_back(tok);
-        fatal_if(out.empty(), flag, " wants a comma-separated list");
-        return out;
-    }
 };
 
 /**
@@ -153,7 +124,7 @@ struct ClusterOptions
  *     BenchCli cli("bench_foo", "what the bench measures");
  *     bool smoke = false;
  *     cli.flag("--smoke", "run the CI-sized subset", &smoke);
- *     auto sweep = cli.parse(argc, argv);
+ *     harness::ParallelSweep sweep(cli.parse(argc, argv));
  */
 class BenchCli
 {
@@ -161,18 +132,7 @@ class BenchCli
     BenchCli(std::string prog, std::string summary)
         : progName(std::move(prog)), progSummary(std::move(summary))
     {
-        // Every sweep bench exports the same way; register the
-        // observability options once, here, instead of in 18 benches.
-        option("--stats-json", "PATH",
-               "write the final stats tree as JSON", &obsOpts.statsJsonPath);
-        option("--trace", "PATH",
-               "write the structured event trace", &obsOpts.tracePath);
-        option("--trace-format", "jsonl|chrome",
-               "trace file format (default jsonl)", &obsOpts.formatName);
     }
-
-    /** The parsed observability options (valid after parse()). */
-    const ObsOptions &obs() const { return obsOpts; }
 
     /**
      * Register the cluster sweep preset: --nodes/--ratio/--zipf/
@@ -233,9 +193,9 @@ class BenchCli
     /**
      * Parse the command line. Handles --help/-h (print and exit 0)
      * and the --jobs forms, fills the registered flags and options,
-     * and dies on anything else.
+     * and dies on anything else. Returns the sweep worker count.
      */
-    harness::ParallelSweep
+    unsigned
     parse(int argc, char **argv)
     {
         std::vector<std::string> args(argv + 1, argv + argc);
@@ -273,9 +233,7 @@ class BenchCli
             fatal(progName, ": unrecognized command-line flag '", arg,
                   "' (try --help)");
         }
-        // Validate eagerly so a typo dies before the sweep runs.
-        obsOpts.traceFormat = obs::traceFormatFromName(obsOpts.formatName);
-        return harness::ParallelSweep(jobs);
+        return jobs;
     }
 
   private:
@@ -310,8 +268,9 @@ class BenchCli
            << progSummary << "\n\noptions:\n";
         auto line = [&os](const std::string &lhs,
                           const std::string &desc) {
-            os << "  " << std::left << std::setw(26) << lhs << desc
-               << "\n";
+            // An option wider than the column still gets a space.
+            os << "  " << std::left << std::setw(26) << lhs
+               << (lhs.size() < 26 ? "" : " ") << desc << "\n";
         };
         line("--help", "print this help and exit");
         line("--jobs N",
@@ -327,7 +286,6 @@ class BenchCli
     std::string progSummary;
     std::vector<Flag> flags;
     std::vector<Option> options;
-    ObsOptions obsOpts;
     std::string ablateText;
 };
 
@@ -361,112 +319,189 @@ class SmokeChecks
 };
 
 /**
- * Per-cell observability capture for a ParallelSweep bench.
- *
- * resize(n) is called once, before the sweep, from the main thread;
- * after that each cell only touches its own index, so worker threads
- * never contend. traceFor(i) hands cell i its private TraceLog (null
- * when no --trace was given — the zero-cost-when-off contract), and
- * snapshot(i, label, root) renders cell i's stats tree to a pending
- * JSON fragment (callable several times per cell — e.g. one system
- * per table row). write() merges everything *in cell order*, so the
- * files are bit-identical for any --jobs count.
+ * One sweep cell's observability capture: its private TraceLog (null
+ * when no --trace was given, the zero-cost-when-off contract) and its
+ * list of rendered stats snapshots. A default-constructed CellObs is
+ * inert: it traces nothing and snapshots nothing, so one code path
+ * serves the observed cells and the unobserved baseline runs alike.
  */
-class ObsCollector
+class CellObs
 {
   public:
-    ObsCollector(std::string bench, ObsOptions options)
-        : benchName(std::move(bench)), opts(std::move(options))
+    CellObs() = default;
+
+    /** The cell's event log, or nullptr when tracing is off. */
+    obs::TraceLog *trace() const { return log; }
+
+    /**
+     * Attach the cell's trace log to @p sys, boot it, run @p body,
+     * then snapshot the stats tree under @p label; returns what
+     * @p body returns. The one place a bench system is observed.
+     */
+    template <typename Body>
+    auto
+    capture(core::IndraSystem &sys, const std::string &label,
+            Body &&body) const
     {
+        sys.attachTraceLog(log);
+        sys.boot();
+        auto out = body();
+        snapshot(label, sys.rootStats());
+        return out;
     }
 
-    /** Pre-size the per-cell slots (main thread, before the sweep). */
+    /**
+     * Render @p root under @p label into the cell's stats file,
+     * without tracing: for a run the bench deliberately leaves out
+     * of the trace but still exports (callable several times per
+     * cell; snapshots keep their call order).
+     */
     void
-    resize(std::size_t cells)
+    snapshot(const std::string &label, const stats::StatGroup &root) const
     {
-        slots.resize(cells);
-        if (opts.wantTrace()) {
-            for (Cell &c : slots) {
-                if (!c.log)
-                    c.log = std::make_unique<obs::TraceLog>();
-            }
-        }
-    }
-
-    /** Cell @p i's event log, or nullptr when tracing is off. */
-    obs::TraceLog *
-    traceFor(std::size_t i)
-    {
-        return i < slots.size() ? slots[i].log.get() : nullptr;
-    }
-
-    /** Render cell @p i's stats tree under @p label (cell thread). */
-    void
-    snapshot(std::size_t i, const std::string &label,
-             const stats::StatGroup &root)
-    {
-        if (!opts.wantStats() || i >= slots.size())
+        if (!snaps)
             return;
         std::ostringstream os;
-        os << "{\"cell\":" << i << ",\"label\":";
+        os << "{\"cell\":" << index << ",\"label\":";
         obs::jsonString(os, label);
         os << ",\"stats\":";
         obs::JsonStatSink sink(os);
         root.accept(sink);
         os << "}";
-        slots[i].snaps.push_back(os.str());
-    }
-
-    /** Merge and write the requested files (main thread, post-sweep). */
-    void
-    write() const
-    {
-        if (opts.wantStats()) {
-            std::ofstream out(opts.statsJsonPath);
-            fatal_if(!out, "cannot write ", opts.statsJsonPath);
-            out << "{\"bench\":";
-            obs::jsonString(out, benchName);
-            out << ",\"cells\":[";
-            bool first = true;
-            for (const Cell &c : slots) {
-                for (const std::string &s : c.snaps) {
-                    if (!first)
-                        out << ",";
-                    first = false;
-                    out << "\n" << s;
-                }
-            }
-            out << "\n]}\n";
-        }
-        if (opts.wantTrace()) {
-            std::ofstream out(opts.tracePath);
-            fatal_if(!out, "cannot write ", opts.tracePath);
-            if (opts.traceFormat == obs::TraceFormat::Jsonl) {
-                for (std::size_t i = 0; i < slots.size(); ++i) {
-                    if (slots[i].log)
-                        obs::renderJsonl(*slots[i].log, i, out);
-                }
-            } else {
-                obs::ChromeTraceWriter writer(out);
-                for (std::size_t i = 0; i < slots.size(); ++i) {
-                    if (slots[i].log)
-                        writer.append(*slots[i].log, i);
-                }
-                writer.finish();
-            }
-        }
+        snaps->push_back(os.str());
     }
 
   private:
-    struct Cell
+    friend class BenchRecipe;
+
+    CellObs(obs::TraceLog *trace_log, std::vector<std::string> *stats,
+            std::size_t cell)
+        : log(trace_log), snaps(stats), index(cell)
+    {
+    }
+
+    obs::TraceLog *log = nullptr;
+    std::vector<std::string> *snaps = nullptr; //!< null = no --stats-json
+    std::size_t index = 0;
+};
+
+/**
+ * The paper-bench recipe: one bench command line with the
+ * observability options (--stats-json, --trace, --trace-format), one
+ * ParallelSweep, and one per-cell capture. Every bench that writes
+ * the obs files is built on it:
+ *
+ *     BenchRecipe bench("bench_foo", "what the bench measures");
+ *     bench.cli.flag("--smoke", "run the CI-sized subset", &smoke);
+ *     bench.parse(argc, argv);
+ *     auto rows = bench.run(n, [&](std::size_t i, CellObs cell) {
+ *         return runBenign(node, profile, 2, 8, cell, "label");
+ *     });
+ *
+ * run() hands cell i its CellObs and, after the sweep, merges every
+ * cell's trace and snapshots *in cell order*, so the files are
+ * bit-identical for any --jobs count. With no obs flag given nothing
+ * is allocated and stdout matches a run without the obs layer.
+ */
+class BenchRecipe
+{
+  public:
+    BenchRecipe(const std::string &prog, const std::string &summary)
+        : cli(prog, summary), benchName(prog)
+    {
+        setLogVerbosity(0);
+        cli.option("--stats-json", "PATH",
+                   "write the final stats tree as JSON", &statsPath);
+        cli.option("--trace", "PATH", "write the structured event trace",
+                   &tracePath);
+        cli.option("--trace-format", "jsonl|chrome",
+                   "trace file format (default jsonl)", &formatName);
+    }
+
+    /** The command line; register bench flags before parse(). */
+    BenchCli cli;
+
+    /** Parse the command line; a bad --trace-format dies here. */
+    void
+    parse(int argc, char **argv)
+    {
+        jobs = cli.parse(argc, argv);
+        traceFormat = obs::traceFormatFromName(formatName);
+    }
+
+    /**
+     * Sweep @p cells cells, calling @p cell(i, CellObs) on the
+     * parallel workers; returns the results in cell order after
+     * writing the requested obs files. Call once per bench run.
+     */
+    template <typename Fn>
+    auto
+    run(std::size_t cells, Fn &&cell)
+    {
+        slots.resize(cells);
+        for (Slot &s : slots) {
+            if (!tracePath.empty())
+                s.log = std::make_unique<obs::TraceLog>();
+        }
+        auto out = harness::ParallelSweep(jobs).run(cells, [&](std::size_t i) {
+            return cell(i, CellObs(slots[i].log.get(),
+                                   statsPath.empty() ? nullptr
+                                                     : &slots[i].snaps,
+                                   i));
+        });
+        write();
+        return out;
+    }
+
+  private:
+    struct Slot
     {
         std::unique_ptr<obs::TraceLog> log;
         std::vector<std::string> snaps;
     };
 
+    void
+    write() const
+    {
+        if (!statsPath.empty()) {
+            std::ofstream out(statsPath);
+            fatal_if(!out, "cannot write ", statsPath);
+            out << "{\"bench\":";
+            obs::jsonString(out, benchName);
+            out << ",\"cells\":[";
+            bool first = true;
+            for (const Slot &s : slots) {
+                for (const std::string &snap : s.snaps) {
+                    if (!first)
+                        out << ",";
+                    first = false;
+                    out << "\n" << snap;
+                }
+            }
+            out << "\n]}\n";
+        }
+        if (tracePath.empty())
+            return;
+        std::ofstream out(tracePath);
+        fatal_if(!out, "cannot write ", tracePath);
+        if (traceFormat == obs::TraceFormat::Jsonl) {
+            for (std::size_t i = 0; i < slots.size(); ++i)
+                obs::renderJsonl(*slots[i].log, i, out);
+        } else {
+            obs::ChromeTraceWriter writer(out);
+            for (std::size_t i = 0; i < slots.size(); ++i)
+                writer.append(*slots[i].log, i);
+            writer.finish();
+        }
+    }
+
     std::string benchName;
-    ObsOptions opts;
-    std::vector<Cell> slots;
+    std::string statsPath;  //!< --stats-json PATH ("" = off)
+    std::string tracePath;  //!< --trace PATH ("" = off)
+    std::string formatName = "jsonl"; //!< --trace-format name
+    obs::TraceFormat traceFormat = obs::TraceFormat::Jsonl;
+    unsigned jobs = 0;
+    std::vector<Slot> slots;
 };
 
 /** One measured run of one daemon under one configuration. */
@@ -499,29 +534,28 @@ struct Run
 
 /**
  * Boot a system, deploy @p profile, run @p warmup benign requests,
- * reset statistics, then run @p script and return the outcomes. With
- * a non-null @p trace the system's emitters stream structured events
- * into it; warmup events are cleared along with the warmup stats so
- * the trace covers exactly the measured window.
+ * reset statistics, then run @p script and return the outcomes,
+ * captured by @p cell under @p label. Warmup events are cleared along
+ * with the warmup stats so the trace covers exactly the measured
+ * window.
  */
 inline Run
 runScript(const core::NodeConfig &node, const net::DaemonProfile &profile,
           std::uint64_t warmup,
           const std::vector<net::ServiceRequest> &script,
-          obs::TraceLog *trace = nullptr)
+          CellObs cell = {}, const std::string &label = "")
 {
     Run run;
     run.system = std::make_unique<core::IndraSystem>(node);
-    if (trace)
-        run.system->attachTraceLog(trace);
-    run.system->boot();
-    run.slot = run.system->deployService(profile);
-    for (const auto &req : net::ClientScript::benign(warmup))
-        run.system->processRequest(run.slot, req);
-    run.serviceSlot().statGroup->resetAll();
-    if (trace)
-        trace->clear();
-    run.outcomes = run.system->runScript(script, run.slot);
+    run.outcomes = cell.capture(*run.system, label, [&] {
+        run.slot = run.system->deployService(profile);
+        for (const auto &req : net::ClientScript::benign(warmup))
+            run.system->processRequest(run.slot, req);
+        run.serviceSlot().statGroup->resetAll();
+        if (cell.trace())
+            cell.trace()->clear();
+        return run.system->runScript(script, run.slot);
+    });
     return run;
 }
 
@@ -529,12 +563,12 @@ runScript(const core::NodeConfig &node, const net::DaemonProfile &profile,
 inline Run
 runBenign(const core::NodeConfig &node, const net::DaemonProfile &profile,
           std::uint64_t warmup, std::uint64_t measured,
-          obs::TraceLog *trace = nullptr)
+          CellObs cell = {}, const std::string &label = "")
 {
     auto script = net::ClientScript::benign(measured);
     for (auto &r : script)
         r.seq += warmup;
-    return runScript(node, profile, warmup, script, trace);
+    return runScript(node, profile, warmup, script, cell, label);
 }
 
 /** Print the standard bench header with the Table 4 parameters. */
@@ -569,6 +603,40 @@ printCols(const std::vector<std::string> &names)
     for (const auto &n : names)
         std::cout << std::right << std::setw(14) << n;
     std::cout << "\n";
+}
+
+/**
+ * The column-wise mean of @p count rows of @p rows from @p first on,
+ * summed in row order: a sweep's per-daemon average.
+ */
+inline std::vector<double>
+meanRow(const std::vector<std::vector<double>> &rows, std::size_t first,
+        std::size_t count)
+{
+    std::vector<double> mean(rows[first].size(), 0.0);
+    for (std::size_t r = first; r < first + count; ++r) {
+        for (std::size_t c = 0; c < mean.size(); ++c)
+            mean[c] += rows[r][c];
+    }
+    for (double &m : mean)
+        m /= count;
+    return mean;
+}
+
+/**
+ * The per-daemon table of Figs. 9-11 and 14-16: the @p cols header,
+ * one row per net::standardDaemons() entry (@p rows in daemon order)
+ * and the column-wise average row.
+ */
+inline void
+printDaemonTable(const std::vector<std::string> &cols,
+                 const std::vector<std::vector<double>> &rows)
+{
+    const auto &daemons = net::standardDaemons();
+    printCols(cols);
+    for (std::size_t i = 0; i < daemons.size(); ++i)
+        printRow(daemons[i].name, rows[i]);
+    printRow("average", meanRow(rows, 0, daemons.size()));
 }
 
 } // namespace indra::benchutil

@@ -227,7 +227,7 @@ main(int argc, char **argv)
                "write escaped-cell reproducers here", &reproDir);
     cli.ablateOption("dotted NodeConfig overrides (rca.* routes to the "
                      "campaign runner)");
-    auto sweep = cli.parse(argc, argv);
+    harness::ParallelSweep sweep(cli.parse(argc, argv));
 
     // rca.* keys ride the same dotted-key router as every other node
     // setting; unknown keys die here, naming the key. The smoke

@@ -114,30 +114,25 @@ adaptiveStorm(adversary::AdversaryStrategy strategy, std::uint64_t budget,
 }
 
 /**
- * Run one storm cell: build @p node, attach cell @p cell's trace log
- * (when @p collector traces), boot, deploy @p daemon at the storm
- * request size, run @p plan, call @p inspect (if any) with the system
- * and service slot, and snapshot the stats tree under @p label.
+ * Run one storm cell, captured by @p cell under @p label: build
+ * @p node, deploy @p daemon at the storm request size, run @p plan,
+ * and call @p inspect (if any) with the system and service slot.
  */
 inline resilience::StormReport
 runStormCell(const core::NodeConfig &node, const std::string &daemon,
-             const resilience::StormPlan &plan,
-             ObsCollector *collector = nullptr, std::size_t cell = 0,
+             const resilience::StormPlan &plan, CellObs cell = {},
              const std::string &label = "",
              const std::function<void(core::IndraSystem &, std::size_t)>
                  &inspect = {})
 {
     core::IndraSystem sys(node);
-    if (collector)
-        sys.attachTraceLog(collector->traceFor(cell));
-    sys.boot();
-    std::size_t slot = sys.deployService(stormDaemon(daemon));
-    resilience::StormReport rep = core::runStorm(sys, slot, plan);
-    if (inspect)
-        inspect(sys, slot);
-    if (collector)
-        collector->snapshot(cell, label, sys.rootStats());
-    return rep;
+    return cell.capture(sys, label, [&] {
+        std::size_t slot = sys.deployService(stormDaemon(daemon));
+        resilience::StormReport rep = core::runStorm(sys, slot, plan);
+        if (inspect)
+            inspect(sys, slot);
+        return rep;
+    });
 }
 
 /**

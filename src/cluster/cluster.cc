@@ -1,7 +1,6 @@
 #include "cluster/cluster.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "sim/logging.hh"
 #include "sim/random.hh"
@@ -11,15 +10,6 @@ namespace indra::cluster
 
 namespace
 {
-
-/** Exponential interarrival gap (>= 1 cycle) for @p rate_per_mcycle. */
-Cycles
-expGap(Pcg32 &rng, double rate_per_mcycle)
-{
-    double u = rng.uniformReal();
-    double gap = -std::log(1.0 - u) * 1e6 / rate_per_mcycle;
-    return gap < 1.0 ? 1 : static_cast<Cycles>(gap);
-}
 
 /** One balanced arrival, already passed through its node's link. */
 struct RoutedArrival

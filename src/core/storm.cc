@@ -43,7 +43,6 @@
  */
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <optional>
 #include <queue>
@@ -146,15 +145,6 @@ class ArrivalSchedule
     std::priority_queue<Arrival, std::vector<Arrival>, ArrivalAfter>
         dynamic;
 };
-
-/** Exponential interarrival gap (>= 1 cycle) for @p rate_per_mcycle. */
-Cycles
-expGap(Pcg32 &rng, double rate_per_mcycle)
-{
-    double u = rng.uniformReal();
-    double gap = -std::log(1.0 - u) * 1e6 / rate_per_mcycle;
-    return gap < 1.0 ? 1 : static_cast<Cycles>(gap);
-}
 
 } // anonymous namespace
 

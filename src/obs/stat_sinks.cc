@@ -80,58 +80,6 @@ TextStatSink::visitHistogram(const stats::Histogram &hist)
              static_cast<double>(hist.overflow()), "");
 }
 
-// -------------------------------------------------------------- CsvStatSink
-
-CsvStatSink::CsvStatSink(std::ostream &os) : out(os)
-{
-    out << "stat,value\n";
-}
-
-void
-CsvStatSink::row(const std::string &key, double value)
-{
-    out << key << ",";
-    jsonNumber(out, value);
-    out << "\n";
-}
-
-void
-CsvStatSink::visitScalar(const stats::StatBase &stat, double value)
-{
-    row(prefix() + stat.name(), value);
-}
-
-void
-CsvStatSink::visitDistribution(const stats::Distribution &dist)
-{
-    row(prefix() + dist.name() + ".count",
-        static_cast<double>(dist.count()));
-    row(prefix() + dist.name() + ".mean", dist.mean());
-    row(prefix() + dist.name() + ".min", dist.minValue());
-    row(prefix() + dist.name() + ".max", dist.maxValue());
-    row(prefix() + dist.name() + ".stddev", dist.stddev());
-}
-
-void
-CsvStatSink::visitHistogram(const stats::Histogram &hist)
-{
-    row(prefix() + hist.name() + ".count",
-        static_cast<double>(hist.count()));
-    const auto &bins = hist.buckets();
-    for (std::size_t i = 0; i < bins.size(); ++i) {
-        if (bins[i] == 0)
-            continue;
-        std::ostringstream key;
-        key << prefix() << hist.name() << ".bucket[" << i
-            << "]";
-        row(key.str(), static_cast<double>(bins[i]));
-    }
-    row(prefix() + hist.name() + ".underflow",
-        static_cast<double>(hist.underflow()));
-    row(prefix() + hist.name() + ".overflow",
-        static_cast<double>(hist.overflow()));
-}
-
 // ------------------------------------------------------------- JsonStatSink
 
 void

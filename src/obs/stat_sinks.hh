@@ -7,11 +7,8 @@
  *                 descriptions) — gem5 stats.txt style.
  *   JsonStatSink  one nested JSON object mirroring the group tree;
  *                 what --stats-json writes for plotting pipelines.
- *   CsvStatSink   flat `path,value` rows, one line per scalar-like
- *                 quantity (distributions/histograms expand to their
- *                 component keys) — trivially greppable/joinable.
  *
- * All three are deterministic: the same tree renders the same bytes.
+ * Both are deterministic: the same tree renders the same bytes.
  */
 
 #ifndef INDRA_OBS_STAT_SINKS_HH
@@ -59,22 +56,6 @@ class TextStatSink : public PrefixedStatSink
   private:
     void line(const std::string &key, double value,
               const std::string &desc);
-
-    std::ostream &out;
-};
-
-/** Flat CSV: a header then one `path,value` row per quantity. */
-class CsvStatSink : public PrefixedStatSink
-{
-  public:
-    explicit CsvStatSink(std::ostream &os);
-
-    void visitScalar(const stats::StatBase &stat, double value) override;
-    void visitDistribution(const stats::Distribution &dist) override;
-    void visitHistogram(const stats::Histogram &hist) override;
-
-  private:
-    void row(const std::string &key, double value);
 
     std::ostream &out;
 };

@@ -10,9 +10,11 @@
 #ifndef INDRA_SIM_RANDOM_HH
 #define INDRA_SIM_RANDOM_HH
 
+#include <cmath>
 #include <cstdint>
 
 #include "sim/logging.hh"
+#include "sim/types.hh"
 
 namespace indra
 {
@@ -94,6 +96,18 @@ class Pcg32
     std::uint64_t state;
     std::uint64_t inc;
 };
+
+/**
+ * One exponential interarrival gap (>= 1 cycle) drawn from @p rng for
+ * a Poisson stream of @p rate_per_mcycle arrivals per million cycles.
+ */
+inline Cycles
+expGap(Pcg32 &rng, double rate_per_mcycle)
+{
+    double u = rng.uniformReal();
+    double gap = -std::log(1.0 - u) * 1e6 / rate_per_mcycle;
+    return gap < 1.0 ? 1 : static_cast<Cycles>(gap);
+}
 
 } // namespace indra
 

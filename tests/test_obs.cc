@@ -246,20 +246,6 @@ TEST(StatSinks, JsonIsValidAndComplete)
     EXPECT_NE(out.find("\"overflow\":1"), std::string::npos);
 }
 
-TEST(StatSinks, CsvHasHeaderAndQualifiedRows)
-{
-    SampleTree t;
-    std::ostringstream os;
-    obs::CsvStatSink sink(os);
-    t.root.accept(sink);
-    std::string out = os.str();
-
-    EXPECT_EQ(out.find("stat,value\n"), 0u);
-    EXPECT_NE(out.find("sys.svc.count,3"), std::string::npos);
-    EXPECT_NE(out.find("sys.svc.lat.mean,15"), std::string::npos);
-    EXPECT_NE(out.find("sys.svc.occ.underflow,1"), std::string::npos);
-}
-
 TEST(StatSinks, TextMatchesHistoricalShape)
 {
     SampleTree t;
@@ -443,7 +429,7 @@ readFile(const std::string &path)
     return text.str();
 }
 
-/** The files a storm sweep exports through the bench collector. */
+/** The files a storm sweep exports through the bench recipe. */
 struct Exported
 {
     std::string stats;
@@ -453,35 +439,36 @@ struct Exported
 /**
  * Run a three-cell storm sweep (attack rates 0, 2 and 8 per Mcycle,
  * delta flips composed in) on @p jobs workers and export its stats
- * tree and @p format trace, as a bench's --stats-json / --trace /
- * --trace-format do.
+ * tree and @p format trace through a bench's own command line:
+ * --stats-json, --trace, --trace-format and --jobs.
  */
 Exported
 exportStormSweep(unsigned jobs, const std::string &format)
 {
     const std::string stem = ::testing::TempDir() + "obs_export_j" +
                              std::to_string(jobs) + "_" + format;
-    benchutil::ObsOptions opts;
-    opts.statsJsonPath = stem + ".stats.json";
-    opts.tracePath = stem + ".trace";
-    opts.formatName = format;
-    opts.traceFormat = obs::traceFormatFromName(format);
+    const std::string statsPath = stem + ".stats.json";
+    const std::string tracePath = stem + ".trace";
+    std::vector<std::string> args = {
+        "test_obs", "--stats-json", statsPath, "--trace", tracePath,
+        "--trace-format=" + format, "--jobs", std::to_string(jobs)};
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
 
     const double rates[] = {0.0, 2.0, 8.0};
-    benchutil::ObsCollector collector("test_obs", opts);
-    collector.resize(3);
-    harness::ParallelSweep sweep(jobs);
-    sweep.run(3, [&](std::size_t i) {
+    benchutil::BenchRecipe bench("test_obs", "obs export test");
+    bench.parse(static_cast<int>(argv.size()), argv.data());
+    bench.run(3, [&](std::size_t i, benchutil::CellObs cell) {
         core::NodeConfig node(benchutil::stormSystem(),
                               faults::FaultPlan::parse("delta-flip:0.3"),
                               benchutil::stormDefense());
         resilience::StormPlan plan = benchutil::staticStorm(20);
         plan.attackRatePerMCycle = rates[i];
-        return benchutil::runStormCell(node, "httpd", plan, &collector,
-                                       i, "cell" + std::to_string(i));
+        return benchutil::runStormCell(node, "httpd", plan, cell,
+                                       "cell" + std::to_string(i));
     });
-    collector.write();
-    return {readFile(opts.statsJsonPath), readFile(opts.tracePath)};
+    return {readFile(statsPath), readFile(tracePath)};
 }
 
 } // anonymous namespace
