@@ -11,11 +11,12 @@
 #   ci-asan-ubsan  address+undefined sanitizers over the labelled
 #                  corruption paths and the config registry: -L
 #                  faults, resilience, harness, obs, check, adversary,
-#                  domain, cluster, rca, config (the differential-oracle
-#                  tests, including the fixed-seed fuzz slice, its
-#                  planted-bug sensitivity checks and the malformed
-#                  scenario-JSON test, run under both sanitizer
-#                  configs).
+#                  domain, cluster, rca, config, timing (the
+#                  differential-oracle tests, including the fixed-seed
+#                  fuzz slice, its planted-bug sensitivity checks and
+#                  the malformed scenario-JSON test, run under both
+#                  sanitizer configs; timing holds the page-transfer
+#                  kernel's equivalence property test).
 #   ci-tsan        thread sanitizer over the parallel sweep harness,
 #                  the storm cells, and the per-cell trace logs:
 #                  -L harness, resilience, obs, check, adversary,

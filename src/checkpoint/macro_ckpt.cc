@@ -31,43 +31,52 @@ MacroCheckpoint::capture(Tick tick, os::ProcessContext &ctx,
                          os::AddressSpace &space,
                          os::SystemResources &res)
 {
-    // Keep the previous image's page buffers: the same working set is
-    // recaptured every interval, so reusing each page's vector avoids
-    // a page-sized allocation + copy per page per capture on the
-    // memcpy-bound backup path.
-    imageSums.clear();
-    imageLiveSums.clear();
+    // Keep the previous image's pages: the same working set is
+    // recaptured every interval, so a page whose frame is still the
+    // copy it holds is not copied again, and a changed page reuses
+    // its buffer.
+    ++captureEpoch;
+    const std::vector<Vpn> mapped = space.mappedPages();
     Cycles cost = 0;
-    for (Vpn vpn : space.mappedPages()) {
+    for (Vpn vpn : mapped) {
         const os::PageInfo &info = space.pageInfo(vpn);
-        auto &bytes = image[vpn];
-        phys.snapshotFrameInto(info.pfn, bytes);
+        auto [it, fresh] = image.try_emplace(vpn);
+        ImagePage &page = it->second;
+        if (fresh && !spareBuffers.empty()) {
+            page.bytes = std::move(spareBuffers.back());
+            spareBuffers.pop_back();
+        }
         std::uint64_t ver = phys.frameVersion(info.pfn);
+        if (!page.holds(info.pfn, ver)) {
+            phys.snapshotFrameInto(info.pfn, page.bytes);
+            page.heldPfn = info.pfn;
+            page.heldVersion = ver;
+        }
         PageSeal &seal = sealCache[vpn];
         if (seal.pfn != info.pfn || seal.version != ver) {
             seal.pfn = info.pfn;
             seal.version = ver;
-            seal.sum = faults::checksum32(bytes.data(), bytes.size());
+            seal.sum =
+                faults::checksum32(page.bytes.data(), page.bytes.size());
         }
-        imageSums[vpn] = seal.sum;
-        imageLiveSums[vpn] = seal.sum;
+        page.sealedSum = seal.sum;
+        page.liveSum = seal.sum;
+        page.epoch = captureEpoch;
         // Software copy of a full page through the memory system.
-        for (std::uint32_t off = 0; off < config.pageBytes;
-             off += config.backupLineBytes) {
-            cost += memsys.lineTransfer(
-                tick + cost, memsys.backupAddr(info.pfn, off), false);
-        }
+        cost += memsys.pageTransfer(tick + cost, info.pfn, false);
     }
     // Pages unmapped since the previous capture are no longer in the
-    // working set: drop their retained buffers.
-    if (image.size() != imageSums.size()) {
+    // working set: drop them.
+    if (image.size() != mapped.size()) {
         for (auto it = image.begin(); it != image.end();) {
-            if (imageSums.find(it->first) == imageSums.end())
+            if (it->second.epoch != captureEpoch)
                 it = image.erase(it);
             else
                 ++it;
         }
     }
+    // Buffers a smaller working set did not need are freed, not kept.
+    spareBuffers.clear();
     // The page count is sealed before any injected damage, so a
     // truncated image is caught by the count check at restore time.
     expectedPages = image.size();
@@ -84,14 +93,15 @@ MacroCheckpoint::capture(Tick tick, os::ProcessContext &ctx,
         // not depend on hash-map iteration order.
         std::vector<Vpn> vpns;
         vpns.reserve(image.size());
-        for (const auto &[vpn, bytes] : image)
+        for (const auto &[vpn, page] : image)
             vpns.push_back(vpn);
         std::sort(vpns.begin(), vpns.end());
         if (injector->fire(faults::FaultKind::MacroCorrupt)) {
             Vpn victim = vpns[injector->pick(
                 faults::FaultKind::MacroCorrupt,
                 static_cast<std::uint32_t>(vpns.size()))];
-            auto &bytes = image[victim];
+            ImagePage &page = image.at(victim);
+            auto &bytes = page.bytes;
             std::uint32_t bit = injector->pick(
                 faults::FaultKind::MacroCorrupt,
                 static_cast<std::uint32_t>(bytes.size() * 8));
@@ -99,17 +109,16 @@ MacroCheckpoint::capture(Tick tick, os::ProcessContext &ctx,
             // The image page changed after sealing: refresh its live
             // sum so the cached verify sees exactly the damage a full
             // re-hash would (FNV-1a maps a one-bit difference to a
-            // different sum unconditionally).
-            imageLiveSums[victim] =
-                faults::checksum32(bytes.data(), bytes.size());
+            // different sum unconditionally), and stop treating it as
+            // a copy of its frame.
+            page.liveSum = faults::checksum32(bytes.data(), bytes.size());
+            page.heldPfn = invalidPfn;
         }
         if (injector->fire(faults::FaultKind::MacroTruncate)) {
             Vpn victim = vpns[injector->pick(
                 faults::FaultKind::MacroTruncate,
                 static_cast<std::uint32_t>(vpns.size()))];
             image.erase(victim);
-            imageSums.erase(victim);
-            imageLiveSums.erase(victim);
         }
     }
     return cost;
@@ -121,11 +130,8 @@ MacroCheckpoint::verifyImage(Tick tick)
     std::uint64_t bad = 0;
     if (image.size() != expectedPages)
         ++bad;
-    for (const auto &[vpn, bytes] : image) {
-        auto it = imageSums.find(vpn);
-        auto live = imageLiveSums.find(vpn);
-        if (it == imageSums.end() || live == imageLiveSums.end() ||
-            live->second != it->second)
+    for (const auto &[vpn, page] : image) {
+        if (page.liveSum != page.sealedSum)
             ++bad;
     }
     if (bad) {
@@ -156,24 +162,28 @@ MacroCheckpoint::restore(Tick tick, os::ProcessContext &ctx,
     // reclaimed before the memory image is written back.
     res.restoreTo(resourceSnap, space);
 
-    for (const auto &[vpn, bytes] : image) {
+    for (auto &[vpn, page] : image) {
         if (!space.isMapped(vpn))
             continue;  // page no longer exists (should not happen)
         const os::PageInfo &info = space.pageInfo(vpn);
-        phys.write(info.pfn, 0, bytes.data(),
-                   static_cast<std::uint32_t>(bytes.size()));
+        std::uint64_t ver = phys.frameVersion(info.pfn);
+        // A frame still at the version the page was copied from (or
+        // last written back to) already holds exactly these bytes.
+        if (!page.holds(info.pfn, ver)) {
+            phys.write(info.pfn, 0, page.bytes.data(),
+                       static_cast<std::uint32_t>(page.bytes.size()));
+            ver = phys.frameVersion(info.pfn);
+            page.heldPfn = info.pfn;
+            page.heldVersion = ver;
+        }
         // The frame now holds exactly the sealed image bytes (the
         // image verified, so its live sum equals the seal), which
-        // means the page's checksum at its new write version is
+        // means the page's checksum at its current write version is
         // already known: refresh the memo so the next capture does
         // not re-hash pages only a rollback touched.
-        sealCache[vpn] = {info.pfn, phys.frameVersion(info.pfn),
-                          imageSums.at(vpn)};
-        for (std::uint32_t off = 0; off < config.pageBytes;
-             off += config.backupLineBytes) {
-            cost += memsys.lineTransfer(
-                tick + cost, memsys.backupAddr(info.pfn, off), true);
-        }
+        sealCache[vpn] = {info.pfn, ver, page.sealedSum};
+        // The simulated charge is the full page, copied or not.
+        cost += memsys.pageTransfer(tick + cost, info.pfn, true);
     }
     ctx.restore(contextSnap);
     memsys.flushCaches();
@@ -189,10 +199,18 @@ void
 MacroCheckpoint::discard()
 {
     captured = false;
+    for (auto &[vpn, page] : image)
+        spareBuffers.push_back(std::move(page.bytes));
     image.clear();
-    imageSums.clear();
-    imageLiveSums.clear();
     expectedPages = 0;
+}
+
+bool
+MacroCheckpoint::holdsFrame(Vpn vpn, Pfn pfn) const
+{
+    auto it = image.find(vpn);
+    return it != image.end() &&
+           it->second.holds(pfn, phys.frameVersion(pfn));
 }
 
 std::uint64_t

@@ -74,7 +74,8 @@ class MacroCheckpoint
 
     /**
      * Drop the captured image (e.g. after it failed verification or
-     * a rejuvenation made it obsolete).
+     * a rejuvenation made it obsolete). The page buffers are kept
+     * for the next capture; the checksum memo survives too.
      */
     void discard();
 
@@ -117,6 +118,12 @@ class MacroCheckpoint
     /** Image corruption events caught by checksum verification. */
     std::uint64_t corruptionDetected() const;
 
+    /**
+     * True when image page @p vpn is known to equal the current bytes
+     * of frame @p pfn, so neither capture nor restore copies it.
+     */
+    bool holdsFrame(Vpn vpn, Pfn pfn) const;
+
   private:
     /** True when the page count and every page checksum verify. */
     bool verifyImage(Tick tick);
@@ -128,17 +135,46 @@ class MacroCheckpoint
     obs::TraceLog *traceLog = nullptr;
     std::uint32_t traceSource = 0;
 
+    /** One page of the captured image. */
+    struct ImagePage
+    {
+        std::vector<std::uint8_t> bytes;
+        std::uint32_t sealedSum = 0;  //!< checksum sealed at capture
+        /**
+         * FNV checksum of the page's *current* bytes. Image pages are
+         * only written at capture time (snapshot, then any injected
+         * corruption, which refreshes this sum), so verifyImage can
+         * compare it against sealedSum without re-hashing megabytes
+         * of page data on every restore attempt.
+         */
+        std::uint32_t liveSum = 0;
+        /**
+         * The frame copy this page's bytes equal: frame heldPfn at
+         * write version heldVersion, or none (invalidPfn). Set by a
+         * capture's snapshot and a restore's write-back; cleared by
+         * an injected corruption. While it holds, capture skips the
+         * snapshot and restore skips the write-back.
+         */
+        Pfn heldPfn = invalidPfn;
+        std::uint64_t heldVersion = 0;
+        std::uint64_t epoch = 0;  //!< last capture that saw it mapped
+
+        bool
+        holds(Pfn pfn, std::uint64_t version) const
+        {
+            return heldPfn == pfn && heldVersion == version;
+        }
+    };
+
     bool captured = false;
-    std::unordered_map<Vpn, std::vector<std::uint8_t>> image;
-    std::unordered_map<Vpn, std::uint32_t> imageSums;
+    std::uint64_t captureEpoch = 0;
+    std::unordered_map<Vpn, ImagePage> image;
     /**
-     * FNV checksum of each image page's *current* bytes. Image pages
-     * are only written at capture time (snapshot, then any injected
-     * corruption, which refreshes this cache), so verifyImage can
-     * compare these against the sealed imageSums without re-hashing
-     * megabytes of page data on every restore attempt.
+     * Page buffers of a discarded image, reused by the next capture's
+     * pages instead of allocating fresh ones (rejuvenation discards
+     * and recaptures the whole image back to back).
      */
-    std::unordered_map<Vpn, std::uint32_t> imageLiveSums;
+    std::vector<std::vector<std::uint8_t>> spareBuffers;
     /** Memoized seal of one page: frame identity plus its checksum. */
     struct PageSeal
     {

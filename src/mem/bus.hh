@@ -33,10 +33,48 @@ class MemoryBus
   public:
     /**
      * @param bus_ratio core clocks per bus clock
-     * @param width_bytes bytes per beat
+     * @param width_bytes bytes per beat (a nonzero power of 2)
      */
     MemoryBus(std::uint32_t bus_ratio, std::uint32_t width_bytes,
               stats::StatGroup &parent);
+
+    /**
+     * The mutable state one transfer touches: the occupancy horizon
+     * and the counter increments not yet folded into the stats. The
+     * member transfer() runs the rule over a fresh Hot;
+     * MemHierarchy::pageTransfer keeps one Hot in registers across a
+     * whole page of lines and commits it once.
+     */
+    struct Hot
+    {
+        Tick busyUntil = 0;
+        std::uint64_t transfers = 0;
+        std::uint64_t bytes = 0;
+        std::uint64_t waitCycles = 0;
+    };
+
+    /** The current horizon, with no pending counter increments. */
+    Hot hot() const { return Hot{busyUntil}; }
+
+    /** Fold @p h's horizon and counter increments back into the bus. */
+    void
+    commit(const Hot &h)
+    {
+        busyUntil = h.busyUntil;
+        statTransfers += static_cast<double>(h.transfers);
+        statBytes += static_cast<double>(h.bytes);
+        statWaitCycles += static_cast<double>(h.waitCycles);
+    }
+
+    /** Core cycles a transfer of @p bytes holds the bus. */
+    Cycles
+    occupancy(std::uint32_t bytes) const
+    {
+        std::uint32_t beats = (bytes + width - 1) >> widthShift;
+        if (beats == 0)
+            beats = 1;
+        return static_cast<Cycles>(beats) * ratio;
+    }
 
     /**
      * Occupy the bus to move @p bytes starting no earlier than
@@ -46,19 +84,28 @@ class MemoryBus
     BusResult
     transfer(Tick tick, std::uint32_t bytes)
     {
-        ++statTransfers;
-        statBytes += static_cast<double>(bytes);
+        Hot h = hot();
+        BusResult result = transfer(h, tick, bytes, occupancy(bytes));
+        commit(h);
+        return result;
+    }
 
-        std::uint32_t beats = (bytes + width - 1) / width;
-        if (beats == 0)
-            beats = 1;
+    /**
+     * The transfer rule: transfer(Tick, bytes) over the caller's
+     * @p h, with the occupancy() of @p bytes passed in as @p busy so
+     * a batch of equal-sized transfers computes it once.
+     */
+    static BusResult
+    transfer(Hot &h, Tick tick, std::uint32_t bytes, Cycles busy)
+    {
+        ++h.transfers;
+        h.bytes += bytes;
 
         BusResult result;
-        result.startTick = std::max(tick, busyUntil);
-        statWaitCycles += static_cast<double>(result.startTick - tick);
-        result.doneTick = result.startTick +
-            static_cast<Cycles>(beats) * ratio;
-        busyUntil = result.doneTick;
+        result.startTick = std::max(tick, h.busyUntil);
+        h.waitCycles += result.startTick - tick;
+        result.doneTick = result.startTick + busy;
+        h.busyUntil = result.doneTick;
         return result;
     }
 
@@ -71,6 +118,7 @@ class MemoryBus
   private:
     std::uint32_t ratio;
     std::uint32_t width;
+    unsigned widthShift;  //!< floorLog2(width); width is a power of 2
     Tick busyUntil = 0;
 
     stats::StatGroup statGroup;

@@ -44,6 +44,36 @@ class Cache
     Cache(const CacheConfig &cfg, stats::StatGroup &parent);
 
     /**
+     * The mutable state one access touches outside the line array:
+     * the LRU clock and the counter increments not yet folded into
+     * the stats. The member access() runs the rule over a fresh Hot;
+     * MemHierarchy::pageTransfer keeps one Hot in registers across a
+     * whole page of lines and commits it once.
+     */
+    struct Hot
+    {
+        std::uint64_t useClock = 0;
+        std::uint64_t accesses = 0;
+        std::uint64_t misses = 0;
+        std::uint64_t writebacks = 0;
+    };
+
+    /** The current clock, with no pending counter increments. */
+    Hot hot() const { return Hot{useClock}; }
+
+    /** Fold @p h's clock and counter increments back into the cache. */
+    void
+    commit(const Hot &h)
+    {
+        useClock = h.useClock;
+        statAccesses += static_cast<double>(h.accesses);
+        if (h.misses)
+            statMisses += static_cast<double>(h.misses);
+        if (h.writebacks)
+            statWritebacks += static_cast<double>(h.writebacks);
+    }
+
+    /**
      * Access the cache at @p addr.
      * @param addr byte address
      * @param is_write marks the line dirty on hit/fill (write-back)
@@ -52,7 +82,21 @@ class Cache
     CacheResult
     access(Addr addr, bool is_write)
     {
-        ++statAccesses;
+        Hot h = hot();
+        CacheResult result = access(h, addr, is_write);
+        commit(h);
+        return result;
+    }
+
+    /**
+     * The access rule: access(Addr, bool) over the caller's @p h.
+     * The line array is updated in place; the clock and counters
+     * move in @p h until commit().
+     */
+    CacheResult
+    access(Hot &h, Addr addr, bool is_write)
+    {
+        ++h.accesses;
         CacheResult result;
         std::uint64_t set = setIndex(addr);
         Addr tag = tagOf(addr);
@@ -61,7 +105,7 @@ class Cache
         for (std::uint32_t w = 0; w < ways; ++w) {
             Line &line = base[w];
             if (line.valid && line.tag == tag) {
-                line.lastUse = ++useClock;
+                line.lastUse = ++h.useClock;
                 if (is_write && config.writeBack)
                     line.dirty = true;
                 result.hit = true;
@@ -70,7 +114,7 @@ class Cache
         }
 
         // Miss: pick an invalid way if one exists, otherwise the LRU way.
-        ++statMisses;
+        ++h.misses;
         Line *victim = nullptr;
         for (std::uint32_t w = 0; w < ways; ++w) {
             Line &line = base[w];
@@ -84,12 +128,12 @@ class Cache
         if (victim->valid && victim->dirty) {
             result.writeback = true;
             result.victimAddr = lineAddr(victim->tag, set);
-            ++statWritebacks;
+            ++h.writebacks;
         }
         victim->valid = true;
         victim->tag = tag;
         victim->dirty = is_write && config.writeBack;
-        victim->lastUse = ++useClock;
+        victim->lastUse = ++h.useClock;
         result.filled = true;
         return result;
     }

@@ -9,6 +9,8 @@ DramModel::DramModel(const DramConfig &cfg, std::uint32_t bus_ratio,
                      std::uint32_t bus_width_bytes,
                      stats::StatGroup &parent)
     : config(cfg), ratio(bus_ratio), busWidth(bus_width_bytes),
+      busWidthShift(floorLog2(bus_width_bytes)),
+      rowShift(floorLog2(cfg.rowBytes)),
       banks(cfg.numBanks),
       statGroup(parent, "dram"),
       statAccesses(statGroup, "accesses", "DRAM accesses"),
@@ -19,7 +21,11 @@ DramModel::DramModel(const DramConfig &cfg, std::uint32_t bus_ratio,
       statLatency(statGroup, "latency", "access latency, core cycles")
 {
     panic_if(ratio == 0, "bus ratio must be nonzero");
-    panic_if(busWidth == 0, "bus width must be nonzero");
+    panic_if(!isPowerOf2(busWidth), "bus width must be a power of 2");
+    panic_if(!isPowerOf2(config.rowBytes),
+             "DRAM row size must be a power of 2");
+    panic_if(!isPowerOf2(config.numBanks),
+             "DRAM bank count must be a power of 2");
 }
 
 std::uint64_t

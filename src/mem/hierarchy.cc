@@ -30,6 +30,25 @@ MemHierarchy::uncachedLineTransfer(Tick tick, Addr addr)
     return dr.doneTick > tick ? dr.doneTick - tick : 1;
 }
 
+Cycles
+MemHierarchy::pageTransfer(Tick tick, Pfn pfn, bool is_write)
+{
+    Cache::Hot l2h = l2.hot();
+    FillPath path = openFillPath();
+    const Addr base = backupAddr(pfn, 0);
+    Cycles cost = 0;
+    for (std::uint32_t off = 0; off < config.pageBytes;
+         off += config.backupLineBytes) {
+        Addr addr = base + off;
+        CacheResult l2r = l2.access(l2h, addr, is_write);
+        cost += l2r.hit ? config.l2.hitLatency
+                        : fillLine(path, tick + cost, addr, l2r);
+    }
+    l2.commit(l2h);
+    closeFillPath(path);
+    return cost;
+}
+
 void
 MemHierarchy::flushCaches()
 {

@@ -174,17 +174,22 @@ class MemHierarchy
         CacheResult l2r = l2.access(cache_addr, is_write);
         if (l2r.hit)
             return config.l2.hitLatency;
-        BusResult busr =
-            bus.transfer(tick + config.l2.hitLatency, config.l2.lineBytes);
-        DramResult dr =
-            dram.access(busr.startTick, cache_addr, config.l2.lineBytes);
-        if (l2r.writeback) {
-            BusResult wb = bus.transfer(dr.doneTick, config.l2.lineBytes);
-            dram.access(wb.startTick, l2r.victimAddr, config.l2.lineBytes);
-        }
-        return dr.doneTick > tick ? dr.doneTick - tick
-                                  : config.l2.hitLatency;
+        FillPath path = openFillPath();
+        Cycles cycles = fillLine(path, tick, cache_addr, l2r);
+        closeFillPath(path);
+        return cycles;
     }
+
+    /**
+     * Move every backup line of frame @p pfn through the data path, in
+     * offset order, each line issued when the previous one finished:
+     * the same charge, and the same L2/bus/DRAM end state and stats,
+     * as the equivalent loop of lineTransfer() calls. The L2 clock,
+     * bus horizon, counters and DRAM latency moments stay in locals
+     * for the whole page and are stored back once.
+     * @return the cycles the page took
+     */
+    Cycles pageTransfer(Tick tick, Pfn pfn, bool is_write);
 
     /** Synthetic address region for checkpoint/backup traffic. */
     static constexpr Addr backupRegionBase = 1ULL << 40;
@@ -222,6 +227,58 @@ class MemHierarchy
     Privilege privilege() const { return priv; }
 
   private:
+    /**
+     * The bus and DRAM state a run of backup line fills keeps in
+     * registers, plus the per-line bus occupancy and DRAM service
+     * times, which are the same for every line of the run.
+     */
+    struct FillPath
+    {
+        MemoryBus::Hot bus;
+        DramModel::Hot dram;
+        Cycles busBusy;
+        DramModel::Timing dramTiming;
+    };
+
+    FillPath
+    openFillPath()
+    {
+        return {bus.hot(), dram.hot(), bus.occupancy(config.l2.lineBytes),
+                dram.timing(config.l2.lineBytes)};
+    }
+
+    void
+    closeFillPath(const FillPath &path)
+    {
+        bus.commit(path.bus);
+        dram.commit(path.dram);
+    }
+
+    /**
+     * The L2-miss half of lineTransfer(), over an open @p path: fetch
+     * the line over the bus from DRAM, then write back the dirty
+     * victim @p l2r reports, if any.
+     * @return the cycles from @p tick until the line arrived
+     */
+    Cycles
+    fillLine(FillPath &path, Tick tick, Addr cache_addr,
+             const CacheResult &l2r)
+    {
+        const Cycles hit_latency = config.l2.hitLatency;
+        const std::uint32_t line_bytes = config.l2.lineBytes;
+        BusResult busr = MemoryBus::transfer(
+            path.bus, tick + hit_latency, line_bytes, path.busBusy);
+        DramResult dr = dram.access(path.dram, path.dramTiming,
+                                    busr.startTick, cache_addr);
+        if (l2r.writeback) {
+            BusResult wb = MemoryBus::transfer(
+                path.bus, dr.doneTick, line_bytes, path.busBusy);
+            dram.access(path.dram, path.dramTiming, wb.startTick,
+                        l2r.victimAddr);
+        }
+        return dr.doneTick > tick ? dr.doneTick - tick : hit_latency;
+    }
+
     /** Shared L2-and-beyond path for both instruction and data. */
     MemOutcome
     l2Path(Tick tick, Addr vaddr, bool is_write, Cycles latency_so_far)

@@ -64,6 +64,10 @@ SystemConfig::validate() const
              "bad backup line size");
     fatal_if(dram.numBanks == 0 || !isPowerOf2(dram.numBanks),
              "DRAM bank count must be a nonzero power of 2");
+    fatal_if(!isPowerOf2(dram.rowBytes),
+             "dram.rowBytes must be a nonzero power of 2");
+    fatal_if(!isPowerOf2(busWidthBytes),
+             "busWidthBytes must be a nonzero power of 2");
     fatal_if(physMemBytes < 16ULL * 1024 * 1024,
              "physical memory too small to host a service");
     fatal_if(domainCount == 0 || domainCount > 64,

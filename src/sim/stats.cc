@@ -73,8 +73,7 @@ Distribution::accept(StatSink &sink) const
 void
 Distribution::reset()
 {
-    n = 0;
-    total = runMean = m2 = lo = hi = 0;
+    m = Moments{};
 }
 
 // --------------------------------------------------------------- Histogram

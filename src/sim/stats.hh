@@ -141,33 +141,56 @@ class Formula : public StatBase
 class Distribution : public StatBase
 {
   public:
+    /**
+     * The running moments of one sample stream. sample() is the only
+     * Welford update in the tree: Distribution::sample forwards to it,
+     * and a batch kernel (MemHierarchy::pageTransfer) copies the
+     * moments into a local, samples every value in order, and stores
+     * them back. Welford rounding is order-dependent, so samples are
+     * never merged or reordered.
+     */
+    struct Moments
+    {
+        std::uint64_t n = 0;
+        double total = 0;
+        double runMean = 0;  //!< Welford running mean
+        double m2 = 0;       //!< Welford sum of squared deviations
+        double lo = 0;
+        double hi = 0;
+
+        void
+        sample(double v)
+        {
+            if (n == 0) {
+                lo = hi = v;
+            } else {
+                lo = std::min(lo, v);
+                hi = std::max(hi, v);
+            }
+            ++n;
+            total += v;
+            // Welford update: E[x^2] - E[x]^2 cancels catastrophically
+            // for large-mean/small-variance samples (e.g. response
+            // times in the 1e9-cycle range), reporting 0 where the
+            // true spread is small but nonzero.
+            double delta = v - runMean;
+            runMean += delta / n;
+            m2 += delta * (v - runMean);
+        }
+    };
+
     Distribution(StatGroup &parent, std::string name, std::string desc);
 
-    void
-    sample(double v)
-    {
-        if (n == 0) {
-            lo = hi = v;
-        } else {
-            lo = std::min(lo, v);
-            hi = std::max(hi, v);
-        }
-        ++n;
-        total += v;
-        // Welford update: E[x^2] - E[x]^2 cancels catastrophically for
-        // large-mean/small-variance samples (e.g. response times in
-        // the 1e9-cycle range), reporting 0 where the true spread is
-        // small but nonzero.
-        double delta = v - runMean;
-        runMean += delta / n;
-        m2 += delta * (v - runMean);
-    }
+    void sample(double v) { m.sample(v); }
 
-    std::uint64_t count() const { return n; }
-    double sum() const { return total; }
-    double mean() const { return n ? total / n : 0.0; }
-    double minValue() const { return n ? lo : 0.0; }
-    double maxValue() const { return n ? hi : 0.0; }
+    /** The live moments, for kernels that sample through a copy. */
+    Moments &moments() { return m; }
+
+    std::uint64_t count() const { return m.n; }
+    double sum() const { return m.total; }
+    double mean() const { return m.n ? m.total / m.n : 0.0; }
+    double minValue() const { return m.n ? m.lo : 0.0; }
+    double maxValue() const { return m.n ? m.hi : 0.0; }
 
     /**
      * Population variance (m2 / n). Welford keeps m2 mathematically
@@ -180,9 +203,9 @@ class Distribution : public StatBase
     double
     variance() const
     {
-        if (n < 2)
+        if (m.n < 2)
             return 0.0;
-        double var = m2 / n;
+        double var = m.m2 / m.n;
         return var > 0 ? var : 0.0;
     }
 
@@ -192,12 +215,7 @@ class Distribution : public StatBase
     void reset() override;
 
   private:
-    std::uint64_t n = 0;
-    double total = 0;
-    double runMean = 0;  //!< Welford running mean
-    double m2 = 0;       //!< Welford sum of squared deviations
-    double lo = 0;
-    double hi = 0;
+    Moments m;
 };
 
 /**

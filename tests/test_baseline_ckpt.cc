@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "checkpoint/delta_backup.hh"
 #include "checkpoint/macro_ckpt.hh"
 #include "checkpoint/policy.hh"
@@ -312,4 +315,104 @@ TEST(MacroCkpt, CapturesCostMoreThanDeltaArming)
                                 rig.stats);
     Cycles cost = macro.capture(0, *rig.context, *rig.space, res);
     EXPECT_GT(cost, 1000u);  // full-image software checkpoint is slow
+}
+
+// Copy skip: restore writes back only the frames that changed since
+// the image was taken, and still leaves every frame equal to it.
+TEST(MacroCkpt, RestoreRewritesOnlyMutatedFrames)
+{
+    MemoryRig rig;
+    const std::uint64_t pages = 8;
+    rig.space->mapRegion(pageBase, pages, os::Region::Data);
+    os::SystemResources res(1);
+    ckpt::MacroCheckpoint macro(rig.cfg, rig.phys, *rig.hierarchy,
+                                rig.stats);
+    std::vector<Pfn> pfns;
+    std::vector<std::vector<std::uint8_t>> captured;
+    for (std::uint64_t p = 0; p < pages; ++p) {
+        Addr page = pageBase + p * rig.cfg.pageBytes;
+        rig.poke64(page + 8 * p, 0x1000 + p);
+        pfns.push_back(rig.space->translate(1, page / rig.cfg.pageBytes));
+        captured.push_back(rig.phys.snapshotFrame(pfns.back()));
+    }
+    macro.capture(0, *rig.context, *rig.space, res);
+
+    const std::vector<std::uint64_t> mutated = {1, 4, 6};
+    for (std::uint64_t p : mutated)
+        rig.poke64(pageBase + p * rig.cfg.pageBytes + 64, 0xdead);
+    std::vector<std::uint64_t> before;
+    for (Pfn pfn : pfns)
+        before.push_back(rig.phys.frameVersion(pfn));
+
+    ASSERT_TRUE(macro.restore(0, *rig.context, *rig.space, res).ok);
+    for (std::uint64_t p = 0; p < pages; ++p) {
+        SCOPED_TRACE(p);
+        EXPECT_EQ(rig.phys.snapshotFrame(pfns[p]), captured[p]);
+        bool was_mutated =
+            std::count(mutated.begin(), mutated.end(), p) != 0;
+        EXPECT_EQ(rig.phys.frameVersion(pfns[p]) != before[p],
+                  was_mutated);
+        EXPECT_TRUE(macro.holdsFrame(p + pageBase / rig.cfg.pageBytes,
+                                     pfns[p]));
+    }
+
+    // A second restore with nothing changed rewrites no frame.
+    before.clear();
+    for (Pfn pfn : pfns)
+        before.push_back(rig.phys.frameVersion(pfn));
+    ASSERT_TRUE(macro.restore(0, *rig.context, *rig.space, res).ok);
+    for (std::uint64_t p = 0; p < pages; ++p)
+        EXPECT_EQ(rig.phys.frameVersion(pfns[p]), before[p]);
+}
+
+// A frame freed and handed out again at the same pfn must not be
+// mistaken for the copy the image took before the free.
+TEST(MacroCkpt, FreedAndReusedFrameIsResnapshotted)
+{
+    MemoryRig rig;
+    rig.space->mapRegion(pageBase, 2, os::Region::Data);
+    os::SystemResources res(1);
+    ckpt::MacroCheckpoint macro(rig.cfg, rig.phys, *rig.hierarchy,
+                                rig.stats);
+    const Vpn vpn = pageBase / rig.cfg.pageBytes;
+    rig.poke64(pageBase, 0xaaaa);
+    macro.capture(0, *rig.context, *rig.space, res);
+    Pfn old_pfn = rig.space->translate(1, vpn);
+    EXPECT_TRUE(macro.holdsFrame(vpn, old_pfn));
+
+    ASSERT_TRUE(rig.space->unmapPage(vpn));
+    Pfn new_pfn = rig.space->mapPage(vpn, os::Region::Data);
+    ASSERT_EQ(new_pfn, old_pfn);  // the allocator reuses the frame
+    EXPECT_FALSE(macro.holdsFrame(vpn, new_pfn));
+    macro.capture(0, *rig.context, *rig.space, res);
+    EXPECT_TRUE(macro.holdsFrame(vpn, new_pfn));
+
+    rig.poke64(pageBase, 0xbbbb);
+    ASSERT_TRUE(macro.restore(0, *rig.context, *rig.space, res).ok);
+    EXPECT_EQ(rig.peek64(pageBase), 0u);  // the reused frame's zeros
+}
+
+// discard() keeps the page buffers but no copy record: the next
+// capture copies every page again, and restore needs that capture.
+TEST(MacroCkpt, DiscardDropsCopyRecords)
+{
+    MemoryRig rig;
+    rig.space->mapRegion(pageBase, 4, os::Region::Data);
+    os::SystemResources res(1);
+    ckpt::MacroCheckpoint macro(rig.cfg, rig.phys, *rig.hierarchy,
+                                rig.stats);
+    const Vpn vpn = pageBase / rig.cfg.pageBytes;
+    const Pfn pfn = rig.space->translate(1, vpn);
+    rig.poke64(pageBase, 0x1111);
+    macro.capture(0, *rig.context, *rig.space, res);
+    macro.discard();
+    EXPECT_FALSE(macro.holdsFrame(vpn, pfn));
+    EXPECT_FALSE(macro.restore(0, *rig.context, *rig.space, res).ok);
+
+    rig.poke64(pageBase, 0x2222);
+    macro.capture(0, *rig.context, *rig.space, res);
+    EXPECT_TRUE(macro.holdsFrame(vpn, pfn));
+    rig.poke64(pageBase, 0x3333);
+    ASSERT_TRUE(macro.restore(0, *rig.context, *rig.space, res).ok);
+    EXPECT_EQ(rig.peek64(pageBase), 0x2222u);
 }

@@ -127,6 +127,31 @@ TEST(ConfigReaderDeath, TypoedConfigLikeKeyIsFatal)
                  "unknown config setting");
 }
 
+// The DRAM model shifts by the row and bus-beat sizes, so a code-built
+// config must fail validation naming the field when either is zero or
+// not a power of 2, instead of dying of SIGFPE in a DRAM access.
+TEST(ConfigValidateDeath, DramRowBytesMustBeNonzeroPowerOf2)
+{
+    for (std::uint32_t bad : {0u, 3000u}) {
+        SystemConfig cfg;
+        cfg.dram.rowBytes = bad;
+        EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                    "fatal: dram.rowBytes must be a nonzero power of 2")
+            << "rowBytes " << bad;
+    }
+}
+
+TEST(ConfigValidateDeath, BusWidthBytesMustBeNonzeroPowerOf2)
+{
+    for (std::uint32_t bad : {0u, 12u}) {
+        SystemConfig cfg;
+        cfg.busWidthBytes = bad;
+        EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                    "fatal: busWidthBytes must be a nonzero power of 2")
+            << "busWidthBytes " << bad;
+    }
+}
+
 TEST(ConfigReader, KnownKeysNonEmptyAndSorted)
 {
     // One key per field: the registry's keys, sorted, never repeat.

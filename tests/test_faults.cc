@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -318,6 +319,88 @@ TEST(FaultMacro, TruncatedImageRefusesRestore)
     auto result = macro.restore(0, *rig.context, *rig.space, res);
     EXPECT_FALSE(result.ok);
     EXPECT_EQ(macro.restoreFailures(), 1u);
+}
+
+// A page corrupted in the image at capture N is no longer a copy of
+// its frame: capture N+1 must copy it again, or a later restore would
+// write the flipped bit back over a verified image.
+TEST(FaultMacro, CorruptedPageIsResnapshottedNextCapture)
+{
+    MemoryRig rig;
+    rig.space->mapRegion(pageBase, 4, os::Region::Data);
+    os::SystemResources res(1);
+    ckpt::MacroCheckpoint macro(rig.cfg, rig.phys, *rig.hierarchy,
+                                rig.stats);
+    FaultPlan plan;
+    plan.add(FaultKind::MacroCorrupt, 1.0).setSeed(11);
+    FaultInjector inj(plan, rig.stats);
+    macro.setFaultInjector(&inj);
+
+    std::vector<Vpn> vpns = rig.space->mappedPages();
+    std::vector<std::vector<std::uint8_t>> original;
+    for (Vpn vpn : vpns) {
+        rig.poke64(vpn * rig.cfg.pageBytes, 0x5000 + vpn);
+        original.push_back(
+            rig.phys.snapshotFrame(rig.space->translate(1, vpn)));
+    }
+    macro.capture(0, *rig.context, *rig.space, res);
+    std::uint64_t unheld = 0;
+    for (Vpn vpn : vpns)
+        unheld += !macro.holdsFrame(vpn, rig.space->translate(1, vpn));
+    EXPECT_EQ(unheld, 1u);  // exactly the corrupted page
+
+    macro.setFaultInjector(nullptr);
+    macro.capture(0, *rig.context, *rig.space, res);
+    for (Vpn vpn : vpns) {
+        EXPECT_TRUE(macro.holdsFrame(vpn, rig.space->translate(1, vpn)));
+        rig.poke64(vpn * rig.cfg.pageBytes, 0xbad);
+    }
+    ASSERT_TRUE(macro.restore(0, *rig.context, *rig.space, res).ok);
+    for (std::size_t i = 0; i < vpns.size(); ++i) {
+        EXPECT_EQ(rig.phys.snapshotFrame(rig.space->translate(1, vpns[i])),
+                  original[i]);
+    }
+}
+
+// The corrupt and truncate victims are drawn over the image's sorted
+// vpns, one pick per fire: a twin injector on the same plan predicts
+// every victim.
+TEST(FaultMacro, VictimPicksDrawOverSortedImageVpns)
+{
+    for (FaultKind kind : {FaultKind::MacroCorrupt,
+                           FaultKind::MacroTruncate}) {
+        for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+            SCOPED_TRACE(seed);
+            MemoryRig rig;
+            rig.space->mapRegion(pageBase, 9, os::Region::Data);
+            os::SystemResources res(1);
+            ckpt::MacroCheckpoint macro(rig.cfg, rig.phys,
+                                        *rig.hierarchy, rig.stats);
+            FaultPlan plan;
+            plan.add(kind, 1.0).setSeed(seed);
+            FaultInjector inj(plan, rig.stats);
+            macro.setFaultInjector(&inj);
+            stats::StatGroup twin_stats("twin");
+            FaultInjector twin(plan, twin_stats);
+
+            std::vector<Vpn> vpns = rig.space->mappedPages();
+            std::sort(vpns.begin(), vpns.end());
+            for (int capture = 0; capture < 3; ++capture) {
+                macro.capture(0, *rig.context, *rig.space, res);
+                ASSERT_TRUE(twin.fire(kind));
+                Vpn victim = vpns[twin.pick(
+                    kind, static_cast<std::uint32_t>(vpns.size()))];
+                if (kind == FaultKind::MacroCorrupt)
+                    twin.pick(kind, rig.cfg.pageBytes * 8);  // the bit
+                for (Vpn vpn : vpns) {
+                    EXPECT_EQ(macro.holdsFrame(
+                                  vpn, rig.space->translate(1, vpn)),
+                              vpn != victim)
+                        << "capture " << capture << " vpn " << vpn;
+                }
+            }
+        }
+    }
 }
 
 // -------------------------------------- resource release during revival

@@ -1,13 +1,19 @@
 /** @file Corner-case timing tests: pipeline width sweep, DRAM bank
- * mapping, and FIFO/monitor interactions under bursts. */
+ * mapping, FIFO/monitor interactions under bursts, and the page
+ * transfer kernel against the per-line path it batches. */
 
 #include <gtest/gtest.h>
+
+#include <sstream>
+#include <string>
 
 #include "checkpoint/policy.hh"
 #include "cpu/core.hh"
 #include "mem/dram.hh"
 #include "mem/trace_fifo.hh"
 #include "monitor/monitor.hh"
+#include "obs/stat_sinks.hh"
+#include "sim/random.hh"
 #include "test_util.hh"
 
 using namespace indra;
@@ -187,4 +193,196 @@ TEST(DeltaCorners, TlbResidentRecordIsCheaper)
     rig.hierarchy->load(0, 1, 0x10000000);
     Cycles warm = policy->onStore(1000, 1, 0x10000040, 8);
     EXPECT_GT(cold, warm);
+}
+
+// ------------------------------------------------ page-transfer kernel
+
+namespace
+{
+
+/** Every stat of a tree with its exact bits (hexfloat), in order. */
+class ExactStatSink : public obs::PrefixedStatSink
+{
+  public:
+    void
+    visitScalar(const stats::StatBase &stat, double value) override
+    {
+        out << prefix() << stat.name() << '=' << std::hexfloat << value
+            << '\n';
+    }
+
+    void
+    visitDistribution(const stats::Distribution &dist) override
+    {
+        out << prefix() << dist.name() << '=' << dist.count() << ' '
+            << std::hexfloat << dist.sum() << ' ' << dist.minValue()
+            << ' ' << dist.maxValue() << ' ' << dist.variance() << '\n';
+    }
+
+    void
+    visitHistogram(const stats::Histogram &hist) override
+    {
+        out << prefix() << hist.name() << '=' << hist.count() << '\n';
+    }
+
+    std::ostringstream out;
+};
+
+std::string
+textDump(const stats::StatGroup &group)
+{
+    std::ostringstream os;
+    obs::TextStatSink sink(os);
+    group.accept(sink);
+    return os.str();
+}
+
+std::string
+exactDump(const stats::StatGroup &group)
+{
+    ExactStatSink sink;
+    group.accept(sink);
+    return sink.out.str();
+}
+
+/** One seeded pre-state for a page transfer of frame pfn at tick. */
+struct PageCase
+{
+    SystemConfig cfg;
+    Pfn pfn = 0;
+    Tick tick = 0;
+    bool isWrite = false;
+};
+
+PageCase
+pageCase(std::uint64_t seed)
+{
+    Pcg32 rng(seed);
+    PageCase c;
+    c.cfg = testutil::smallConfig();
+    const std::uint32_t line_sizes[] = {32, 64, 128};
+    c.cfg.backupLineBytes = line_sizes[rng.nextBounded(3)];
+    // Half the cases use a 16-set L2, so one page's lines wrap the
+    // sets four times and evict each other in LRU order.
+    if (rng.next() & 1)
+        c.cfg.l2.sizeBytes =
+            16 * c.cfg.l2.associativity * c.cfg.l2.lineBytes;
+    c.pfn = 1 + rng.nextBounded(4000);
+    c.tick = rng.nextBounded(5000);
+    c.isWrite = rng.next() & 1;
+    return c;
+}
+
+/**
+ * Drive @p rig into the pre-state of @p seed: L2 lines of the target
+ * page and dirty lines aliasing its sets, a bus busy past the
+ * transfer tick, and each DRAM bank left as it was, given an open
+ * row next to the page's, or given a row conflicting with that one.
+ */
+void
+warmPath(MemoryRig &rig, const PageCase &c, std::uint64_t seed)
+{
+    Pcg32 rng(seed ^ 0x9e3779b97f4a7c15ULL);
+    mem::MemHierarchy &h = *rig.hierarchy;
+    const Addr base = h.backupAddr(c.pfn, 0);
+    const std::uint32_t line = c.cfg.l2.lineBytes;
+    const Addr set_stride = c.cfg.l2.numSets() * line;
+    const std::uint32_t lines_per_page = c.cfg.pageBytes / line;
+
+    std::uint32_t fills = rng.nextBounded(400);
+    for (std::uint32_t i = 0; i < fills; ++i) {
+        Addr addr = base + rng.nextBounded(lines_per_page) * line +
+            rng.nextBounded(6) * set_stride;
+        bool write = rng.next() & 1;
+        if (rng.nextBounded(4) == 0)
+            h.lineTransfer(rng.nextBounded(5000), addr, write);
+        else
+            h.l2Cache().access(addr, write);
+    }
+
+    const Addr bank_stride =
+        static_cast<Addr>(c.cfg.dram.rowBytes) * c.cfg.dram.numBanks;
+    for (std::uint32_t b = 0; b < c.cfg.dram.numBanks; ++b) {
+        Addr row_addr = base + b * c.cfg.dram.rowBytes;
+        switch (rng.nextBounded(3)) {
+          case 0:  // open row page_row + b (b == 0: the page's own row)
+            rig.dram.access(c.tick + rng.nextBounded(3000), row_addr, line);
+            break;
+          case 1:  // open another row of the same bank: conflicts
+            rig.dram.access(c.tick + rng.nextBounded(3000),
+                            row_addr + (1 + rng.nextBounded(8)) * bank_stride,
+                            line);
+            break;
+          default:  // leave the bank as it is
+            break;
+        }
+    }
+    if (rng.next() & 1)
+        rig.bus.transfer(c.tick + rng.nextBounded(2000),
+                         line * (1 + rng.nextBounded(16)));
+}
+
+} // namespace
+
+// pageTransfer batches a page's lineTransfer calls: for every seeded
+// pre-state it must return the same cycles and leave the same L2, bus,
+// DRAM and stats state behind as the per-line loop.
+TEST(PageTransferKernel, EqualsPerLineLoopOverSeededPreStates)
+{
+    for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+        SCOPED_TRACE(seed);
+        PageCase c = pageCase(seed);
+        MemoryRig kernel(c.cfg);
+        MemoryRig lines(c.cfg);
+        warmPath(kernel, c, seed);
+        warmPath(lines, c, seed);
+        ASSERT_EQ(exactDump(kernel.stats), exactDump(lines.stats));
+
+        Cycles batched =
+            kernel.hierarchy->pageTransfer(c.tick, c.pfn, c.isWrite);
+        Cycles looped = 0;
+        for (std::uint32_t off = 0; off < c.cfg.pageBytes;
+             off += c.cfg.backupLineBytes) {
+            looped += lines.hierarchy->lineTransfer(
+                c.tick + looped, lines.hierarchy->backupAddr(c.pfn, off),
+                c.isWrite);
+        }
+        EXPECT_EQ(batched, looped);
+        EXPECT_EQ(textDump(kernel.stats), textDump(lines.stats));
+        EXPECT_EQ(exactDump(kernel.stats), exactDump(lines.stats));
+        EXPECT_EQ(kernel.bus.freeAt(), lines.bus.freeAt());
+
+        // The L2 holds the same lines ...
+        const std::uint32_t line = c.cfg.l2.lineBytes;
+        const Addr set_stride = c.cfg.l2.numSets() * line;
+        const Addr base = kernel.hierarchy->backupAddr(c.pfn, 0);
+        for (std::uint32_t off = 0; off < c.cfg.pageBytes; off += line) {
+            for (Addr alias = 0; alias < 6; ++alias) {
+                Addr addr = base + off + alias * set_stride;
+                ASSERT_EQ(kernel.hierarchy->l2Cache().contains(addr),
+                          lines.hierarchy->l2Cache().contains(addr))
+                    << "addr " << addr;
+            }
+        }
+        // ... with the same LRU order and dirty bits, and every DRAM
+        // bank has the same open row and horizon: a common probe
+        // sequence through both sees identical timing and stats.
+        Pcg32 probe(seed * 31 + 7);
+        Tick t = c.tick + looped;
+        for (int i = 0; i < 200; ++i) {
+            Addr addr = base + probe.nextBounded(c.cfg.pageBytes / line) *
+                line + probe.nextBounded(6) * set_stride;
+            bool write = probe.next() & 1;
+            Cycles a = kernel.hierarchy->lineTransfer(t, addr, write);
+            Cycles b = lines.hierarchy->lineTransfer(t, addr, write);
+            ASSERT_EQ(a, b) << "probe " << i;
+            t += a;
+        }
+        for (std::uint32_t bank = 0; bank < c.cfg.dram.numBanks; ++bank) {
+            Addr addr = base + bank * c.cfg.dram.rowBytes;
+            EXPECT_EQ(kernel.dram.access(c.tick, addr, line).latency,
+                      lines.dram.access(c.tick, addr, line).latency);
+        }
+        EXPECT_EQ(exactDump(kernel.stats), exactDump(lines.stats));
+    }
 }
