@@ -51,10 +51,14 @@ RecoveryManager::RecoveryManager(const SystemConfig &cfg,
     initialContext = proc.context->snapshot();
     initialResources = proc.resources->snapshot();
     for (Vpn vpn : proc.space->mappedPages()) {
+        Pfn pfn = proc.space->pageInfo(vpn).pfn;
         auto &bytes = initialImage[vpn];
-        bytes = phys.snapshotFrame(proc.space->pageInfo(vpn).pfn);
-        initialSums[vpn] =
-            faults::checksum32(bytes.data(), bytes.size());
+        bytes = phys.snapshotFrame(pfn);
+        std::uint32_t sum = faults::checksum32(bytes.data(), bytes.size());
+        initialSums[vpn] = sum;
+        // The frame holds exactly these bytes: seal it, so the boot
+        // capture that follows does not hash the page again.
+        macro.resealPage(vpn, pfn, sum);
     }
 }
 
