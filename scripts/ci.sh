@@ -16,7 +16,9 @@
 #                  fuzz slice, its planted-bug sensitivity checks and
 #                  the malformed scenario-JSON test, run under both
 #                  sanitizer configs; timing holds the page-transfer
-#                  kernel's equivalence property test).
+#                  kernel's equivalence property test and the
+#                  cache's differential test against a timestamp-LRU
+#                  reference model).
 #   ci-tsan        thread sanitizer over the parallel sweep harness,
 #                  the storm cells, and the per-cell trace logs:
 #                  -L harness, resilience, obs, check, adversary,

@@ -319,6 +319,10 @@ DeltaBackup::onFailure(Tick tick)
         rec.rollbackBv.orWith(rec.dirtyBv);
         rec.dirtyBv.clearAll();
         rec.rollbackVld = true;
+        if (!rec.armedListed) {
+            rec.armedListed = true;
+            armedRecords.push_back(&rec);
+        }
         ++armed_pages;
         cost += config.rollbackArmCycles;
     }
@@ -337,37 +341,52 @@ DeltaBackup::onFailure(Tick tick)
     return cost;
 }
 
+std::uint64_t
+DeltaBackup::corruptLines(const BackupPageRecord &rec, bool pending,
+                          bool armed) const
+{
+    // Build the consumed set a 64-line word at a time and skip clear
+    // words.
+    std::uint64_t bad = 0;
+    const auto &rb = rec.rollbackBv.rawWords();
+    const auto &db = rec.dirtyBv.rawWords();
+    for (std::size_t w = 0; w < rb.size(); ++w) {
+        std::uint64_t mask = (pending ? rb[w] : 0) | (armed ? db[w] : 0);
+        while (mask) {
+            auto line = static_cast<std::uint32_t>(
+                w * 64 + static_cast<unsigned>(std::countr_zero(mask)));
+            mask &= mask - 1;
+            if (!lineIntact(rec, line))
+                ++bad;
+        }
+    }
+    return bad;
+}
+
 bool
 DeltaBackup::verifyIntegrity(Tick tick)
 {
+    // A micro recovery consumes lines already pending rollback plus
+    // this epoch's dirty lines (armed by onFailure). Only armed records
+    // can have the first, and only this epoch's touched pages the
+    // second, so those two lists are all the walk visits.
     std::uint64_t bad = 0;
-    std::uint64_t gts = context.gts();
-    for (auto &[vpn, rec] : records) {
-        if (rec.backupPfn == invalidPfn)
+    const std::uint64_t gts = context.gts();
+    std::size_t kept = 0;
+    for (BackupPageRecord *rec : armedRecords) {
+        if (!rec->rollbackVld) {
+            rec->armedListed = false;
             continue;
-        // A micro recovery consumes lines already pending rollback
-        // plus this epoch's dirty lines (armed by onFailure). Build
-        // that set a 64-line word at a time and skip clear words, so
-        // quiescent records cost two flag tests instead of a
-        // lines-per-page loop.
-        bool use_pending = rec.rollbackVld;
-        bool use_armed = rec.lts == gts;
-        if (!use_pending && !use_armed)
-            continue;
-        const auto &rb = rec.rollbackBv.rawWords();
-        const auto &db = rec.dirtyBv.rawWords();
-        for (std::size_t w = 0; w < rb.size(); ++w) {
-            std::uint64_t mask = (use_pending ? rb[w] : 0) |
-                                 (use_armed ? db[w] : 0);
-            while (mask) {
-                auto line = static_cast<std::uint32_t>(
-                    w * 64 +
-                    static_cast<unsigned>(std::countr_zero(mask)));
-                mask &= mask - 1;
-                if (!lineIntact(rec, line))
-                    ++bad;
-            }
         }
+        armedRecords[kept++] = rec;
+        bad += corruptLines(*rec, true, rec->lts == gts);
+    }
+    armedRecords.resize(kept);
+    for (Vpn vpn : touchedThisEpoch) {
+        const BackupPageRecord &rec = records.find(vpn)->second;
+        // Records with a pending rollback were counted above.
+        if (!rec.rollbackVld && rec.lts == gts)
+            bad += corruptLines(rec, false, true);
     }
     if (bad) {
         statCorruptionDetected += static_cast<double>(bad);
@@ -385,7 +404,9 @@ DeltaBackup::invalidate()
         rec.rollbackBv.clearAll();
         rec.rollbackVld = false;
         rec.lts = 0;
+        rec.armedListed = false;
     }
+    armedRecords.clear();
     touchedThisEpoch.clear();
     epochLinesBackedUp = 0;
 }

@@ -49,6 +49,8 @@ struct BackupPageRecord
      * against lineSums — no memory is re-read or re-hashed.
      */
     std::vector<std::uint32_t> liveSums;
+    /** The record is on DeltaBackup's list of armed records. */
+    bool armedListed = false;
 };
 
 /**
@@ -173,12 +175,26 @@ class DeltaBackup : public CheckpointPolicy
     bool lineIntact(const BackupPageRecord &rec,
                     std::uint32_t line) const;
 
+    /**
+     * Backup lines of @p rec that fail lineIntact() among those a
+     * micro recovery would consume: the pending rollback lines when
+     * @p pending, plus the dirty lines when @p armed.
+     */
+    std::uint64_t corruptLines(const BackupPageRecord &rec, bool pending,
+                               bool armed) const;
+
     std::unordered_map<Vpn, BackupPageRecord> records;
     Vpn lastVpn = ~static_cast<Vpn>(0);
     BackupPageRecord *lastRec = nullptr;
     mutable std::vector<std::uint8_t> lineBuf;
     /** vpns whose record's LTS equals the current GTS. */
     std::unordered_set<Vpn> touchedThisEpoch;
+    /**
+     * Records onFailure armed, each once, a superset of those with a
+     * rollback still pending; verifyIntegrity drops the drained ones.
+     * Record addresses are stable (see findRecord).
+     */
+    std::vector<BackupPageRecord *> armedRecords;
     std::uint64_t epochLinesBackedUp = 0;
 
     stats::Scalar statRecordsAllocated;

@@ -1,5 +1,7 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace indra::mem
@@ -9,7 +11,7 @@ Cache::Cache(const CacheConfig &cfg, stats::StatGroup &parent)
     : config(cfg), numSets(cfg.numSets()), ways(cfg.associativity),
       lineShift(floorLog2(cfg.lineBytes)),
       setShift(floorLog2(cfg.numSets())),
-      lines(numSets * ways),
+      words(numSets * ways, 0),
       statGroup(parent, cfg.name),
       statAccesses(statGroup, "accesses", "total accesses"),
       statMisses(statGroup, "misses", "misses"),
@@ -21,6 +23,47 @@ Cache::Cache(const CacheConfig &cfg, stats::StatGroup &parent)
                    })
 {
     panic_if(!isPowerOf2(numSets), "cache set count must be a power of 2");
+    // A way keeps its tag above two flag bits, so the line offset and
+    // set index must take at least that many address bits.
+    panic_if(lineShift + setShift < tagShift,
+             "cache line and set index span fewer than ", tagShift,
+             " address bits");
+}
+
+bool
+Cache::accessRun(Hot &h, Addr base, std::uint32_t n, bool is_write,
+                 CacheResult &first)
+{
+    const std::uint64_t set = setIndex(base);
+    panic_if(n == 0 || set + n > numSets,
+             "cache run of ", n, " lines leaves the sets");
+    Way *run = &words[set * ways];
+    Way diff = 0;
+    for (std::uint32_t s = 1; s < n; ++s) {
+        for (std::uint32_t w = 0; w < ways; ++w)
+            diff |= run[s * ways + w] ^ run[w];
+    }
+    if (diff)
+        return false;
+
+    // Every set holds the same ways, so the rule decides the same for
+    // each: apply it once and copy the result across, unless it was a
+    // hit on the front way that left the set as it was.
+    Hot one;
+    const Way front = run[0];
+    first = accessSet(one, set, tagOf(base), is_write);
+    if (!first.hit || run[0] != front) {
+        for (std::uint32_t s = 1; s < n; ++s) {
+            for (std::uint32_t w = 0; w < ways; ++w)
+                run[s * ways + w] = run[w];
+        }
+    }
+    h.accesses += n;
+    if (one.misses)
+        h.misses += n;
+    if (one.writebacks)
+        h.writebacks += n;
+    return true;
 }
 
 bool
@@ -28,9 +71,10 @@ Cache::contains(Addr addr) const
 {
     std::uint64_t set = setIndex(addr);
     Addr tag = tagOf(addr);
-    const Line *base = &lines[set * ways];
+    const Way key = tag << tagShift | validBit;
+    const Way *base = &words[set * ways];
     for (std::uint32_t w = 0; w < ways; ++w) {
-        if (base[w].valid && base[w].tag == tag)
+        if ((base[w] & ~dirtyBit) == key)
             return true;
     }
     return false;
@@ -39,10 +83,7 @@ Cache::contains(Addr addr) const
 void
 Cache::invalidateAll()
 {
-    for (Line &line : lines) {
-        line.valid = false;
-        line.dirty = false;
-    }
+    std::fill(words.begin(), words.end(), 0);
 }
 
 bool
@@ -50,13 +91,14 @@ Cache::invalidateLine(Addr addr)
 {
     std::uint64_t set = setIndex(addr);
     Addr tag = tagOf(addr);
-    Line *base = &lines[set * ways];
+    const Way key = tag << tagShift | validBit;
+    Way *base = &words[set * ways];
     for (std::uint32_t w = 0; w < ways; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            bool was_dirty = line.dirty;
-            line.valid = false;
-            line.dirty = false;
+        if ((base[w] & ~dirtyBit) == key) {
+            bool was_dirty = base[w] & dirtyBit;
+            // Close the gap: the valid ways behind it keep their order.
+            std::copy(base + w + 1, base + ways, base + w);
+            base[ways - 1] = 0;
             return was_dirty;
         }
     }

@@ -1,7 +1,8 @@
 /**
  * @file
  * A set-associative cache timing model with true-LRU replacement and
- * write-back dirty-line tracking.
+ * write-back dirty-line tracking. Each set keeps its ways in recency
+ * order, so LRU needs no timestamps.
  *
  * The model is tag-only: data values live in PhysicalMemory; the cache
  * decides hit/miss, tracks dirty lines, and reports evictions so the
@@ -44,28 +45,22 @@ class Cache
     Cache(const CacheConfig &cfg, stats::StatGroup &parent);
 
     /**
-     * The mutable state one access touches outside the line array:
-     * the LRU clock and the counter increments not yet folded into
-     * the stats. The member access() runs the rule over a fresh Hot;
+     * The counter increments one access makes, not yet folded into the
+     * stats. The member access() runs the rule over a fresh Hot;
      * MemHierarchy::pageTransfer keeps one Hot in registers across a
      * whole page of lines and commits it once.
      */
     struct Hot
     {
-        std::uint64_t useClock = 0;
         std::uint64_t accesses = 0;
         std::uint64_t misses = 0;
         std::uint64_t writebacks = 0;
     };
 
-    /** The current clock, with no pending counter increments. */
-    Hot hot() const { return Hot{useClock}; }
-
-    /** Fold @p h's clock and counter increments back into the cache. */
+    /** Fold @p h's counter increments into the stats. */
     void
     commit(const Hot &h)
     {
-        useClock = h.useClock;
         statAccesses += static_cast<double>(h.accesses);
         if (h.misses)
             statMisses += static_cast<double>(h.misses);
@@ -82,7 +77,7 @@ class Cache
     CacheResult
     access(Addr addr, bool is_write)
     {
-        Hot h = hot();
+        Hot h;
         CacheResult result = access(h, addr, is_write);
         commit(h);
         return result;
@@ -90,53 +85,27 @@ class Cache
 
     /**
      * The access rule: access(Addr, bool) over the caller's @p h.
-     * The line array is updated in place; the clock and counters
-     * move in @p h until commit().
+     * The ways are updated in place; the counters move in @p h until
+     * commit().
      */
     CacheResult
     access(Hot &h, Addr addr, bool is_write)
     {
-        ++h.accesses;
-        CacheResult result;
-        std::uint64_t set = setIndex(addr);
-        Addr tag = tagOf(addr);
-        Line *base = &lines[set * ways];
-
-        for (std::uint32_t w = 0; w < ways; ++w) {
-            Line &line = base[w];
-            if (line.valid && line.tag == tag) {
-                line.lastUse = ++h.useClock;
-                if (is_write && config.writeBack)
-                    line.dirty = true;
-                result.hit = true;
-                return result;
-            }
-        }
-
-        // Miss: pick an invalid way if one exists, otherwise the LRU way.
-        ++h.misses;
-        Line *victim = nullptr;
-        for (std::uint32_t w = 0; w < ways; ++w) {
-            Line &line = base[w];
-            if (!line.valid) {
-                victim = &line;
-                break;
-            }
-            if (!victim || line.lastUse < victim->lastUse)
-                victim = &line;
-        }
-        if (victim->valid && victim->dirty) {
-            result.writeback = true;
-            result.victimAddr = lineAddr(victim->tag, set);
-            ++h.writebacks;
-        }
-        victim->valid = true;
-        victim->tag = tag;
-        victim->dirty = is_write && config.writeBack;
-        victim->lastUse = ++h.useClock;
-        result.filled = true;
-        return result;
+        return accessSet(h, setIndex(addr), tagOf(addr), is_write);
     }
+
+    /**
+     * Access the @p n lines from @p base, one per set, as one decision
+     * when their sets hold the same ways: then every line gets the
+     * same outcome as @p first, except that line i's victim address is
+     * first.victimAddr + i * lineBytes(). The sets are updated and
+     * @p h moves by @p n per counter that moved.
+     * The @p n lines must fall in n consecutive sets (one tag).
+     * @return false, changing nothing, when any set differs from the
+     *         first
+     */
+    bool accessRun(Hot &h, Addr base, std::uint32_t n, bool is_write,
+                   CacheResult &first);
 
     /**
      * Probe without side effects.
@@ -162,13 +131,56 @@ class Cache
     std::uint64_t writebacks() const;
 
   private:
-    struct Line
+    /**
+     * One way: the tag above a dirty and a valid bit. An invalid way
+     * is exactly 0. A set's valid ways come first, most recently used
+     * first, and its invalid ways after them, so the LRU victim (or an
+     * invalid way, when one exists) is always the last way.
+     */
+    using Way = std::uint64_t;
+    static constexpr Way validBit = 1;
+    static constexpr Way dirtyBit = 2;
+    static constexpr unsigned tagShift = 2;
+
+    /** Move way @p i of @p set to the front as @p word. */
+    static void
+    toFront(Way *set, std::uint32_t i, Way word)
     {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;
-    };
+        for (; i > 0; --i)
+            set[i] = set[i - 1];
+        set[0] = word;
+    }
+
+    /** The access rule on set @p set for @p tag. */
+    CacheResult
+    accessSet(Hot &h, std::uint64_t set, Addr tag, bool is_write)
+    {
+        ++h.accesses;
+        CacheResult result;
+        Way *base = &words[set * ways];
+        const Way key = tag << tagShift | validBit;
+        const Way dirty = is_write && config.writeBack ? dirtyBit : 0;
+
+        for (std::uint32_t w = 0; w < ways; ++w) {
+            if ((base[w] & ~dirtyBit) == key) {
+                toFront(base, w, base[w] | dirty);
+                result.hit = true;
+                return result;
+            }
+        }
+
+        // Miss: the last way is invalid or the LRU line.
+        ++h.misses;
+        const Way victim = base[ways - 1];
+        if ((victim & (validBit | dirtyBit)) == (validBit | dirtyBit)) {
+            result.writeback = true;
+            result.victimAddr = lineAddr(victim >> tagShift, set);
+            ++h.writebacks;
+        }
+        toFront(base, ways - 1, key | dirty);
+        result.filled = true;
+        return result;
+    }
 
     std::uint64_t
     setIndex(Addr addr) const
@@ -189,8 +201,7 @@ class Cache
     std::uint32_t ways;
     unsigned lineShift;
     unsigned setShift;  //!< floorLog2(numSets), fixed at construction
-    std::vector<Line> lines;  //!< numSets * ways, set-major
-    std::uint64_t useClock = 0;
+    std::vector<Way> words;  //!< numSets * ways, set-major
 
     stats::StatGroup statGroup;
     stats::Scalar statAccesses;

@@ -33,16 +33,37 @@ MemHierarchy::uncachedLineTransfer(Tick tick, Addr addr)
 Cycles
 MemHierarchy::pageTransfer(Tick tick, Pfn pfn, bool is_write)
 {
-    Cache::Hot l2h = l2.hot();
-    FillPath path = openFillPath();
     const Addr base = backupAddr(pfn, 0);
+    const std::uint32_t line = config.l2.lineBytes;
+    const std::uint32_t page_lines = config.pageBytes / line;
+    Cache::Hot l2h;
+
+    // One L2 decision for the whole page when its lines' sets agree.
+    CacheResult run;
+    const bool uniform = config.backupLineBytes == line &&
+                         page_lines <= config.l2.numSets() &&
+                         l2.accessRun(l2h, base, page_lines, is_write, run);
+    if (uniform && run.hit) {
+        l2.commit(l2h);
+        return page_lines * config.l2.hitLatency;
+    }
+
+    FillPath path = openFillPath();
     Cycles cost = 0;
-    for (std::uint32_t off = 0; off < config.pageBytes;
-         off += config.backupLineBytes) {
-        Addr addr = base + off;
-        CacheResult l2r = l2.access(l2h, addr, is_write);
-        cost += l2r.hit ? config.l2.hitLatency
-                        : fillLine(path, tick + cost, addr, l2r);
+    if (uniform) {
+        for (std::uint32_t i = 0; i < page_lines; ++i) {
+            cost += fillLine(path, tick + cost, base + i * line, run);
+            if (run.writeback)
+                run.victimAddr += line;
+        }
+    } else {
+        for (std::uint32_t off = 0; off < config.pageBytes;
+             off += config.backupLineBytes) {
+            Addr addr = base + off;
+            CacheResult l2r = l2.access(l2h, addr, is_write);
+            cost += l2r.hit ? config.l2.hitLatency
+                            : fillLine(path, tick + cost, addr, l2r);
+        }
     }
     l2.commit(l2h);
     closeFillPath(path);

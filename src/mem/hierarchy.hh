@@ -184,8 +184,10 @@ class MemHierarchy
      * Move every backup line of frame @p pfn through the data path, in
      * offset order, each line issued when the previous one finished:
      * the same charge, and the same L2/bus/DRAM end state and stats,
-     * as the equivalent loop of lineTransfer() calls. The L2 clock,
-     * bus horizon, counters and DRAM latency moments stay in locals
+     * as the equivalent loop of lineTransfer() calls. When the page's
+     * lines are L2 lines whose sets hold the same ways, one L2
+     * decision (Cache::accessRun) stands for all of them. The L2
+     * counters, bus horizon and DRAM latency moments stay in locals
      * for the whole page and are stored back once.
      * @return the cycles the page took
      */

@@ -21,6 +21,7 @@
 #include "net/client.hh"
 #include "net/workload.hh"
 #include "os/resources.hh"
+#include "sim/random.hh"
 #include "test_util.hh"
 
 using namespace indra;
@@ -249,6 +250,92 @@ TEST(FaultDelta, CleanBackupPassesVerification)
     engine.drainRollback(0);
     EXPECT_EQ(rig.peek64(pageBase), 0x600du);
     EXPECT_EQ(engine.corruptionDetected(), 0u);
+}
+
+namespace
+{
+
+/**
+ * Corrupt lines among those a micro recovery of @p engine would
+ * consume, by a scan of every record: pending rollback lines, plus the
+ * dirty lines of records written at GTS @p gts.
+ */
+std::uint64_t
+fullScanCorruptLines(const ckpt::DeltaBackup &engine, std::uint64_t gts)
+{
+    std::uint64_t bad = 0;
+    for (const auto &[vpn, rec] : engine.recordMap()) {
+        if (rec.backupPfn == invalidPfn)
+            continue;
+        for (std::uint32_t line = 0; line < rec.lineSums.size(); ++line) {
+            bool consumed =
+                (rec.rollbackVld && rec.rollbackBv.test(line)) ||
+                (rec.lts == gts && rec.dirtyBv.test(line));
+            if (consumed && rec.liveSums[line] != rec.lineSums[line])
+                ++bad;
+        }
+    }
+    return bad;
+}
+
+} // namespace
+
+// verifyIntegrity walks only the armed records and this epoch's pages:
+// after every step of a random store, load, failure, drain,
+// request-begin and invalidate sequence it must return what a scan of
+// every record would, and count the same corrupt lines.
+TEST(FaultDelta, IntegrityCheckEqualsFullScan)
+{
+    std::uint64_t corrupt_checks = 0;
+    std::uint64_t clean_checks = 0;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE(seed);
+        MemoryRig rig;
+        const std::uint32_t pages = 8;
+        rig.space->mapRegion(pageBase, pages, os::Region::Data);
+        ckpt::DeltaBackup engine(rig.cfg, *rig.context, *rig.space,
+                                 rig.phys, *rig.hierarchy, rig.stats);
+        FaultPlan plan;
+        plan.add(FaultKind::DeltaFlip, 0.02).setSeed(seed);
+        FaultInjector inj(plan, rig.stats);
+        engine.setFaultInjector(&inj);
+        Pcg32 rng(seed * 131 + 5);
+
+        rig.context->incrementGts();
+        engine.onRequestBegin(0);
+        for (int step = 0; step < 1500; ++step) {
+            Addr addr = pageBase +
+                (rng.nextBounded(pages * rig.cfg.pageBytes) & ~Addr{7});
+            std::uint32_t op = rng.nextBounded(100);
+            if (op < 50) {
+                engine.onStore(0, 1, addr, 8);
+                rig.poke64(addr, rng.next());
+            } else if (op < 80) {
+                engine.onLoad(0, 1, addr, 8);
+            } else if (op < 88) {
+                engine.onFailure(0);
+            } else if (op < 90) {
+                engine.drainRollback(0);
+            } else if (op < 98) {
+                rig.context->incrementGts();
+                engine.onRequestBegin(0);
+            } else {
+                engine.invalidate();
+            }
+
+            const std::uint64_t want =
+                fullScanCorruptLines(engine, rig.context->gts());
+            const std::uint64_t before = engine.corruptionDetected();
+            ASSERT_EQ(engine.verifyIntegrity(0), want == 0)
+                << "step " << step;
+            ASSERT_EQ(engine.corruptionDetected() - before, want)
+                << "step " << step;
+            ++(want ? corrupt_checks : clean_checks);
+        }
+    }
+    // Both verdicts were reached.
+    EXPECT_GT(corrupt_checks, 0u);
+    EXPECT_GT(clean_checks, 0u);
 }
 
 // --------------------------------- corruption detection: update log

@@ -6,6 +6,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "checkpoint/policy.hh"
 #include "cpu/core.hh"
@@ -245,6 +246,16 @@ exactDump(const stats::StatGroup &group)
     return sink.out.str();
 }
 
+/** How a case's L2 pre-state is built. */
+enum class Warm
+{
+    Random,      //!< random lines of and around the page
+    Group,       //!< whole-page transfers of frames sharing its sets
+    GroupTag,    //!< Group, but one set holds one other tag
+    GroupDirty,  //!< Group, but one set has one dirty bit flipped
+    GroupValid,  //!< Group, but one set has its LRU line invalid
+};
+
 /** One seeded pre-state for a page transfer of frame pfn at tick. */
 struct PageCase
 {
@@ -252,7 +263,11 @@ struct PageCase
     Pfn pfn = 0;
     Tick tick = 0;
     bool isWrite = false;
+    Warm warm = Warm::Random;
 };
+
+/** Seeds past this one warm the L2 by whole-page transfers. */
+constexpr std::uint64_t randomSeeds = 240;
 
 PageCase
 pageCase(std::uint64_t seed)
@@ -260,17 +275,72 @@ pageCase(std::uint64_t seed)
     Pcg32 rng(seed);
     PageCase c;
     c.cfg = testutil::smallConfig();
-    const std::uint32_t line_sizes[] = {32, 64, 128};
-    c.cfg.backupLineBytes = line_sizes[rng.nextBounded(3)];
-    // Half the cases use a 16-set L2, so one page's lines wrap the
-    // sets four times and evict each other in LRU order.
-    if (rng.next() & 1)
-        c.cfg.l2.sizeBytes =
-            16 * c.cfg.l2.associativity * c.cfg.l2.lineBytes;
+    if (seed > randomSeeds) {
+        // Backup lines are L2 lines and a page fits in the sets: the
+        // shape pageTransfer can take as one L2 decision.
+        const Warm kinds[] = {Warm::Group, Warm::GroupTag,
+                              Warm::GroupDirty, Warm::GroupValid};
+        c.warm = rng.next() & 1 ? Warm::Group : kinds[rng.nextBounded(4)];
+        // Half of them use DRAM rows shorter than a page, so each
+        // line's fill and write-back address shows in the bank state.
+        if (rng.next() & 1)
+            c.cfg.dram.rowBytes = 512;
+    } else {
+        const std::uint32_t line_sizes[] = {32, 64, 128};
+        c.cfg.backupLineBytes = line_sizes[rng.nextBounded(3)];
+        // Half the cases use a 16-set L2, so one page's lines wrap the
+        // sets four times and evict each other in LRU order.
+        if (rng.next() & 1)
+            c.cfg.l2.sizeBytes =
+                16 * c.cfg.l2.associativity * c.cfg.l2.lineBytes;
+    }
     c.pfn = 1 + rng.nextBounded(4000);
     c.tick = rng.nextBounded(5000);
     c.isWrite = rng.next() & 1;
     return c;
+}
+
+/**
+ * Warm the L2 by transferring, line by line, at least associativity
+ * whole pages whose lines land in the same sets as the page of @p c,
+ * so its sets hold the same lines in the same order. The mutated
+ * kinds then make exactly one set differ.
+ */
+void
+warmGroup(mem::MemHierarchy &h, const PageCase &c, Pcg32 &rng)
+{
+    const std::uint32_t line = c.cfg.l2.lineBytes;
+    const std::uint32_t page_lines = c.cfg.pageBytes / line;
+    const std::uint32_t ways = c.cfg.l2.associativity;
+    // Frames this far apart map their lines to the same sets.
+    const Pfn stride = c.cfg.l2.numSets() / page_lines;
+
+    std::vector<Pfn> frames;
+    std::uint32_t count = ways + rng.nextBounded(3);
+    for (std::uint32_t k = 1; k <= count; ++k)
+        frames.push_back(c.pfn + k * stride);
+    if (rng.next() & 1)  // a hit page, unless it was evicted again
+        frames[rng.nextBounded(count)] = c.pfn;
+    const Pfn outsider = c.pfn + (count + 1) * stride;
+    const std::size_t oldest = frames.size() - ways;
+
+    const std::uint32_t odd = rng.nextBounded(page_lines);
+    Tick t = rng.nextBounded(5000);
+    for (std::size_t k = 0; k < frames.size(); ++k) {
+        bool write = rng.next() & 1;
+        for (std::uint32_t i = 0; i < page_lines; ++i) {
+            Pfn pfn = frames[k];
+            bool w = write;
+            if (i == odd && k == oldest && c.warm == Warm::GroupTag)
+                pfn = outsider;
+            if (i == odd && k + 1 == frames.size() &&
+                c.warm == Warm::GroupDirty)
+                w = !write;
+            t += h.lineTransfer(t, h.backupAddr(pfn, i * line), w);
+        }
+    }
+    if (c.warm == Warm::GroupValid)
+        h.l2Cache().invalidateLine(h.backupAddr(frames[oldest], odd * line));
 }
 
 /**
@@ -289,15 +359,19 @@ warmPath(MemoryRig &rig, const PageCase &c, std::uint64_t seed)
     const Addr set_stride = c.cfg.l2.numSets() * line;
     const std::uint32_t lines_per_page = c.cfg.pageBytes / line;
 
-    std::uint32_t fills = rng.nextBounded(400);
-    for (std::uint32_t i = 0; i < fills; ++i) {
-        Addr addr = base + rng.nextBounded(lines_per_page) * line +
-            rng.nextBounded(6) * set_stride;
-        bool write = rng.next() & 1;
-        if (rng.nextBounded(4) == 0)
-            h.lineTransfer(rng.nextBounded(5000), addr, write);
-        else
-            h.l2Cache().access(addr, write);
+    if (c.warm != Warm::Random) {
+        warmGroup(h, c, rng);
+    } else {
+        std::uint32_t fills = rng.nextBounded(400);
+        for (std::uint32_t i = 0; i < fills; ++i) {
+            Addr addr = base + rng.nextBounded(lines_per_page) * line +
+                rng.nextBounded(6) * set_stride;
+            bool write = rng.next() & 1;
+            if (rng.nextBounded(4) == 0)
+                h.lineTransfer(rng.nextBounded(5000), addr, write);
+            else
+                h.l2Cache().access(addr, write);
+        }
     }
 
     const Addr bank_stride =
@@ -326,10 +400,15 @@ warmPath(MemoryRig &rig, const PageCase &c, std::uint64_t seed)
 
 // pageTransfer batches a page's lineTransfer calls: for every seeded
 // pre-state it must return the same cycles and leave the same L2, bus,
-// DRAM and stats state behind as the per-line loop.
+// DRAM and stats state behind as the per-line loop, whether it takes
+// the page as one L2 decision or falls back to a decision per line.
 TEST(PageTransferKernel, EqualsPerLineLoopOverSeededPreStates)
 {
-    for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    std::uint32_t run_hits = 0;
+    std::uint32_t run_misses = 0;
+    std::uint32_t run_writebacks = 0;
+    std::uint32_t fallbacks = 0;
+    for (std::uint64_t seed = 1; seed <= 2 * randomSeeds; ++seed) {
         SCOPED_TRACE(seed);
         PageCase c = pageCase(seed);
         MemoryRig kernel(c.cfg);
@@ -337,6 +416,33 @@ TEST(PageTransferKernel, EqualsPerLineLoopOverSeededPreStates)
         warmPath(kernel, c, seed);
         warmPath(lines, c, seed);
         ASSERT_EQ(exactDump(kernel.stats), exactDump(lines.stats));
+
+        // Whether pageTransfer takes the page as one L2 decision: ask
+        // the L2 of a third copy of the pre-state.
+        const std::uint32_t page_lines =
+            c.cfg.pageBytes / c.cfg.l2.lineBytes;
+        bool run = false;
+        mem::CacheResult first;
+        if (c.cfg.backupLineBytes == c.cfg.l2.lineBytes &&
+            page_lines <= c.cfg.l2.numSets()) {
+            MemoryRig probe(c.cfg);
+            warmPath(probe, c, seed);
+            mem::Cache::Hot hot;
+            run = probe.hierarchy->l2Cache().accessRun(
+                hot, probe.hierarchy->backupAddr(c.pfn, 0), page_lines,
+                c.isWrite, first);
+        }
+        if (c.warm == Warm::Group) {
+            EXPECT_TRUE(run);
+        } else if (c.warm != Warm::Random) {
+            EXPECT_FALSE(run);
+        }
+        if (!run)
+            ++fallbacks;
+        else if (first.hit)
+            ++run_hits;
+        else
+            ++(first.writeback ? run_writebacks : run_misses);
 
         Cycles batched =
             kernel.hierarchy->pageTransfer(c.tick, c.pfn, c.isWrite);
@@ -385,4 +491,10 @@ TEST(PageTransferKernel, EqualsPerLineLoopOverSeededPreStates)
         }
         EXPECT_EQ(exactDump(kernel.stats), exactDump(lines.stats));
     }
+    // The one-decision run (hit, clean miss and dirty-victim miss
+    // pages) and the per-line fallback both fired.
+    EXPECT_GT(run_hits, 0u);
+    EXPECT_GT(run_misses, 0u);
+    EXPECT_GT(run_writebacks, 0u);
+    EXPECT_GT(fallbacks, 0u);
 }
