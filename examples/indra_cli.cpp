@@ -220,7 +220,10 @@ main(int argc, char **argv)
                   << "  (served " << report.served << ", recovered "
                   << report.recovered << ", macro "
                   << report.macroRecovered << ", rejuvenated "
-                  << report.rejuvenated << ", lost " << report.lost
+                  << report.rejuvenated;
+        if (report.domainRewound)
+            std::cout << ", domain-rewound " << report.domainRewound;
+        std::cout << ", lost " << report.lost
                   << ")\nmean benign response "
                   << std::setprecision(0) << report.meanBenignResponse
                   << " cycles\n";

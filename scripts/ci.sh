@@ -24,6 +24,10 @@
 #                  -L harness, resilience, obs, check, adversary,
 #                  domain, cluster, rca, config.
 #
+# All three presets set CMAKE_COMPILE_WARNING_AS_ERROR, so a -Wall
+# -Wextra warning anywhere in the tree fails the build (CMake 3.24 or
+# newer; older CMake ignores the setting).
+#
 # The ci-release leg additionally runs the repository benchmark's
 # smoke gate, perfbench/gate.py --smoke (every BENCHMARK.json workload
 # at quarter size, untraced and traced, with its digest and schema

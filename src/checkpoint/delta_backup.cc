@@ -133,8 +133,7 @@ DeltaBackup::recordFor(Vpn vpn, Tick tick, Cycles &cost)
         rec.liveSums.assign(linesPerPage(), 0);
         rec.lts = 0;
         found = &records.emplace(vpn, std::move(rec)).first->second;
-        lastVpn = vpn;
-        lastRec = found;
+        memo.fill(vpn, found);
         ++statRecordsAllocated;
     }
     // The record rides in the extended TLB entry (Figure 3); a D-TLB
@@ -150,12 +149,13 @@ DeltaBackup::onStore(Tick tick, Pid pid, Addr vaddr, std::uint32_t bytes)
     if (pid != context.pid())
         return 0;
     Vpn vpn = vaddr / config.pageBytes;
-    if (!space.isMapped(vpn))
+    const os::PageInfo *mapped = space.findPage(vpn);
+    if (!mapped)
         return 0;
+    const os::PageInfo &page = *mapped;
 
     Cycles cost = 0;
     BackupPageRecord &rec = recordFor(vpn, tick, cost);
-    const os::PageInfo &page = space.pageInfo(vpn);
     std::uint64_t gts = context.gts();
 
     // New epoch for this page: clear the dirty bitvector lazily
@@ -164,7 +164,10 @@ DeltaBackup::onStore(Tick tick, Pid pid, Addr vaddr, std::uint32_t bytes)
         rec.dirtyBv.clearAll();
         rec.lts = gts;
     }
-    touchedThisEpoch.insert(vpn);
+    if (rec.touchStamp != touchEpoch) {
+        rec.touchStamp = touchEpoch;
+        touchedThisEpoch.insert(vpn);
+    }
 
     std::uint32_t page_off =
         static_cast<std::uint32_t>(vaddr % config.pageBytes);
@@ -232,17 +235,20 @@ DeltaBackup::onStore(Tick tick, Pid pid, Addr vaddr, std::uint32_t bytes)
 Cycles
 DeltaBackup::onLoad(Tick tick, Pid pid, Addr vaddr, std::uint32_t bytes)
 {
-    if (pid != context.pid())
+    // armedRecords holds every record with a rollback pending, so with
+    // none armed no load can have a line to recover.
+    if (armedRecords.empty() || pid != context.pid())
         return 0;
     Vpn vpn = vaddr / config.pageBytes;
     BackupPageRecord *found = findRecord(vpn);
     if (!found || !found->rollbackVld)
         return 0;
-    if (!space.isMapped(vpn))
+    const os::PageInfo *mapped = space.findPage(vpn);
+    if (!mapped)
         return 0;
 
     BackupPageRecord &rec = *found;
-    const os::PageInfo &page = space.pageInfo(vpn);
+    const os::PageInfo &page = *mapped;
     Cycles cost = 0;
     if (!memsys.dTlb().contains(context.pid(), vpn))
         cost += config.backupRecordFetchCycles;
@@ -296,7 +302,7 @@ DeltaBackup::onRequestBegin(Tick tick)
         statPagesPerRequest.sample(pages);
         statDirtyLineRatio.sample(epochLinesBackedUp / total_lines);
     }
-    touchedThisEpoch.clear();
+    newTouchEpoch();
     epochLinesBackedUp = 0;
     return 0;
 }
@@ -335,7 +341,7 @@ DeltaBackup::onFailure(Tick tick)
         statDirtyLineRatio.sample(epochLinesBackedUp /
                                   (pages * linesPerPage()));
     }
-    touchedThisEpoch.clear();
+    newTouchEpoch();
     epochLinesBackedUp = 0;
     statRecoveryCycles += static_cast<double>(cost);
     return cost;
@@ -407,7 +413,7 @@ DeltaBackup::invalidate()
         rec.armedListed = false;
     }
     armedRecords.clear();
-    touchedThisEpoch.clear();
+    newTouchEpoch();
     epochLinesBackedUp = 0;
 }
 

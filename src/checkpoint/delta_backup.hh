@@ -23,6 +23,7 @@
 
 #include "checkpoint/bitvec.hh"
 #include "checkpoint/policy.hh"
+#include "sim/memo.hh"
 
 namespace indra::ckpt
 {
@@ -51,6 +52,11 @@ struct BackupPageRecord
     std::vector<std::uint32_t> liveSums;
     /** The record is on DeltaBackup's list of armed records. */
     bool armedListed = false;
+    /**
+     * DeltaBackup's touch epoch when the page last entered the touched
+     * set; while it is current the page is already in the set.
+     */
+    std::uint64_t touchStamp = 0;
 };
 
 /**
@@ -141,22 +147,33 @@ class DeltaBackup : public CheckpointPolicy
 
   private:
     /**
-     * records.find with a one-entry memo: stores and loads cluster on
-     * the same page, so most lookups repeat the previous vpn. Node
-     * pointers of std::unordered_map are stable across inserts and
-     * records are never erased, so the memo cannot dangle.
+     * records.find behind a direct-mapped memo: stores and loads
+     * cluster on a few pages, so most lookups repeat a recent vpn.
+     * Node pointers of std::unordered_map are stable across inserts
+     * and rehashes, and records are never erased, so the memo cannot
+     * dangle.
      */
     BackupPageRecord *
     findRecord(Vpn vpn)
     {
-        if (lastRec && lastVpn == vpn)
-            return lastRec;
+        if (BackupPageRecord *hit = memo.find(vpn))
+            return hit;
         auto it = records.find(vpn);
         if (it == records.end())
             return nullptr;
-        lastVpn = vpn;
-        lastRec = &it->second;
-        return lastRec;
+        memo.fill(vpn, &it->second);
+        return &it->second;
+    }
+
+    /**
+     * Empty the touched set and open a new touch epoch, so every
+     * record's touchStamp goes stale.
+     */
+    void
+    newTouchEpoch()
+    {
+        touchedThisEpoch.clear();
+        ++touchEpoch;
     }
 
     /** Get-or-create the record for @p vpn. */
@@ -184,11 +201,15 @@ class DeltaBackup : public CheckpointPolicy
                                bool armed) const;
 
     std::unordered_map<Vpn, BackupPageRecord> records;
-    Vpn lastVpn = ~static_cast<Vpn>(0);
-    BackupPageRecord *lastRec = nullptr;
+    PointerMemo<BackupPageRecord> memo;
     mutable std::vector<std::uint8_t> lineBuf;
     /** vpns whose record's LTS equals the current GTS. */
     std::unordered_set<Vpn> touchedThisEpoch;
+    /**
+     * Bumped each time touchedThisEpoch is cleared; starts above every
+     * new record's touchStamp.
+     */
+    std::uint64_t touchEpoch = 1;
     /**
      * Records onFailure armed, each once, a superset of those with a
      * rollback still pending; verifyIntegrity drops the drained ones.

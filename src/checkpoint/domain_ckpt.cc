@@ -38,7 +38,8 @@ DomainRewindEngine::onStore(Tick tick, Pid pid, Addr vaddr,
     if (pid != context.pid())
         return cost;
     Vpn vpn = vaddr / config.pageBytes;
-    if (!space.isMapped(vpn))
+    const os::PageInfo *page = space.findPage(vpn);
+    if (!page)
         return cost;
 
     // First write to this page since the last invalidate: capture its
@@ -47,7 +48,7 @@ DomainRewindEngine::onStore(Tick tick, Pid pid, Addr vaddr,
     // page still holds its compartment-entry bytes here.
     auto it = anchors.find(vpn);
     if (it == anchors.end()) {
-        Pfn cur = space.pageInfo(vpn).pfn;
+        Pfn cur = page->pfn;
         Pfn anchor = phys.allocFrame();
         copyPage(anchor, cur);
         anchors.emplace(vpn, anchor);

@@ -9,9 +9,9 @@ namespace indra::cpu
 
 Core::Core(const SystemConfig &cfg, CoreId core_id, Privilege privilege,
            mem::MemHierarchy &hierarchy_ref, mem::PhysicalMemory &phys_ref,
-           const mem::Translator &xlate_ref, stats::StatGroup &parent)
+           stats::StatGroup &parent)
     : config(cfg), id(core_id), priv(privilege), hierarchy(hierarchy_ref),
-      phys(phys_ref), xlate(xlate_ref),
+      phys(phys_ref),
       cam(cfg.filterCamEntries, parent),
       statGroup(parent, "core"),
       statInstructions(statGroup, "instructions", "instructions retired"),
@@ -171,12 +171,10 @@ Core::executeSlow(Pid pid, const Instruction &inst)
                 static_cast<double>(out.latency - config.l1d.hitLatency);
             stall(out.latency - config.l1d.hitLatency);
         }
-        Vpn vpn = inst.effAddr / config.pageBytes;
-        Pfn pfn = xlate.translate(pid, vpn);
-        if (pfn != invalidPfn && inst.bytes == 8 &&
+        if (inst.bytes == 8 &&
             (inst.effAddr % config.pageBytes) + 8 <= config.pageBytes) {
             result.loadValue = phys.read64(
-                pfn, static_cast<std::uint32_t>(
+                out.pfn, static_cast<std::uint32_t>(
                          inst.effAddr % config.pageBytes));
         }
         break;
@@ -196,13 +194,10 @@ Core::executeSlow(Pid pid, const Instruction &inst)
                 static_cast<double>(out.latency - config.l1d.hitLatency);
             stall(out.latency - config.l1d.hitLatency);
         }
-        Vpn vpn = inst.effAddr / config.pageBytes;
-        Pfn pfn = xlate.translate(pid, vpn);
-        if (pfn != invalidPfn &&
-            (inst.effAddr % config.pageBytes) + inst.bytes <=
-                config.pageBytes) {
+        if ((inst.effAddr % config.pageBytes) + inst.bytes <=
+            config.pageBytes) {
             std::uint64_t v = inst.value;
-            phys.write(pfn,
+            phys.write(out.pfn,
                        static_cast<std::uint32_t>(
                            inst.effAddr % config.pageBytes),
                        &v, std::min<std::uint32_t>(inst.bytes, 8));

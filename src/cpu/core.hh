@@ -54,13 +54,13 @@ class Core
      * @param id       core id (tags every memory access and record)
      * @param priv     privilege level in the asymmetric configuration
      * @param hierarchy this core's memory hierarchy
-     * @param phys     functional memory
-     * @param xlate    translation source (the OS address spaces)
+     * @param phys     functional memory, at the frames the hierarchy's
+     *                 accesses translate to
      * @param parent   stat group
      */
     Core(const SystemConfig &cfg, CoreId id, Privilege priv,
          mem::MemHierarchy &hierarchy, mem::PhysicalMemory &phys,
-         const mem::Translator &xlate, stats::StatGroup &parent);
+         stats::StatGroup &parent);
 
     /** Attach the monitor's trace sink (resurrectees only). */
     void setTraceSink(TraceSink *sink) { traceSink = sink; }
@@ -156,7 +156,6 @@ class Core
     Privilege priv;
     mem::MemHierarchy &hierarchy;
     mem::PhysicalMemory &phys;
-    const mem::Translator &xlate;
 
     TraceSink *traceSink = nullptr;
     CheckpointHooks *ckptHooks = nullptr;

@@ -56,6 +56,8 @@ struct MemOutcome
     bool l1iFill = false;
     /** The access missed all on-chip caches and went to DRAM. */
     bool wentToDram = false;
+    /** The frame the access translated to (invalidPfn on Unmapped). */
+    Pfn pfn = invalidPfn;
 };
 
 /**
@@ -85,7 +87,7 @@ class MemHierarchy
     fetch(Tick tick, Pid pid, Addr vaddr)
     {
         MemOutcome out;
-        out.fault = translateAndCheck(pid, vaddr);
+        out.fault = translateAndCheck(pid, vaddr, out.pfn);
         if (out.fault != MemFault::None) {
             ++statFaults;
             return out;
@@ -104,7 +106,7 @@ class MemHierarchy
 
         // L1I miss: the fill crosses the L2->IL1 interface, which is
         // where INDRA's code-origin inspection hooks in (Section 2.3.2).
-        out = l2Path(tick, vaddr, false, latency);
+        out = l2Path(tick, vaddr, false, latency, out.pfn);
         out.l1iFill = true;
         return out;
     }
@@ -114,7 +116,7 @@ class MemHierarchy
     load(Tick tick, Pid pid, Addr vaddr)
     {
         MemOutcome out;
-        out.fault = translateAndCheck(pid, vaddr);
+        out.fault = translateAndCheck(pid, vaddr, out.pfn);
         if (out.fault != MemFault::None) {
             ++statFaults;
             return out;
@@ -132,7 +134,7 @@ class MemHierarchy
         }
         if (l1r.writeback)
             l2.access(l1r.victimAddr, true);
-        return l2Path(tick, vaddr, false, latency);
+        return l2Path(tick, vaddr, false, latency, out.pfn);
     }
 
     /** Data store of up to one line at @p vaddr. */
@@ -140,7 +142,7 @@ class MemHierarchy
     store(Tick tick, Pid pid, Addr vaddr)
     {
         MemOutcome out;
-        out.fault = translateAndCheck(pid, vaddr);
+        out.fault = translateAndCheck(pid, vaddr, out.pfn);
         if (out.fault != MemFault::None) {
             ++statFaults;
             return out;
@@ -159,7 +161,7 @@ class MemHierarchy
         if (l1r.writeback)
             l2.access(l1r.victimAddr, true);
         // Write-allocate: fetch the line, then the store completes.
-        return l2Path(tick, vaddr, true, latency);
+        return l2Path(tick, vaddr, true, latency, out.pfn);
     }
 
     /**
@@ -283,9 +285,11 @@ class MemHierarchy
 
     /** Shared L2-and-beyond path for both instruction and data. */
     MemOutcome
-    l2Path(Tick tick, Addr vaddr, bool is_write, Cycles latency_so_far)
+    l2Path(Tick tick, Addr vaddr, bool is_write, Cycles latency_so_far,
+           Pfn pfn)
     {
         MemOutcome out;
+        out.pfn = pfn;
         out.latency = latency_so_far + config.l2.hitLatency;
 
         CacheResult l2r = l2.access(vaddr, is_write);
@@ -310,12 +314,14 @@ class MemHierarchy
         return out;
     }
 
-    /** Translate and watchdog-check; fills fault on failure. */
+    /**
+     * Translate into @p pfn and watchdog-check.
+     * @return the fault the access raises, if any
+     */
     MemFault
-    translateAndCheck(Pid pid, Addr vaddr) const
+    translateAndCheck(Pid pid, Addr vaddr, Pfn &pfn) const
     {
-        Vpn vpn = vaddr / config.pageBytes;
-        Pfn pfn = xlate.translate(pid, vpn);
+        pfn = xlate.translate(pid, vaddr / config.pageBytes);
         if (pfn == invalidPfn)
             return MemFault::Unmapped;
         if (watchdog &&

@@ -27,7 +27,8 @@ PhysicalMemory::allocFrame()
                  "out of physical memory (", frameCount, " frames)");
         pfn = nextFresh++;
     }
-    live[pfn] = true;
+    cover(pfn);
+    live[pfn] = 1;
     ++allocated;
     return pfn;
 }
@@ -36,11 +37,9 @@ void
 PhysicalMemory::freeFrame(Pfn pfn)
 {
     checkFrame(pfn);
-    auto it = live.find(pfn);
-    panic_if(it == live.end() || !it->second,
-             "freeing unallocated frame ", pfn);
-    it->second = false;
-    frames.erase(pfn);
+    panic_if(!isAllocated(pfn), "freeing unallocated frame ", pfn);
+    live[pfn] = 0;
+    frames[pfn] = std::vector<std::uint8_t>();
     // Contents are discarded: a later reuse of this pfn starts from
     // zeros, so the version must move on even though nothing was
     // written through write().
@@ -52,8 +51,7 @@ PhysicalMemory::freeFrame(Pfn pfn)
 bool
 PhysicalMemory::isAllocated(Pfn pfn) const
 {
-    auto it = live.find(pfn);
-    return it != live.end() && it->second;
+    return pfn < live.size() && live[pfn];
 }
 
 void
@@ -64,27 +62,26 @@ PhysicalMemory::copy(Pfn dst_pfn, std::uint32_t dst_off, Pfn src_pfn,
     checkFrame(src_pfn);
     panic_if(src_off + len > frameBytes || dst_off + len > frameBytes,
              "copy crosses frame boundary");
-    const auto *src = peek(src_pfn);
-    if (!src) {
-        // Source is an all-zero lazy frame.
-        std::vector<std::uint8_t> zeros(len, 0);
-        write(dst_pfn, dst_off, zeros.data(), len);
-        return;
-    }
-    // Copy via a temporary so that self-copy within one frame is safe.
-    std::vector<std::uint8_t> tmp(src->begin() + src_off,
-                                  src->begin() + src_off + len);
-    write(dst_pfn, dst_off, tmp.data(), len);
+    // Materializing the destination may grow the frame table, so the
+    // source is looked up after it. memmove keeps a self-copy within
+    // one frame safe.
+    std::uint8_t *dst = materialize(dst_pfn) + dst_off;
+    const std::uint8_t *src = peek(src_pfn);
+    if (src)
+        std::memmove(dst, src + src_off, len);
+    else
+        std::memset(dst, 0, len);  // source is an all-zero lazy frame
+    ++versions[dst_pfn];
 }
 
 std::vector<std::uint8_t>
 PhysicalMemory::snapshotFrame(Pfn pfn) const
 {
     checkFrame(pfn);
-    const auto *data = peek(pfn);
+    const std::uint8_t *data = peek(pfn);
     if (!data)
         return std::vector<std::uint8_t>(frameBytes, 0);
-    return *data;
+    return std::vector<std::uint8_t>(data, data + frameBytes);
 }
 
 void
@@ -92,12 +89,12 @@ PhysicalMemory::snapshotFrameInto(Pfn pfn,
                                   std::vector<std::uint8_t> &out) const
 {
     checkFrame(pfn);
-    const auto *data = peek(pfn);
+    const std::uint8_t *data = peek(pfn);
     if (!data) {
         out.assign(frameBytes, 0);
         return;
     }
-    out.assign(data->begin(), data->end());
+    out.assign(data, data + frameBytes);
 }
 
 } // namespace indra::mem

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -25,7 +24,9 @@ namespace indra::mem
 /**
  * Sparse physical memory. Frames are allocated from a bump-plus-free-
  * list allocator; frame contents are materialized lazily (all-zero
- * until first written).
+ * until first written). The per-frame tables are vectors indexed by
+ * pfn that grow with the highest frame touched (normally the
+ * allocator's high-water mark), not with the capacity.
  */
 class PhysicalMemory
 {
@@ -61,12 +62,12 @@ class PhysicalMemory
     {
         checkFrame(pfn);
         panic_if(offset + len > frameBytes, "read crosses frame boundary");
-        const auto *data = peek(pfn);
+        const std::uint8_t *data = peek(pfn);
         if (!data) {
             std::memset(out, 0, len);
             return;
         }
-        std::memcpy(out, data->data() + offset, len);
+        std::memcpy(out, data + offset, len);
     }
 
     /** Write @p len bytes from @p in at (@p pfn, @p offset). */
@@ -75,8 +76,7 @@ class PhysicalMemory
     {
         checkFrame(pfn);
         panic_if(offset + len > frameBytes, "write crosses frame boundary");
-        auto &data = materialize(pfn);
-        std::memcpy(data.data() + offset, in, len);
+        std::memcpy(materialize(pfn) + offset, in, len);
         ++versions[pfn];
     }
 
@@ -124,30 +124,39 @@ class PhysicalMemory
     std::uint64_t
     frameVersion(Pfn pfn) const
     {
-        auto it = versions.find(pfn);
-        return it == versions.end() ? 0 : it->second;
+        return pfn < versions.size() ? versions[pfn] : 0;
     }
 
   private:
-    /** Backing store for a frame, created on first write. */
-    std::vector<std::uint8_t> &
-    materialize(Pfn pfn)
+    /** Grow the per-frame tables to cover @p pfn. */
+    void
+    cover(Pfn pfn)
     {
-        auto it = frames.find(pfn);
-        if (it == frames.end()) {
-            it = frames
-                     .emplace(pfn,
-                              std::vector<std::uint8_t>(frameBytes, 0))
-                     .first;
+        if (pfn >= versions.size()) {
+            frames.resize(pfn + 1);
+            live.resize(pfn + 1, 0);
+            versions.resize(pfn + 1, 0);
         }
-        return it->second;
     }
 
-    const std::vector<std::uint8_t> *
+    /** Backing store for a frame, created on first write. */
+    std::uint8_t *
+    materialize(Pfn pfn)
+    {
+        cover(pfn);
+        std::vector<std::uint8_t> &data = frames[pfn];
+        if (data.empty())
+            data.assign(frameBytes, 0);
+        return data.data();
+    }
+
+    /** A frame's bytes, or nullptr while it is all-zero and lazy. */
+    const std::uint8_t *
     peek(Pfn pfn) const
     {
-        auto it = frames.find(pfn);
-        return it == frames.end() ? nullptr : &it->second;
+        if (pfn >= frames.size() || frames[pfn].empty())
+            return nullptr;
+        return frames[pfn].data();
     }
 
     void
@@ -161,9 +170,10 @@ class PhysicalMemory
     std::uint64_t nextFresh = 0;
     std::uint64_t allocated = 0;
     std::vector<Pfn> freeList;
-    std::unordered_map<Pfn, std::vector<std::uint8_t>> frames;
-    std::unordered_map<Pfn, bool> live;
-    std::unordered_map<Pfn, std::uint64_t> versions;
+    /** Per-pfn tables; a frame's bytes are empty until materialized. */
+    std::vector<std::vector<std::uint8_t>> frames;
+    std::vector<std::uint8_t> live;
+    std::vector<std::uint64_t> versions;
 };
 
 } // namespace indra::mem

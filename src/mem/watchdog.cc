@@ -16,6 +16,8 @@ void
 MemWatchdog::grant(Pfn pfn, CoreId core)
 {
     panic_if(core >= 64, "watchdog supports at most 64 cores");
+    if (pfn >= grants.size())
+        grants.resize(pfn + 1, 0);
     grants[pfn] |= (1ULL << core);
 }
 
@@ -23,26 +25,22 @@ void
 MemWatchdog::revoke(Pfn pfn, CoreId core)
 {
     panic_if(core >= 64, "watchdog supports at most 64 cores");
-    auto it = grants.find(pfn);
-    if (it == grants.end())
-        return;
-    it->second &= ~(1ULL << core);
-    if (it->second == 0)
-        grants.erase(it);
+    if (pfn < grants.size())
+        grants[pfn] &= ~(1ULL << core);
 }
 
 void
 MemWatchdog::revokeAll(Pfn pfn)
 {
-    grants.erase(pfn);
+    if (pfn < grants.size())
+        grants[pfn] = 0;
 }
 
 bool
 MemWatchdog::isGranted(Pfn pfn, CoreId core) const
 {
     panic_if(core >= 64, "watchdog supports at most 64 cores");
-    auto it = grants.find(pfn);
-    return it != grants.end() && (it->second & (1ULL << core));
+    return pfn < grants.size() && (grants[pfn] & (1ULL << core));
 }
 
 std::uint64_t

@@ -14,7 +14,7 @@
 #define INDRA_MEM_WATCHDOG_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -66,12 +66,12 @@ class MemWatchdog
         // behaviour, not a denial, and grant() already enforces the
         // limit on the producing side.
         panic_if(core >= 64, "watchdog supports at most 64 cores");
-        auto it = grants.find(pfn);
-        if (it == grants.end()) {
+        const std::uint64_t mask = pfn < grants.size() ? grants[pfn] : 0;
+        if (mask == 0) {
             ++denied;
             return WatchdogVerdict::DeniedPrivate;
         }
-        if (!(it->second & (1ULL << core))) {
+        if (!(mask & (1ULL << core))) {
             ++denied;
             return WatchdogVerdict::DeniedWrongCore;
         }
@@ -84,16 +84,23 @@ class MemWatchdog
     /** Number of denied accesses observed so far. */
     std::uint64_t denials() const;
 
-    /** Per-frame grant masks, for invariant checkers (read-only). */
-    const std::unordered_map<Pfn, std::uint64_t> &
+    /**
+     * Per-frame grant masks indexed by pfn, for invariant checkers
+     * (read-only). A zero mask is a private frame; frames past the end
+     * were never granted.
+     */
+    const std::vector<std::uint64_t> &
     grantTable() const
     {
         return grants;
     }
 
   private:
-    /** Bitmask of granted core IDs per frame (up to 64 cores). */
-    std::unordered_map<Pfn, std::uint64_t> grants;
+    /**
+     * Bitmask of granted core IDs per frame (up to 64 cores), grown to
+     * the highest frame ever granted.
+     */
+    std::vector<std::uint64_t> grants;
 
     stats::StatGroup statGroup;
     stats::Scalar checks;

@@ -52,7 +52,7 @@ double
 AvailabilityReport::availability() const
 {
     std::uint64_t answered =
-        served + recovered + macroRecovered + rejuvenated;
+        served + recovered + macroRecovered + rejuvenated + domainRewound;
     std::uint64_t asked = answered + lost;
     return asked ? static_cast<double>(answered) / asked : 1.0;
 }
@@ -78,6 +78,9 @@ AvailabilityReport::build(const std::vector<RequestOutcome> &outcomes)
             break;
           case RequestStatus::Rejuvenated:
             ++rep.rejuvenated;
+            break;
+          case RequestStatus::DomainRewound:
+            ++rep.domainRewound;
             break;
           case RequestStatus::Lost:
             ++rep.lost;

@@ -51,6 +51,11 @@ struct AvailabilityReport
     std::uint64_t recovered = 0;
     std::uint64_t macroRecovered = 0;
     std::uint64_t rejuvenated = 0;
+    /**
+     * Requests a confined domain rewind discarded while the other
+     * domains kept serving; they count as answered.
+     */
+    std::uint64_t domainRewound = 0;
     std::uint64_t lost = 0;
     /** Requests refused by admission control (never executed). */
     std::uint64_t shed = 0;

@@ -41,15 +41,6 @@ AddressSpace::~AddressSpace()
     }
 }
 
-Pfn
-AddressSpace::translate(Pid pid, Vpn vpn) const
-{
-    if (pid != _pid)
-        return invalidPfn;
-    auto it = table.find(vpn);
-    return it == table.end() ? invalidPfn : it->second.pfn;
-}
-
 void
 AddressSpace::mapRegion(Addr base, std::uint64_t num_pages, Region region)
 {
@@ -84,6 +75,7 @@ AddressSpace::unmapPage(Vpn vpn)
         watchdog->revokeAll(it->second.pfn);
     phys.freeFrame(it->second.pfn);
     table.erase(it);
+    memo.drop(vpn);
     return true;
 }
 
@@ -102,18 +94,12 @@ AddressSpace::remapPage(Vpn vpn, Pfn new_pfn)
     return old;
 }
 
-bool
-AddressSpace::isMapped(Vpn vpn) const
-{
-    return table.count(vpn) != 0;
-}
-
 const PageInfo &
 AddressSpace::pageInfo(Vpn vpn) const
 {
-    auto it = table.find(vpn);
-    panic_if(it == table.end(), "pageInfo on unmapped vpn ", vpn);
-    return it->second;
+    const PageInfo *info = findPage(vpn);
+    panic_if(!info, "pageInfo on unmapped vpn ", vpn);
+    return *info;
 }
 
 std::vector<Vpn>

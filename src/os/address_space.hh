@@ -19,6 +19,7 @@
 #include "mem/hierarchy.hh"
 #include "mem/phys_mem.hh"
 #include "mem/watchdog.hh"
+#include "sim/memo.hh"
 #include "sim/types.hh"
 
 namespace indra::os
@@ -59,7 +60,7 @@ constexpr Addr stackTop = 0x7fff0000;
  * One process's address space. Implements mem::Translator so the
  * memory hierarchy can translate and the watchdog can be enforced.
  */
-class AddressSpace : public mem::Translator
+class AddressSpace final : public mem::Translator
 {
   public:
     /**
@@ -79,7 +80,14 @@ class AddressSpace : public mem::Translator
     AddressSpace &operator=(const AddressSpace &) = delete;
 
     // mem::Translator
-    Pfn translate(Pid pid, Vpn vpn) const override;
+    Pfn
+    translate(Pid pid, Vpn vpn) const override
+    {
+        if (pid != _pid)
+            return invalidPfn;
+        const PageInfo *info = findPage(vpn);
+        return info ? info->pfn : invalidPfn;
+    }
 
     /** Map @p num_pages fresh pages starting at @p base. */
     void mapRegion(Addr base, std::uint64_t num_pages, Region region);
@@ -102,8 +110,25 @@ class AddressSpace : public mem::Translator
      */
     Pfn remapPage(Vpn vpn, Pfn new_pfn);
 
+    /**
+     * Attributes of the page holding @p vpn, or nullptr when @p vpn is
+     * not mapped. The pointer stays valid until the page is unmapped;
+     * a remap updates its pfn in place.
+     */
+    const PageInfo *
+    findPage(Vpn vpn) const
+    {
+        if (const PageInfo *hit = memo.find(vpn))
+            return hit;
+        auto it = table.find(vpn);
+        if (it == table.end())
+            return nullptr;
+        memo.fill(vpn, &it->second);
+        return &it->second;
+    }
+
     /** True if @p vpn is mapped. */
-    bool isMapped(Vpn vpn) const;
+    bool isMapped(Vpn vpn) const { return findPage(vpn) != nullptr; }
 
     /** Attributes of the page holding @p vpn (must be mapped). */
     const PageInfo &pageInfo(Vpn vpn) const;
@@ -127,6 +152,12 @@ class AddressSpace : public mem::Translator
     mem::MemWatchdog *watchdog;
     CoreId ownerCore;
     std::unordered_map<Vpn, PageInfo> table;
+    /**
+     * Memo of recent table hits, in front of table on every lookup
+     * (the software stand-in for the TLB's cached translation). Only
+     * unmapPage, which erases a node, drops a key.
+     */
+    mutable PointerMemo<const PageInfo> memo;
 };
 
 } // namespace indra::os

@@ -34,6 +34,7 @@ Kernel::destroyProcess(Pid pid)
     auto it = processes.find(pid);
     panic_if(it == processes.end(), "destroying unknown pid ", pid);
     processes.erase(it);
+    lastSpace = nullptr;
 }
 
 bool
@@ -61,10 +62,14 @@ Kernel::process(Pid pid) const
 Pfn
 Kernel::translate(Pid pid, Vpn vpn) const
 {
-    auto it = processes.find(pid);
-    if (it == processes.end())
-        return invalidPfn;
-    return it->second.space->translate(pid, vpn);
+    if (!lastSpace || lastPid != pid) {
+        auto it = processes.find(pid);
+        if (it == processes.end())
+            return invalidPfn;
+        lastPid = pid;
+        lastSpace = it->second.space.get();
+    }
+    return lastSpace->translate(pid, vpn);
 }
 
 cpu::SyscallResult

@@ -112,6 +112,13 @@ class Kernel : public cpu::SyscallHandler, public mem::Translator
     KernelCosts costs;
     Pid nextPid = 100;
     std::map<Pid, Process> processes;
+    /**
+     * translate()'s memo of the last pid it routed and that process's
+     * address space, so a run of accesses by one process skips the
+     * process-table search. destroyProcess clears it.
+     */
+    mutable Pid lastPid = 0;
+    mutable const AddressSpace *lastSpace = nullptr;
 
     stats::StatGroup statGroup;
     stats::Scalar statSyscalls;

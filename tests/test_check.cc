@@ -10,10 +10,10 @@
 
 #include <sys/wait.h>
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
-#include <regex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -651,9 +651,45 @@ namespace
 std::vector<std::string>
 jsonTokens(const std::string &text)
 {
-    static const std::regex token(R"("(\\.|[^"\\])*"|[-+.\w]+|\S)");
-    return {std::sregex_token_iterator(text.begin(), text.end(), token),
-            std::sregex_token_iterator()};
+    auto word = [](unsigned char c) {
+        return std::isalnum(c) || c == '_' || c == '-' || c == '+' ||
+            c == '.';
+    };
+    std::vector<std::string> tokens;
+    std::size_t i = 0;
+    while (i < text.size()) {
+        auto c = static_cast<unsigned char>(text[i]);
+        std::size_t end = i + 1;
+        if (std::isspace(c)) {
+            ++i;
+            continue;
+        }
+        if (c == '"') {
+            // A string runs to the first unescaped quote, and a
+            // backslash escapes any character but a line break. An
+            // unterminated string leaves the quote a token of its own.
+            std::size_t j = i + 1;
+            while (j < text.size() && text[j] != '"') {
+                if (text[j] != '\\') {
+                    ++j;
+                    continue;
+                }
+                if (j + 1 == text.size() || text[j + 1] == '\n' ||
+                    text[j + 1] == '\r')
+                    break;
+                j += 2;
+            }
+            if (j < text.size() && text[j] == '"')
+                end = j + 1;
+        } else if (word(c)) {
+            while (end < text.size() &&
+                   word(static_cast<unsigned char>(text[end])))
+                ++end;
+        }
+        tokens.push_back(text.substr(i, end - i));
+        i = end;
+    }
+    return tokens;
 }
 
 std::string

@@ -91,7 +91,7 @@ class CoreTest : public ::testing::Test
     CoreTest()
         : rig(),
           core(rig.cfg, 1, Privilege::Low, *rig.hierarchy, rig.phys,
-               *rig.space, rig.stats)
+               rig.stats)
     {
         rig.space->mapRegion(0x00400000, 8, os::Region::Code);
         rig.space->mapRegion(0x10000000, 8, os::Region::Data);
@@ -342,7 +342,7 @@ TEST_F(CoreTest, UnmappedStoreFaults)
 TEST_F(CoreTest, HighPrivilegeCoreEmitsNoRecords)
 {
     cpu::Core high(rig.cfg, 0, Privilege::High, *rig.hierarchy,
-                   rig.phys, *rig.space, rig.stats);
+                   rig.phys, rig.stats);
     high.setTraceSink(&sink);
     cpu::Instruction call;
     call.op = cpu::Op::Call;
@@ -385,7 +385,7 @@ TEST_F(CoreTest, ZeroEntryCamSendsEveryFill)
     SystemConfig cfg = rig.cfg;
     cfg.filterCamEntries = 0;
     cpu::Core nocam(cfg, 2, Privilege::Low, *rig.hierarchy, rig.phys,
-                    *rig.space, rig.stats);
+                    rig.stats);
     nocam.setTraceSink(&sink);
     nocam.execute(1, alu(0x00400000));
     nocam.execute(1, alu(0x00400040));

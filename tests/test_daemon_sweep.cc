@@ -133,7 +133,7 @@ TEST(ContextSwitch, FlushesCamAndSyncs)
     testutil::MemoryRig rig;
     rig.space->mapRegion(0x00400000, 4, os::Region::Code);
     cpu::Core core(rig.cfg, 1, Privilege::Low, *rig.hierarchy,
-                   rig.phys, *rig.space, rig.stats);
+                   rig.phys, rig.stats);
     core.setTraceSink(&sink);  // the CAM only works when monitored
 
     cpu::Instruction alu;

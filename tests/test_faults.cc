@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "checkpoint/delta_backup.hh"
@@ -278,18 +280,64 @@ fullScanCorruptLines(const ckpt::DeltaBackup &engine, std::uint64_t gts)
     return bad;
 }
 
+/**
+ * Load every line of @p engine with a pending rollback and check that
+ * the load recovered it: the line's rollback bit clears, and the
+ * active line now holds the backup copy, or the backup copy was
+ * corrupt, refused and counted.
+ */
+void
+loadEveryPendingLine(MemoryRig &rig, ckpt::DeltaBackup &engine)
+{
+    const std::uint32_t line_bytes = rig.cfg.backupLineBytes;
+    std::vector<std::pair<Vpn, std::uint32_t>> pending;
+    for (const auto &[vpn, rec] : engine.recordMap()) {
+        if (!rec.rollbackVld)
+            continue;
+        for (std::uint32_t line = 0; line < rec.lineSums.size(); ++line) {
+            if (rec.rollbackBv.test(line))
+                pending.emplace_back(vpn, line);
+        }
+    }
+    std::vector<std::uint8_t> backup(line_bytes);
+    std::vector<std::uint8_t> before(line_bytes);
+    std::vector<std::uint8_t> after(line_bytes);
+    for (auto [vpn, line] : pending) {
+        const ckpt::BackupPageRecord &rec = *engine.record(vpn);
+        const std::uint32_t off = line * line_bytes;
+        const Pfn active = rig.space->translate(1, vpn);
+        rig.phys.read(rec.backupPfn, off, backup.data(), line_bytes);
+        rig.phys.read(active, off, before.data(), line_bytes);
+        const bool intact = rec.liveSums[line] == rec.lineSums[line];
+        const std::uint64_t corrupt = engine.corruptionDetected();
+        engine.onLoad(0, 1, vpn * rig.cfg.pageBytes + off, 8);
+        rig.phys.read(active, off, after.data(), line_bytes);
+        ASSERT_FALSE(rec.rollbackBv.test(line))
+            << "vpn " << vpn << " line " << line;
+        ASSERT_EQ(after, intact ? backup : before)
+            << "vpn " << vpn << " line " << line;
+        ASSERT_EQ(engine.corruptionDetected() - corrupt, intact ? 0u : 1u);
+    }
+}
+
 } // namespace
 
 // verifyIntegrity walks only the armed records and this epoch's pages:
 // after every step of a random store, load, failure, drain,
 // request-begin and invalidate sequence it must return what a scan of
-// every record would, and count the same corrupt lines.
+// every record would, and count the same corrupt lines. The touched set
+// must hold exactly the pages stored to since the last request-begin,
+// failure or invalidate. A second pass of each sequence loads every
+// line with a pending rollback after each step, which must recover it.
 TEST(FaultDelta, IntegrityCheckEqualsFullScan)
 {
     std::uint64_t corrupt_checks = 0;
     std::uint64_t clean_checks = 0;
-    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    std::uint64_t probed_steps = 0;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed)
+    for (bool probe : {false, true}) {
         SCOPED_TRACE(seed);
+        SCOPED_TRACE(probe ? "probing pending lines" : "plain");
         MemoryRig rig;
         const std::uint32_t pages = 8;
         rig.space->mapRegion(pageBase, pages, os::Region::Data);
@@ -300,6 +348,7 @@ TEST(FaultDelta, IntegrityCheckEqualsFullScan)
         FaultInjector inj(plan, rig.stats);
         engine.setFaultInjector(&inj);
         Pcg32 rng(seed * 131 + 5);
+        std::set<Vpn> touched;
 
         rig.context->incrementGts();
         engine.onRequestBegin(0);
@@ -310,18 +359,26 @@ TEST(FaultDelta, IntegrityCheckEqualsFullScan)
             if (op < 50) {
                 engine.onStore(0, 1, addr, 8);
                 rig.poke64(addr, rng.next());
+                touched.insert(addr / rig.cfg.pageBytes);
             } else if (op < 80) {
                 engine.onLoad(0, 1, addr, 8);
             } else if (op < 88) {
                 engine.onFailure(0);
+                touched.clear();
             } else if (op < 90) {
                 engine.drainRollback(0);
             } else if (op < 98) {
                 rig.context->incrementGts();
                 engine.onRequestBegin(0);
+                touched.clear();
             } else {
                 engine.invalidate();
+                touched.clear();
             }
+            ASSERT_EQ(std::set<Vpn>(engine.touchedSet().begin(),
+                                    engine.touchedSet().end()),
+                      touched)
+                << "step " << step;
 
             const std::uint64_t want =
                 fullScanCorruptLines(engine, rig.context->gts());
@@ -331,11 +388,17 @@ TEST(FaultDelta, IntegrityCheckEqualsFullScan)
             ASSERT_EQ(engine.corruptionDetected() - before, want)
                 << "step " << step;
             ++(want ? corrupt_checks : clean_checks);
+            if (probe) {
+                ASSERT_NO_FATAL_FAILURE(loadEveryPendingLine(rig, engine))
+                    << "step " << step;
+                ++probed_steps;
+            }
         }
     }
-    // Both verdicts were reached.
+    // Both verdicts were reached, and the probing pass ran.
     EXPECT_GT(corrupt_checks, 0u);
     EXPECT_GT(clean_checks, 0u);
+    EXPECT_GT(probed_steps, 0u);
 }
 
 // --------------------------------- corruption detection: update log

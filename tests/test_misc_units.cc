@@ -231,6 +231,21 @@ TEST(Client, AvailabilityReportLostLowersAvailability)
     EXPECT_DOUBLE_EQ(rep.availability(), 0.75);
 }
 
+TEST(Client, AvailabilityReportCountsDomainRewoundAsAnswered)
+{
+    std::vector<net::RequestOutcome> outcomes(4);
+    outcomes[0].status = net::RequestStatus::Served;
+    outcomes[1].status = net::RequestStatus::DomainRewound;
+    outcomes[2].status = net::RequestStatus::DomainRewound;
+    outcomes[3].status = net::RequestStatus::Lost;
+    auto rep = net::AvailabilityReport::build(outcomes);
+    EXPECT_EQ(rep.total, 4u);
+    EXPECT_EQ(rep.served, 1u);
+    EXPECT_EQ(rep.domainRewound, 2u);
+    EXPECT_EQ(rep.lost, 1u);
+    EXPECT_DOUBLE_EQ(rep.availability(), 0.75);
+}
+
 TEST(Client, MeanBenignResponseExcludesAttacks)
 {
     std::vector<net::RequestOutcome> outcomes(2);

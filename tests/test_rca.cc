@@ -266,8 +266,9 @@ TEST(RcaCampaign, PlantedFaultSiteRecovered)
             if (w.seq != f.seq)
                 continue;
             found = true;
-            if (!f.silent)
+            if (!f.silent) {
                 EXPECT_LT(f.siteIndex, w.sitesEnd);
+            }
         }
         EXPECT_TRUE(found);
     }

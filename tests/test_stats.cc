@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "obs/stat_sinks.hh"
 #include "sim/stats.hh"
@@ -164,7 +165,9 @@ TEST(Distribution, ConstantSamplesHaveExactlyZeroVariance)
 {
     StatGroup g("g");
     for (double v : {1e-3, 3.0, 1e9 + 0.25, 1e15}) {
-        Distribution d(g, "d" + std::to_string(v), "");
+        std::string name = "d";
+        name += std::to_string(v);
+        Distribution d(g, name, "");
         for (int i = 0; i < 1000; ++i)
             d.sample(v);
         EXPECT_EQ(d.variance(), 0.0) << v;
