@@ -162,8 +162,7 @@ main(int argc, char **argv)
 
         core::ServiceSlot &s = sys.slot(slot);
         cell.injected = sys.faultInjector()->totalInjected();
-        cell.corruptDetected = s.policy->corruptionDetected() +
-                               s.macro->corruptionDetected();
+        cell.corruptDetected = s.corruptionDetected();
 
         // An attack counts as detected when its outcome carries a
         // monitor violation — that survives escalation to macro or

@@ -11,14 +11,16 @@
 #   ci-asan-ubsan  address+undefined sanitizers over the labelled
 #                  corruption paths and the config registry: -L
 #                  faults, resilience, harness, obs, check, adversary,
-#                  domain, cluster, rca, config, timing (the
+#                  domain, cluster, rca, config, timing, ckpt (the
 #                  differential-oracle tests, including the fixed-seed
 #                  fuzz slice, its planted-bug sensitivity checks and
 #                  the malformed scenario-JSON test, run under both
 #                  sanitizer configs; timing holds the page-transfer
 #                  kernel's equivalence property test and the
 #                  cache's differential test against a timestamp-LRU
-#                  reference model).
+#                  reference model; ckpt holds the checkpoint engines,
+#                  the co-location tests, which build and tear down
+#                  services on shared slots, and the recovery ladder).
 #   ci-tsan        thread sanitizer over the parallel sweep harness,
 #                  the storm cells, and the per-cell trace logs:
 #                  -L harness, resilience, obs, check, adversary,

@@ -39,12 +39,13 @@ SystemChecker::capture(RefMemory &into, Pid pid)
 CheckContext
 SystemChecker::contextFor(Pid pid)
 {
-    auto refs = sys.refsForPid(pid);
+    auto [slot, svc] = sys.refsForPid(pid);
     const os::Process &proc = sys.kernel().process(pid);
     CheckContext ctx;
-    if (refs) {
-        ctx.delta = dynamic_cast<const ckpt::DeltaBackup *>(refs->policy);
-        ctx.guard = refs->slot->guard.get();
+    if (svc) {
+        ctx.delta =
+            dynamic_cast<const ckpt::DeltaBackup *>(svc->policy.get());
+        ctx.guard = slot->guard.get();
     }
     ctx.watchdog = sys.watchdog();
     ctx.phys = &sys.physMem();
@@ -56,10 +57,8 @@ SystemChecker::contextFor(Pid pid)
 std::uint64_t
 SystemChecker::corruptionCount(Pid pid)
 {
-    auto refs = sys.refsForPid(pid);
-    return refs ? refs->policy->corruptionDetected() +
-                      refs->macro->corruptionDetected()
-                : 0;
+    const core::Service *svc = sys.refsForPid(pid).second;
+    return svc ? svc->corruptionDetected() : 0;
 }
 
 void
@@ -145,10 +144,11 @@ SystemChecker::compareDomainRewind(ServiceShadow &shadow, Tick tick,
                                    Pid pid)
 {
     ++nCompares;
-    auto refs = sys.refsForPid(pid);
+    const core::Service *svc = sys.refsForPid(pid).second;
     const auto *engine =
-        refs ? dynamic_cast<const ckpt::DomainRewindEngine *>(refs->policy)
-             : nullptr;
+        svc ? dynamic_cast<const ckpt::DomainRewindEngine *>(
+                  svc->policy.get())
+            : nullptr;
     if (!engine)
         return;
     const os::Process &proc = sys.kernel().process(pid);
@@ -228,8 +228,8 @@ SystemChecker::onRecovered(Tick tick, Pid pid, RestoreLevel level)
         // the plant's page from its pre-plant anchor, and the system
         // heals the damage before this hook fires — damage still
         // present means an infected page survived its own rewind.
-        auto refs = sys.refsForPid(pid);
-        if (refs && refs->app->hasDormantDamage()) {
+        const core::Service *svc = sys.refsForPid(pid).second;
+        if (svc && svc->app->hasDormantDamage()) {
             Violation v;
             v.id = InvariantId::DomainRewindClearsDormant;
             v.tick = tick;
@@ -244,8 +244,8 @@ SystemChecker::onRecovered(Tick tick, Pid pid, RestoreLevel level)
         // The reborn service must carry no dormant damage: the heal
         // happens before this hook fires, so damage still present
         // means a re-infected state survived the rebirth.
-        auto refs = sys.refsForPid(pid);
-        if (refs && refs->app->hasDormantDamage()) {
+        const core::Service *svc = sys.refsForPid(pid).second;
+        if (svc && svc->app->hasDormantDamage()) {
             Violation v;
             v.id = InvariantId::RejuvenationClearsDormant;
             v.tick = tick;

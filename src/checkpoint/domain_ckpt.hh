@@ -93,7 +93,6 @@ class DomainRewindEngine : public DeltaBackup
 
     bool attributionPending() const { return attrPending; }
     bool attributedCross() const { return attrCross; }
-    std::uint32_t attributedDomain() const { return attributed; }
 
     void
     clearAttribution()
@@ -127,24 +126,8 @@ class DomainRewindEngine : public DeltaBackup
     {
         return static_cast<std::uint64_t>(statDomainRewinds.value());
     }
-    std::uint64_t pagesRewound() const
-    {
-        return static_cast<std::uint64_t>(statPagesRewound.value());
-    }
-    std::uint64_t anchorPages() const { return anchors.size(); }
-    std::uint64_t sharedPages() const
-    {
-        return static_cast<std::uint64_t>(statSharedPages.value());
-    }
 
   private:
-    /** Full-page functional copy (one flat memcpy, no staging). */
-    void
-    copyPage(Pfn dst_pfn, Pfn src_pfn)
-    {
-        phys.copy(dst_pfn, 0, src_pfn, 0, config.pageBytes);
-    }
-
     os::DomainMap domains;
     /** vpn -> anchor frame, sorted so rewinds walk pages in vpn
      *  order (deterministic across runs and --jobs counts). */

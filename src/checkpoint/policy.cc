@@ -2,7 +2,6 @@
 
 #include "checkpoint/delta_backup.hh"
 #include "checkpoint/domain_ckpt.hh"
-#include "checkpoint/software_ckpt.hh"
 #include "checkpoint/update_log.hh"
 #include "checkpoint/virtual_ckpt.hh"
 #include "sim/logging.hh"
@@ -99,14 +98,12 @@ makePolicy(const SystemConfig &cfg, os::ProcessContext &context,
         return std::make_unique<DeltaBackup>(cfg, context, space, phys,
                                              mem, parent);
       case CheckpointScheme::VirtualCheckpoint:
+      case CheckpointScheme::SoftwareCheckpoint:
         return std::make_unique<VirtualCheckpoint>(cfg, context, space,
                                                    phys, mem, parent);
       case CheckpointScheme::MemoryUpdateLog:
         return std::make_unique<MemoryUpdateLog>(cfg, context, space,
                                                  phys, mem, parent);
-      case CheckpointScheme::SoftwareCheckpoint:
-        return std::make_unique<SoftwareCheckpoint>(cfg, context, space,
-                                                    phys, mem, parent);
       case CheckpointScheme::DomainRewind:
         return std::make_unique<DomainRewindEngine>(cfg, context, space,
                                                     phys, mem, parent);

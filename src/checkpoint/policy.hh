@@ -133,6 +133,13 @@ class CheckpointPolicy : public cpu::CheckpointHooks
     std::uint64_t recoveryCycles() const;
 
   protected:
+    /** Full-page functional copy (one flat memcpy, no staging). */
+    void
+    copyPage(Pfn dst_pfn, Pfn src_pfn)
+    {
+        phys.copy(dst_pfn, 0, src_pfn, 0, config.pageBytes);
+    }
+
     // The three per-line helpers are inline: every engine calls them
     // for every backed-up or restored line, hundreds of millions of
     // times per storm.

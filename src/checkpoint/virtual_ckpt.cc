@@ -3,6 +3,17 @@
 namespace indra::ckpt
 {
 
+namespace
+{
+
+bool
+isSoftware(const SystemConfig &cfg)
+{
+    return cfg.checkpointScheme == CheckpointScheme::SoftwareCheckpoint;
+}
+
+} // anonymous namespace
+
 VirtualCheckpoint::VirtualCheckpoint(const SystemConfig &cfg,
                                      os::ProcessContext &context,
                                      os::AddressSpace &space,
@@ -10,8 +21,12 @@ VirtualCheckpoint::VirtualCheckpoint(const SystemConfig &cfg,
                                      mem::MemHierarchy &mem,
                                      stats::StatGroup &parent)
     : CheckpointPolicy(cfg, context, space, phys, mem, parent,
-                       "ckpt_virtual")
+                       isSoftware(cfg) ? "ckpt_software" : "ckpt_virtual")
 {
+    if (isSoftware(cfg)) {
+        statProtFaults.emplace(statGroup, "prot_faults",
+                               "write-protect faults taken");
+    }
 }
 
 VirtualCheckpoint::~VirtualCheckpoint()
@@ -30,7 +45,8 @@ VirtualCheckpoint::onStore(Tick tick, Pid pid, Addr vaddr,
     if (pid != context.pid())
         return 0;
     Vpn vpn = vaddr / config.pageBytes;
-    if (!space.isMapped(vpn))
+    const os::PageInfo *page = space.findPage(vpn);
+    if (!page)
         return 0;
 
     std::uint64_t gts = context.gts();
@@ -38,15 +54,17 @@ VirtualCheckpoint::onStore(Tick tick, Pid pid, Addr vaddr,
     if (b.lts == gts && savedThisEpoch.count(vpn))
         return 0;  // already copied on demand this epoch
 
+    // Software checkpointing enters the checkpoint library through a
+    // protection fault; the copy starts once the handler runs.
+    Cycles cost = 0;
+    if (statProtFaults) {
+        ++*statProtFaults;
+        cost = config.writeProtectFaultCycles;
+    }
     if (b.backupPfn == invalidPfn)
         b.backupPfn = phys.allocFrame();
-    const os::PageInfo &page = space.pageInfo(vpn);
-    // Copy the entire active page to the backup frame, line by line.
-    for (std::uint32_t off = 0; off < config.pageBytes;
-         off += config.backupLineBytes) {
-        copyLine(b.backupPfn, off, page.pfn, off);
-    }
-    Cycles cost = chargePageCopy(tick, page.pfn, b.backupPfn);
+    copyPage(b.backupPfn, page->pfn);
+    cost += chargePageCopy(tick + cost, page->pfn, b.backupPfn);
     b.lts = gts;
     savedThisEpoch.insert(vpn);
     ++statPagesBackedUp;

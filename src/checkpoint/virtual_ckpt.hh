@@ -1,17 +1,28 @@
 /**
  * @file
- * Hardware-supported virtual checkpointing (Bowen & Pradhan [8];
- * Table 3 row "hardware supported virtual checkpointing"): on the
- * first write to a page in an epoch the *entire* page is copied to a
- * backup frame on demand (slow backup — this is the page-to-page
- * copying that dominates Figure 14); recovery just redirects the
- * page translation to the backup copy (fast).
+ * Copy-whole-page-on-first-write checkpointing: the one engine behind
+ * two Table 3 rows that differ only in who pays for the copy.
+ *
+ *  - Hardware-supported virtual checkpointing (Bowen & Pradhan [8];
+ *    CheckpointScheme::VirtualCheckpoint): on the first write to a
+ *    page in an epoch the *entire* page is copied to a backup frame on
+ *    demand (slow backup — this is the page-to-page copying that
+ *    dominates Figure 14).
+ *  - Software (libckpt-style) incremental checkpointing (Plank et al.
+ *    [23]; CheckpointScheme::SoftwareCheckpoint): pages are
+ *    write-protected at each checkpoint, so the first store to a page
+ *    takes a protection fault into the checkpoint library before the
+ *    same whole-page copy.
+ *
+ * Recovery in both just redirects the page translation to the backup
+ * copy (fast).
  */
 
 #ifndef INDRA_CKPT_VIRTUAL_CKPT_HH
 #define INDRA_CKPT_VIRTUAL_CKPT_HH
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -20,7 +31,11 @@
 namespace indra::ckpt
 {
 
-/** Whole-page copy-on-demand engine. */
+/**
+ * Whole-page copy-on-demand engine. It models software checkpointing
+ * when @p cfg selects CheckpointScheme::SoftwareCheckpoint and
+ * hardware virtual checkpointing otherwise.
+ */
 class VirtualCheckpoint : public CheckpointPolicy
 {
   public:
@@ -31,7 +46,12 @@ class VirtualCheckpoint : public CheckpointPolicy
 
     ~VirtualCheckpoint() override;
 
-    const char *name() const override { return "virtual-checkpoint"; }
+    const char *
+    name() const override
+    {
+        return statProtFaults ? "software-checkpoint"
+                              : "virtual-checkpoint";
+    }
 
     Cycles onStore(Tick tick, Pid pid, Addr vaddr,
                    std::uint32_t bytes) override;
@@ -55,6 +75,9 @@ class VirtualCheckpoint : public CheckpointPolicy
 
     std::unordered_map<Vpn, PageBackup> backups;
     std::unordered_set<Vpn> savedThisEpoch;
+    /** Write-protect faults taken; present only for software
+     *  checkpointing, which is what pays them. */
+    std::optional<stats::Scalar> statProtFaults;
 };
 
 } // namespace indra::ckpt

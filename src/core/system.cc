@@ -73,6 +73,55 @@ IndraSystem::boot()
     isBooted = true;
 }
 
+ServiceSlot::~ServiceSlot()
+{
+    coServices.clear();
+    hookMux.reset();
+    guard.reset();
+    recovery.reset();
+    macro.reset();
+    policy.reset();
+    app.reset();
+}
+
+void
+IndraSystem::buildService(ServiceSlot &s, Service &svc,
+                          const net::DaemonProfile &profile,
+                          std::uint64_t app_seed)
+{
+    svc.pid = kernelPtr->createProcess(profile.name, s.coreId);
+    os::Process &proc = kernelPtr->process(svc.pid);
+
+    svc.app = std::make_unique<net::ServiceApplication>(profile, app_seed,
+                                                        cfg.pageBytes);
+    svc.app->program().loadInto(*proc.space);
+    if (s.monitor)
+        svc.app->program().registerWith(*s.monitor, svc.pid);
+
+    svc.policy = ckpt::makePolicy(cfg, *proc.context, *proc.space, *phys,
+                                  *s.hierarchy, *s.statGroup);
+    svc.policy->setFaultInjector(injectorPtr.get());
+    proc.resources->setFaultInjector(injectorPtr.get());
+    svc.macro = std::make_unique<ckpt::MacroCheckpoint>(
+        cfg, *phys, *s.hierarchy, *s.statGroup);
+    svc.macro->setFaultInjector(injectorPtr.get());
+    svc.recovery = std::make_unique<RecoveryManager>(
+        cfg, *svc.policy, *svc.macro, *kernelPtr, *phys, svc.pid, *s.core,
+        s.monitor.get(), *s.statGroup);
+
+    // Under DomainRewind the policy *is* the domain engine; give the
+    // recovery ladder its domain-typed view so it can offer the
+    // confined rung.
+    if (cfg.checkpointScheme == CheckpointScheme::DomainRewind) {
+        svc.recovery->setDomainEngine(
+            static_cast<ckpt::DomainRewindEngine *>(svc.policy.get()));
+    }
+
+    // The initial application checkpoint: the last-resort restore
+    // image.
+    svc.recovery->takeMacroCheckpoint(s.core->curTick());
+}
+
 std::size_t
 IndraSystem::deployService(const net::DaemonProfile &profile)
 {
@@ -88,9 +137,6 @@ IndraSystem::deployService(const net::DaemonProfile &profile)
     s->statGroup = std::make_unique<stats::StatGroup>(
         statRoot, profile.name + "_" + std::to_string(idx));
 
-    s->pid = kernelPtr->createProcess(profile.name, s->coreId);
-    os::Process &proc = kernelPtr->process(s->pid);
-
     s->bus = std::make_unique<mem::MemoryBus>(
         cfg.busRatio(), cfg.busWidthBytes, *s->statGroup);
     s->dram = std::make_unique<mem::DramModel>(
@@ -105,42 +151,15 @@ IndraSystem::deployService(const net::DaemonProfile &profile)
                                           *s->statGroup);
     s->core->setSyscallHandler(kernelPtr.get());
 
-    s->app = std::make_unique<net::ServiceApplication>(
-        profile, cfg.rngSeed + idx * 7919, cfg.pageBytes);
-    s->app->program().loadInto(*proc.space);
-
     if (cfg.asymmetricMode && cfg.monitorEnabled) {
         s->monitor = std::make_unique<mon::Monitor>(cfg, *s->statGroup);
-        s->app->program().registerWith(*s->monitor, s->pid);
         s->core->setTraceSink(s->monitor.get());
         s->monitor->setFaultInjector(injectorPtr.get());
     }
 
-    s->policy = ckpt::makePolicy(cfg, *proc.context, *proc.space, *phys,
-                                 *s->hierarchy, *s->statGroup);
-    s->policy->setFaultInjector(injectorPtr.get());
+    buildService(*s, *s, profile, cfg.rngSeed + idx * 7919);
     s->core->setCheckpointHooks(s->policy.get());
-    proc.resources->setFaultInjector(injectorPtr.get());
-
-    s->macro = std::make_unique<ckpt::MacroCheckpoint>(
-        cfg, *phys, *s->hierarchy, *s->statGroup);
-    s->macro->setFaultInjector(injectorPtr.get());
-    s->recovery = std::make_unique<RecoveryManager>(
-        cfg, *s->policy, *s->macro, *kernelPtr, *phys, s->pid, *s->core,
-        s->monitor.get(), *s->statGroup);
-
-    // Under DomainRewind the policy *is* the domain engine; give the
-    // recovery ladder its domain-typed view so it can offer the
-    // confined rung.
-    if (cfg.checkpointScheme == CheckpointScheme::DomainRewind) {
-        s->recovery->setDomainEngine(
-            static_cast<ckpt::DomainRewindEngine *>(s->policy.get()));
-    }
-
-    // Take the initial application checkpoint (the last-resort
-    // restore image), then zero the service's clock so measurements
-    // start clean.
-    s->recovery->takeMacroCheckpoint(0);
+    // Zero the service's clock so measurements start clean.
     s->core->resetTime();
 
     // Arm the overload-resilience front door only when the config
@@ -149,7 +168,8 @@ IndraSystem::deployService(const net::DaemonProfile &profile)
     if (resCfg.enabled()) {
         s->guard = std::make_unique<resilience::ServiceGuard>(
             resCfg, *s->statGroup);
-        s->guard->noteHeapPages(proc.resources->heapPages(), 0);
+        s->guard->noteHeapPages(
+            kernelPtr->process(s->pid).resources->heapPages(), 0);
         // Per-domain health only makes sense when requests carry a
         // domain; with any other scheme the guard tracks node health
         // exactly as before.
@@ -172,15 +192,13 @@ IndraSystem::wireSlotTracing(ServiceSlot &s)
     auto src = static_cast<std::uint32_t>(s.coreId);
     if (s.monitor)
         s.monitor->setTraceLog(traceLogPtr, src);
-    s.policy->setTraceLog(traceLogPtr, src);
-    s.macro->setTraceLog(traceLogPtr, src);
-    s.recovery->setTraceLog(traceLogPtr, src);
     if (s.guard)
         s.guard->setTraceLog(traceLogPtr, src);
-    for (auto &co : s.coServices) {
-        co->policy->setTraceLog(traceLogPtr, src);
-        co->macro->setTraceLog(traceLogPtr, src);
-        co->recovery->setTraceLog(traceLogPtr, src);
+    for (std::size_t i = 0; i <= s.coServices.size(); ++i) {
+        Service &svc = i == 0 ? s : *s.coServices[i - 1];
+        svc.policy->setTraceLog(traceLogPtr, src);
+        svc.macro->setTraceLog(traceLogPtr, src);
+        svc.recovery->setTraceLog(traceLogPtr, src);
     }
 }
 
@@ -203,47 +221,27 @@ IndraSystem::slot(std::size_t idx)
     return *slots[idx];
 }
 
-IndraSystem::ServiceRefs
-IndraSystem::refsForMain(std::size_t slot_idx)
-{
-    ServiceSlot &s = slot(slot_idx);
-    return ServiceRefs{&s, s.app.get(), s.policy.get(), s.macro.get(),
-                       s.recovery.get(), s.pid,
-                       &s.requestsSinceMacro};
-}
-
-IndraSystem::ServiceRefs
-IndraSystem::refsForCo(std::size_t slot_idx, std::size_t co_idx)
-{
-    ServiceSlot &s = slot(slot_idx);
-    panic_if(co_idx >= s.coServices.size(), "bad co-service index");
-    CoService &co = *s.coServices[co_idx];
-    return ServiceRefs{&s, co.app.get(), co.policy.get(),
-                       co.macro.get(), co.recovery.get(), co.pid,
-                       &co.requestsSinceMacro};
-}
-
-std::optional<IndraSystem::ServiceRefs>
+std::pair<ServiceSlot *, Service *>
 IndraSystem::refsForPid(Pid pid)
 {
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-        if (slots[i]->pid == pid)
-            return refsForMain(i);
-        for (std::size_t c = 0; c < slots[i]->coServices.size(); ++c) {
-            if (slots[i]->coServices[c]->pid == pid)
-                return refsForCo(i, c);
+    for (auto &s : slots) {
+        if (s->pid == pid)
+            return {s.get(), s.get()};
+        for (auto &co : s->coServices) {
+            if (co->pid == pid)
+                return {s.get(), co.get()};
         }
     }
-    return std::nullopt;
+    return {nullptr, nullptr};
 }
 
 Cycles
 IndraSystem::onRequestCheckpoint(Tick tick, Pid pid)
 {
-    std::optional<ServiceRefs> refs = refsForPid(pid);
-    panic_if(!refs, "no service for pid ", pid);
-    Cycles cost = refs->policy->onRequestBegin(tick);
-    refs->recovery->noteRequestBegin(tick);
+    Service *svc = refsForPid(pid).second;
+    panic_if(!svc, "no service for pid ", pid);
+    Cycles cost = svc->policy->onRequestBegin(tick);
+    svc->recovery->noteRequestBegin(tick);
     if (checkSinkPtr)
         checkSinkPtr->onEpochBegin(tick, pid);
     return cost;
@@ -252,10 +250,10 @@ IndraSystem::onRequestCheckpoint(Tick tick, Pid pid)
 void
 IndraSystem::onDynCodeDeclared(Pid pid, Addr base, std::uint64_t len)
 {
-    std::optional<ServiceRefs> refs = refsForPid(pid);
-    panic_if(!refs, "no service for pid ", pid);
-    if (refs->slot->monitor)
-        refs->slot->monitor->registerDynCodeRegion(pid, base, len);
+    ServiceSlot *s = refsForPid(pid).first;
+    panic_if(!s, "no service for pid ", pid);
+    if (s->monitor)
+        s->monitor->registerDynCodeRegion(pid, base, len);
 }
 
 std::size_t
@@ -264,32 +262,10 @@ IndraSystem::deployCoService(std::size_t host_slot,
 {
     ServiceSlot &s = slot(host_slot);
 
-    auto co = std::make_unique<CoService>();
-    co->pid = kernelPtr->createProcess(profile.name, s.coreId);
-    os::Process &proc = kernelPtr->process(co->pid);
-
-    co->app = std::make_unique<net::ServiceApplication>(
-        profile,
-        cfg.rngSeed + 104729 * (s.coServices.size() + 1) + host_slot,
-        cfg.pageBytes);
-    co->app->program().loadInto(*proc.space);
-    if (s.monitor)
-        co->app->program().registerWith(*s.monitor, co->pid);
-
-    co->policy = ckpt::makePolicy(cfg, *proc.context, *proc.space,
-                                  *phys, *s.hierarchy, *s.statGroup);
-    co->policy->setFaultInjector(injectorPtr.get());
-    proc.resources->setFaultInjector(injectorPtr.get());
-    co->macro = std::make_unique<ckpt::MacroCheckpoint>(
-        cfg, *phys, *s.hierarchy, *s.statGroup);
-    co->macro->setFaultInjector(injectorPtr.get());
-    co->recovery = std::make_unique<RecoveryManager>(
-        cfg, *co->policy, *co->macro, *kernelPtr, *phys, co->pid,
-        *s.core, s.monitor.get(), *s.statGroup);
-    if (cfg.checkpointScheme == CheckpointScheme::DomainRewind) {
-        co->recovery->setDomainEngine(
-            static_cast<ckpt::DomainRewindEngine *>(co->policy.get()));
-    }
+    auto co = std::make_unique<Service>();
+    buildService(
+        s, *co, profile,
+        cfg.rngSeed + 104729 * (s.coServices.size() + 1) + host_slot);
 
     // Install (or extend) the CR3-routed hook mux on the shared core.
     if (!s.hookMux) {
@@ -298,8 +274,6 @@ IndraSystem::deployCoService(std::size_t host_slot,
         s.core->setCheckpointHooks(s.hookMux.get());
     }
     s.hookMux->route(co->pid, co->policy.get());
-
-    co->recovery->takeMacroCheckpoint(s.core->curTick());
 
     s.coServices.push_back(std::move(co));
     if (traceLogPtr)
@@ -310,16 +284,14 @@ IndraSystem::deployCoService(std::size_t host_slot,
 }
 
 net::RequestOutcome
-IndraSystem::runOneRequest(const ServiceRefs &refs,
+IndraSystem::runOneRequest(ServiceSlot &s, Service &svc,
                            const net::ServiceRequest &req)
 {
-    ServiceSlot &s = *refs.slot;
-
     // Time-shared core: switch process contexts when another process
     // last ran here (pipeline flush, CAM invalidation, switch cost).
-    if (s.runningPid != 0 && s.runningPid != refs.pid)
+    if (s.runningPid != 0 && s.runningPid != svc.pid)
         s.core->onContextSwitch();
-    s.runningPid = refs.pid;
+    s.runningPid = svc.pid;
 
     net::RequestOutcome out;
     out.seq = req.seq;
@@ -341,7 +313,7 @@ IndraSystem::runOneRequest(const ServiceRefs &refs,
         domain_req.domain = dom;
         reqp = &domain_req;
         out.domain = dom;
-        static_cast<ckpt::DomainRewindEngine *>(refs.policy)
+        static_cast<ckpt::DomainRewindEngine *>(svc.policy.get())
             ->setActiveDomain(dom);
     }
 
@@ -360,19 +332,17 @@ IndraSystem::runOneRequest(const ServiceRefs &refs,
     // health state machine (checksum mismatches are hard evidence the
     // service's backups are being eaten).
     std::uint64_t corrupt0 = 0;
-    if (s.guard) {
-        corrupt0 = refs.policy->corruptionDetected() +
-                   refs.macro->corruptionDetected();
-    }
+    if (s.guard)
+        corrupt0 = svc.corruptionDetected();
 
-    net::RequestExecution gen = refs.app->beginRequest(*reqp);
+    net::RequestExecution gen = svc.app->beginRequest(*reqp);
     cpu::Instruction inst;
     bool failed = false;
     bool detected = false;
     Tick fail_tick = 0;
 
     while (gen.next(inst)) {
-        cpu::ExecResult res = s.core->execute(refs.pid, inst);
+        cpu::ExecResult res = s.core->execute(svc.pid, inst);
 
         if (s.monitor && s.monitor->pendingDetection()) {
             const mon::DetectionEvent &det =
@@ -394,21 +364,21 @@ IndraSystem::runOneRequest(const ServiceRefs &refs,
     }
 
     if (checkSinkPtr)
-        checkSinkPtr->onVerdict(s.core->curTick(), refs.pid, detected);
+        checkSinkPtr->onVerdict(s.core->curTick(), svc.pid, detected);
 
     if (failed) {
-        handleFailure(refs, out, fail_tick, detected, out.violation);
+        handleFailure(s, svc, out, fail_tick, detected, out.violation);
     } else {
         out.status = net::RequestStatus::Served;
-        refs.recovery->noteSuccess();
+        svc.recovery->noteSuccess();
         ++s.requestsProcessed;
-        if (++*refs.requestsSinceMacro >= cfg.macroCheckpointPeriod) {
-            refs.recovery->takeMacroCheckpoint(s.core->curTick());
-            *refs.requestsSinceMacro = 0;
+        if (++svc.requestsSinceMacro >= cfg.macroCheckpointPeriod) {
+            svc.recovery->takeMacroCheckpoint(s.core->curTick());
+            svc.requestsSinceMacro = 0;
             if (s.guard)
                 s.guard->noteMacroEpoch();
             if (checkSinkPtr)
-                checkSinkPtr->onMacroCapture(s.core->curTick(), refs.pid);
+                checkSinkPtr->onMacroCapture(s.core->curTick(), svc.pid);
         }
     }
 
@@ -416,11 +386,10 @@ IndraSystem::runOneRequest(const ServiceRefs &refs,
     out.instructions = s.core->instructions() - instr0;
 
     if (s.guard) {
-        std::uint64_t corrupt1 = refs.policy->corruptionDetected() +
-                                 refs.macro->corruptionDetected();
-        s.guard->observeOutcome(out, corrupt1 - corrupt0, out.endTick);
+        s.guard->observeOutcome(out, svc.corruptionDetected() - corrupt0,
+                                out.endTick);
         s.guard->noteHeapPages(
-            kernelPtr->process(refs.pid).resources->heapPages(),
+            kernelPtr->process(svc.pid).resources->heapPages(),
             out.endTick);
     }
     return out;
@@ -430,22 +399,24 @@ net::RequestOutcome
 IndraSystem::processRequest(std::size_t slot_idx,
                             const net::ServiceRequest &req)
 {
-    return runOneRequest(refsForMain(slot_idx), req);
+    ServiceSlot &s = slot(slot_idx);
+    return runOneRequest(s, s, req);
 }
 
 net::RequestOutcome
 IndraSystem::processCoRequest(std::size_t slot_idx, std::size_t co_idx,
                               const net::ServiceRequest &req)
 {
-    return runOneRequest(refsForCo(slot_idx, co_idx), req);
+    ServiceSlot &s = slot(slot_idx);
+    panic_if(co_idx >= s.coServices.size(), "bad co-service index");
+    return runOneRequest(s, *s.coServices[co_idx], req);
 }
 
 void
-IndraSystem::handleFailure(const ServiceRefs &refs,
+IndraSystem::handleFailure(ServiceSlot &s, Service &svc,
                            net::RequestOutcome &out, Tick fail_tick,
                            bool detected, mon::Violation violation)
 {
-    ServiceSlot &s = *refs.slot;
     out.violation = violation;
     out.failTick = fail_tick;
 
@@ -459,11 +430,11 @@ IndraSystem::handleFailure(const ServiceRefs &refs,
             // reach past the compartment boundary, so flag it as
             // cross-domain taint (the ladder escalates instead).
             dom_engine =
-                static_cast<ckpt::DomainRewindEngine *>(refs.policy);
+                static_cast<ckpt::DomainRewindEngine *>(svc.policy.get());
             std::uint32_t dom =
-                refs.app->hasDormantDamage() &&
-                        refs.app->dormantDomain() != net::domainUnassigned
-                    ? refs.app->dormantDomain()
+                svc.app->hasDormantDamage() &&
+                        svc.app->dormantDomain() != net::domainUnassigned
+                    ? svc.app->dormantDomain()
                     : dom_engine->activeDomain();
             bool cross =
                 out.attack == net::AttackKind::CodeInjection ||
@@ -471,26 +442,26 @@ IndraSystem::handleFailure(const ServiceRefs &refs,
             dom_engine->attributeFailure(dom, cross);
         }
 
-        RecoveryLevel level = refs.recovery->recover(fail_tick);
+        RecoveryLevel level = svc.recovery->recover(fail_tick);
         if (level == RecoveryLevel::Rejuvenation) {
             // The reborn service starts from its load image: nothing
             // dormant survives, and a fresh macro checkpoint was
             // already taken inside the rejuvenation.
             out.status = net::RequestStatus::Rejuvenated;
-            refs.app->healDormantDamage();
-            *refs.requestsSinceMacro = 0;
+            svc.app->healDormantDamage();
+            svc.requestsSinceMacro = 0;
         } else if (level == RecoveryLevel::Macro) {
             out.status = net::RequestStatus::MacroRecovered;
-            refs.app->healDormantDamage();
-            *refs.requestsSinceMacro = 0;
+            svc.app->healDormantDamage();
+            svc.requestsSinceMacro = 0;
         } else if (level == RecoveryLevel::Domain) {
             out.status = net::RequestStatus::DomainRewound;
             // Rewinding the compartment the damage was planted in
             // restores its pre-plant anchors: the plant is gone.
-            if (refs.app->hasDormantDamage() &&
+            if (svc.app->hasDormantDamage() &&
                 dom_engine->lastRewoundDomain() ==
-                    refs.app->dormantDomain()) {
-                refs.app->healDormantDamage();
+                    svc.app->dormantDomain()) {
+                svc.app->healDormantDamage();
             }
         } else {
             out.status = detected
@@ -512,7 +483,7 @@ IndraSystem::handleFailure(const ServiceRefs &refs,
             // fully restored memory. The cost is discarded — the
             // checker must not perturb the timing it audits.
             if (level == RecoveryLevel::Micro)
-                refs.policy->drainRollback(s.core->curTick());
+                svc.policy->drainRollback(s.core->curTick());
             check::RestoreLevel rl =
                 level == RecoveryLevel::Micro
                     ? check::RestoreLevel::Micro
@@ -521,7 +492,7 @@ IndraSystem::handleFailure(const ServiceRefs &refs,
                           : level == RecoveryLevel::Macro
                                 ? check::RestoreLevel::Macro
                                 : check::RestoreLevel::Rejuvenation;
-            checkSinkPtr->onRecovered(s.core->curTick(), refs.pid, rl);
+            checkSinkPtr->onRecovered(s.core->curTick(), svc.pid, rl);
         }
         return;
     }
@@ -533,29 +504,28 @@ IndraSystem::handleFailure(const ServiceRefs &refs,
     s.core->stallUntil(fail_tick);
     s.core->stall(cfg.serviceRestartCycles);
     s.core->flushPipeline();
-    if (refs.macro->hasCheckpoint()) {
-        os::Process &proc = kernelPtr->process(refs.pid);
-        refs.macro->restore(s.core->curTick(), *proc.context,
+    if (svc.macro->hasCheckpoint()) {
+        os::Process &proc = kernelPtr->process(svc.pid);
+        svc.macro->restore(s.core->curTick(), *proc.context,
                             *proc.space, *proc.resources);
     }
-    refs.app->healDormantDamage();
+    svc.app->healDormantDamage();
     if (s.monitor)
-        s.monitor->onRecovery(refs.pid);
+        s.monitor->onRecovery(svc.pid);
 }
 
 void
 IndraSystem::proactiveRejuvenate(std::size_t slot_idx, Tick now,
                                  std::uint8_t trigger)
 {
-    ServiceRefs refs = refsForMain(slot_idx);
-    ServiceSlot &s = *refs.slot;
+    ServiceSlot &s = slot(slot_idx);
     s.core->stallUntil(now);
     Tick t0 = s.core->curTick();
-    refs.recovery->proactiveRestore(t0);
-    refs.app->healDormantDamage();
-    *refs.requestsSinceMacro = 0;
+    s.recovery->proactiveRestore(t0);
+    s.app->healDormantDamage();
+    s.requestsSinceMacro = 0;
     if (checkSinkPtr)
-        checkSinkPtr->onRecovered(s.core->curTick(), refs.pid,
+        checkSinkPtr->onRecovered(s.core->curTick(), s.pid,
                                   check::RestoreLevel::Rejuvenation);
     if (s.guard)
         s.guard->noteProactiveRestore(s.core->curTick());

@@ -10,6 +10,12 @@
  * memory state at request granularity and the recovery manager
  * implements the hybrid micro/macro revival scheme.
  *
+ * Every service process is one Service record (application, checkpoint
+ * engine, macro checkpoint, recovery ladder), whether it is a slot's
+ * main service or co-located on the slot's core; all are built by one
+ * path and looked up by pid, as the hardware selects per-process state
+ * by CR3 tag.
+ *
  * The system can also boot in *symmetric* mode (Section 2.3.4): no
  * privilege asymmetry, no monitor, no backup — the configuration used
  * as the normalization baseline in every experiment.
@@ -21,8 +27,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/hooks.hh"
@@ -91,12 +97,13 @@ class PidRoutedHooks : public cpu::CheckpointHooks
 };
 
 /**
- * A second service process co-located on a host slot's core, as the
- * paper's CR3-tagged trace records allow: the resurrector selects the
- * right metadata per process; the backup hardware selects the right
- * per-process records.
+ * One service process: its application, checkpoint engines and
+ * recovery ladder. A slot's main service and the co-services
+ * time-sharing its core are the same record, as in the paper, where
+ * the resurrector and the backup hardware pick a process's state by
+ * its CR3 tag.
  */
-struct CoService
+struct Service
 {
     Pid pid = 0;
     std::unique_ptr<net::ServiceApplication> app;
@@ -104,14 +111,32 @@ struct CoService
     std::unique_ptr<ckpt::MacroCheckpoint> macro;
     std::unique_ptr<RecoveryManager> recovery;
     std::uint64_t requestsSinceMacro = 0;
+
+    /** Backup corruption caught by the micro and macro engines. */
+    std::uint64_t
+    corruptionDetected() const
+    {
+        return policy->corruptionDetected() + macro->corruptionDetected();
+    }
 };
 
-/** One deployed network service bound to a resurrectee core. */
-struct ServiceSlot
+/**
+ * One resurrectee core and the services on it: the main service (this
+ * record's Service base) plus any co-located ones, which share the
+ * core, monitor and guard.
+ */
+struct ServiceSlot : Service
 {
-    Pid pid = 0;
+    /**
+     * Tears the services down before the slot hardware they use: the
+     * main service's engines, as base-class members, would otherwise
+     * outlive statGroup, from which their stat groups unregister.
+     */
+    ~ServiceSlot();
+
     CoreId coreId = 0;
-    /** Stat subtree; declared first so children unregister cleanly. */
+    /** Stat subtree; declared before the hardware registering under
+     *  it so the children unregister cleanly. */
     std::unique_ptr<stats::StatGroup> statGroup;
     /**
      * Per-core memory channel. Service timelines are decoupled (each
@@ -123,11 +148,6 @@ struct ServiceSlot
     std::unique_ptr<mem::MemHierarchy> hierarchy;
     std::unique_ptr<cpu::Core> core;
     std::unique_ptr<mon::Monitor> monitor;  //!< null in symmetric mode
-    std::unique_ptr<net::ServiceApplication> app;
-    std::unique_ptr<ckpt::CheckpointPolicy> policy;
-    std::unique_ptr<ckpt::MacroCheckpoint> macro;
-    std::unique_ptr<RecoveryManager> recovery;
-    std::uint64_t requestsSinceMacro = 0;
     std::uint64_t requestsProcessed = 0;
 
     /**
@@ -141,7 +161,7 @@ struct ServiceSlot
     /** CR3-routed hook mux (installed when a co-service exists). */
     std::unique_ptr<PidRoutedHooks> hookMux;
     /** Additional processes time-sharing this core. */
-    std::vector<std::unique_ptr<CoService>> coServices;
+    std::vector<std::unique_ptr<Service>> coServices;
     /** Process currently on the core (context-switch tracking). */
     Pid runningPid = 0;
 };
@@ -226,24 +246,12 @@ class IndraSystem : public os::KernelListener
     void proactiveRejuvenate(std::size_t slot_idx, Tick now,
                              std::uint8_t trigger);
 
-    /** Everything needed to serve one process's request. */
-    struct ServiceRefs
-    {
-        ServiceSlot *slot;
-        net::ServiceApplication *app;
-        ckpt::CheckpointPolicy *policy;
-        ckpt::MacroCheckpoint *macro;
-        RecoveryManager *recovery;
-        Pid pid;
-        std::uint64_t *requestsSinceMacro;
-    };
-
     /**
      * The service owning @p pid — a slot's main service or one of its
-     * co-services, which share the slot's core, monitor and guard —
-     * or std::nullopt when no such process exists.
+     * co-services — and the slot whose core, monitor and guard it
+     * runs on; {nullptr, nullptr} when no such process exists.
      */
-    std::optional<ServiceRefs> refsForPid(Pid pid);
+    std::pair<ServiceSlot *, Service *> refsForPid(Pid pid);
 
     // ------------------------------------------------------- access
     const SystemConfig &config() const { return cfg; }
@@ -292,19 +300,26 @@ class IndraSystem : public os::KernelListener
                            std::uint64_t len) override;
 
   private:
-    ServiceRefs refsForMain(std::size_t slot_idx);
-    ServiceRefs refsForCo(std::size_t slot_idx, std::size_t co_idx);
+    /**
+     * Create @p svc's process on @p s's core and build what every
+     * service has: the loaded application (registered with the slot's
+     * monitor), its checkpoint engine, macro checkpoint and recovery
+     * ladder, and the initial macro checkpoint.
+     */
+    void buildService(ServiceSlot &s, Service &svc,
+                      const net::DaemonProfile &profile,
+                      std::uint64_t app_seed);
 
     /** Core of the request-processing loop, shared by all services. */
-    net::RequestOutcome runOneRequest(const ServiceRefs &refs,
+    net::RequestOutcome runOneRequest(ServiceSlot &s, Service &svc,
                                       const net::ServiceRequest &req);
 
     /** Drive the fault/crash recovery path for one request. */
-    void handleFailure(const ServiceRefs &refs,
+    void handleFailure(ServiceSlot &s, Service &svc,
                        net::RequestOutcome &out, Tick fail_tick,
                        bool detected, mon::Violation violation);
 
-    /** Point @p slot's emitters (and its co-services') at the log. */
+    /** Point @p slot's emitters, and every service's, at the log. */
     void wireSlotTracing(ServiceSlot &s);
 
     SystemConfig cfg;

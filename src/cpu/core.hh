@@ -117,7 +117,6 @@ class Core
 
     CoreId coreId() const { return id; }
     Privilege privilege() const { return priv; }
-    mem::MemHierarchy &memSystem() { return hierarchy; }
     FilterCam &filterCam() { return cam; }
 
     /** Reset time to zero (between measurement runs). */

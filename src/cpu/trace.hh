@@ -26,9 +26,6 @@ enum class TraceKind : std::uint8_t
     Longjmp,       //!< longjmp: env id + actual target
 };
 
-/** Printable record-kind name. */
-const char *traceKindName(TraceKind kind);
-
 /**
  * One trace record. As in the paper, each record is tagged with the
  * process (CR3/pid) so the resurrector selects the right metadata.

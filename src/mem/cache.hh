@@ -123,7 +123,6 @@ class Cache
     bool invalidateLine(Addr addr);
 
     std::uint32_t lineBytes() const { return config.lineBytes; }
-    const CacheConfig &params() const { return config; }
 
     std::uint64_t accesses() const;
     std::uint64_t misses() const;

@@ -224,7 +224,6 @@ class MemHierarchy
     Cache &l1iCache() { return l1i; }
     Cache &l1dCache() { return l1d; }
     Cache &l2Cache() { return l2; }
-    Tlb &iTlb() { return itlb; }
     Tlb &dTlb() { return dtlb; }
 
     CoreId coreId() const { return core; }

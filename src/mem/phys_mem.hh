@@ -37,9 +37,6 @@ class PhysicalMemory
     /** Frame size in bytes. */
     std::uint32_t pageBytes() const { return frameBytes; }
 
-    /** Total number of frames. */
-    std::uint64_t numFrames() const { return frameCount; }
-
     /** Number of frames currently allocated. */
     std::uint64_t framesAllocated() const { return allocated; }
 

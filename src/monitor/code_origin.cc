@@ -50,11 +50,4 @@ CodeOriginInspector::inspect(const cpu::TraceRecord &rec) const
     return Verdict{Violation::InjectedCode};
 }
 
-std::uint64_t
-CodeOriginInspector::pagesRegistered(Pid pid) const
-{
-    auto it = codePages.find(pid);
-    return it == codePages.end() ? 0 : it->second.size();
-}
-
 } // namespace indra::mon

@@ -44,9 +44,6 @@ class CodeOriginInspector
      */
     Verdict inspect(const cpu::TraceRecord &rec) const;
 
-    /** Pages registered for @p pid. */
-    std::uint64_t pagesRegistered(Pid pid) const;
-
   private:
     struct DynRegion
     {

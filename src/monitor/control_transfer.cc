@@ -47,11 +47,4 @@ CtrlTransferInspector::inspect(const cpu::TraceRecord &rec) const
     return Verdict{Violation::IllegalTransfer};
 }
 
-std::uint64_t
-CtrlTransferInspector::targetsRegistered(Pid pid) const
-{
-    auto it = validTargets.find(pid);
-    return it == validTargets.end() ? 0 : it->second.size();
-}
-
 } // namespace indra::mon

@@ -43,8 +43,6 @@ class CtrlTransferInspector
     /** Verify a CtrlTransfer record. */
     Verdict inspect(const cpu::TraceRecord &rec) const;
 
-    std::uint64_t targetsRegistered(Pid pid) const;
-
   private:
     struct DynRegion
     {

@@ -187,12 +187,6 @@ Monitor::onRecovery(Pid pid)
     callReturnInspector.resetProcess(pid);
 }
 
-void
-Monitor::resetTiming()
-{
-    traceFifo.reset();
-}
-
 std::uint64_t
 Monitor::recordsProcessed() const
 {

@@ -85,9 +85,6 @@ class Monitor : public cpu::TraceSink
      */
     void onRecovery(Pid pid);
 
-    /** Reset FIFO timing between measurement runs. */
-    void resetTiming();
-
     /**
      * Attach a fault injector (nullable). Records submitted after
      * this may be dropped in transit, corrupted before inspection,
@@ -125,9 +122,7 @@ class Monitor : public cpu::TraceSink
     {
         return statDetectionLatency;
     }
-    CodeOriginInspector &codeOrigin() { return codeOriginInspector; }
     CallReturnInspector &callReturn() { return callReturnInspector; }
-    CtrlTransferInspector &ctrlTransfer() { return ctrlInspector; }
 
   private:
     /** Resurrector cycles to verify a record of this kind. */

@@ -5,24 +5,6 @@
 namespace indra::os
 {
 
-const char *
-regionName(Region r)
-{
-    switch (r) {
-      case Region::Code:
-        return "code";
-      case Region::Data:
-        return "data";
-      case Region::Heap:
-        return "heap";
-      case Region::Stack:
-        return "stack";
-      case Region::DynCode:
-        return "dyncode";
-    }
-    return "??";
-}
-
 AddressSpace::AddressSpace(Pid pid, mem::PhysicalMemory &phys_ref,
                            std::uint32_t page_bytes,
                            mem::MemWatchdog *watchdog_ptr,

@@ -35,9 +35,6 @@ enum class Region : std::uint8_t
     DynCode,  //!< explicitly declared dynamic/self-modifying code
 };
 
-/** Printable region name. */
-const char *regionName(Region r);
-
 /** Attributes of one mapped page. */
 struct PageInfo
 {

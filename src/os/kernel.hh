@@ -81,7 +81,6 @@ class Kernel : public cpu::SyscallHandler, public mem::Translator
            mem::MemWatchdog *watchdog, stats::StatGroup &parent);
 
     void setListener(KernelListener *l) { listener = l; }
-    void setCosts(const KernelCosts &c) { costs = c; }
 
     /**
      * Create a process whose pages are granted to @p core.

@@ -39,17 +39,6 @@ rejectIgnoredFields(const check::Scenario &sc)
              sc.plantAtEpoch);
 }
 
-std::uint64_t
-slotCorruptionDetected(const core::ServiceSlot &s)
-{
-    std::uint64_t n = 0;
-    if (s.policy)
-        n += s.policy->corruptionDetected();
-    if (s.macro)
-        n += s.macro->corruptionDetected();
-    return n;
-}
-
 /** Everything one run of the request windows recorded. */
 struct WindowRun
 {
@@ -83,7 +72,7 @@ runWindows(const core::NodeConfig &node, const check::Scenario &sc,
     run.windows.reserve(requests.size());
     for (const net::ServiceRequest &req : requests) {
         std::size_t sites0 = inj ? inj->sites().size() : 0;
-        std::uint64_t corrupt0 = slotCorruptionDetected(sys.slot(slot));
+        std::uint64_t corrupt0 = sys.slot(slot).corruptionDetected();
 
         net::RequestOutcome out = sys.processRequest(slot, req);
 
@@ -98,7 +87,7 @@ runWindows(const core::NodeConfig &node, const check::Scenario &sc,
         w.sitesBegin = sites0;
         w.sitesEnd = inj ? inj->sites().size() : 0;
         w.corruptionDelta =
-            slotCorruptionDetected(sys.slot(slot)) - corrupt0;
+            sys.slot(slot).corruptionDetected() - corrupt0;
         run.windows.push_back(w);
     }
 

@@ -121,8 +121,6 @@ class ServiceGuard
     /** All sheds, front-door and deadline. */
     std::uint64_t shedTotal() const;
 
-    std::uint64_t deadlineSheds() const { return nDeadline; }
-
     /**
      * Attach a structured event log (nullable); @p source identifies
      * the guarded service. Sheds (front-door and deadline) and health

@@ -61,7 +61,7 @@ enum class CheckpointScheme : std::uint8_t
     DeltaBackup,         //!< INDRA: delta pages, dirty-line granularity
     VirtualCheckpoint,   //!< hardware virtual ckpt: copy page on demand
     MemoryUpdateLog,     //!< DIRA-style per-write undo log
-    SoftwareCheckpoint,  //!< libckpt-style full dirty-page copy
+    SoftwareCheckpoint,  //!< libckpt-style: page copy after a wp fault
     DomainRewind,        //!< isolated-domain rewind: confined rollback
 };
 

@@ -74,13 +74,6 @@ alignDown(Addr a, std::uint64_t align)
     return a & ~(align - 1);
 }
 
-/** Round @p a up to a multiple of @p align (a power of two). */
-constexpr Addr
-alignUp(Addr a, std::uint64_t align)
-{
-    return (a + align - 1) & ~(align - 1);
-}
-
 /** True if @p x is a power of two (and nonzero). */
 constexpr bool
 isPowerOf2(std::uint64_t x)

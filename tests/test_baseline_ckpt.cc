@@ -1,18 +1,21 @@
-/** @file Tests for the three baseline checkpoint engines of Table 3
- * and the macro (application) checkpoint. */
+/** @file Tests for the baseline checkpoint engines of Table 3 (the
+ * page-copy engine in its virtual and software forms, and the memory
+ * update log) and the macro (application) checkpoint. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <set>
 #include <vector>
 
 #include "checkpoint/delta_backup.hh"
 #include "checkpoint/macro_ckpt.hh"
 #include "checkpoint/policy.hh"
-#include "checkpoint/software_ckpt.hh"
 #include "checkpoint/update_log.hh"
 #include "checkpoint/virtual_ckpt.hh"
 #include "os/resources.hh"
+#include "sim/random.hh"
 #include "test_util.hh"
 
 using namespace indra;
@@ -23,13 +26,22 @@ namespace
 
 constexpr Addr pageBase = 0x10000000;
 
+/** The small test config selecting @p scheme. */
+SystemConfig
+schemeConfig(CheckpointScheme scheme)
+{
+    SystemConfig cfg = testutil::smallConfig();
+    cfg.checkpointScheme = scheme;
+    return cfg;
+}
+
 /** Fixture template shared by all engines. */
-template <typename Engine>
+template <typename Engine, CheckpointScheme Scheme>
 class EngineTest : public ::testing::Test
 {
   protected:
     EngineTest()
-        : rig(),
+        : rig(schemeConfig(Scheme)),
           engine(rig.cfg, *rig.context, *rig.space, rig.phys,
                  *rig.hierarchy, rig.stats)
     {
@@ -55,9 +67,12 @@ class EngineTest : public ::testing::Test
     Engine engine;
 };
 
-using VirtualTest = EngineTest<ckpt::VirtualCheckpoint>;
-using LogTest = EngineTest<ckpt::MemoryUpdateLog>;
-using SoftwareTest = EngineTest<ckpt::SoftwareCheckpoint>;
+using VirtualTest = EngineTest<ckpt::VirtualCheckpoint,
+                               CheckpointScheme::VirtualCheckpoint>;
+using LogTest = EngineTest<ckpt::MemoryUpdateLog,
+                           CheckpointScheme::MemoryUpdateLog>;
+using SoftwareTest = EngineTest<ckpt::VirtualCheckpoint,
+                                CheckpointScheme::SoftwareCheckpoint>;
 
 } // anonymous namespace
 
@@ -189,7 +204,7 @@ TEST_F(LogTest, InterleavedPagesRestoredExactly)
     EXPECT_EQ(rig.peek64(pageBase + 4096), 0xb0u);
 }
 
-// -------------------------------------------------- SoftwareCheckpoint
+// ------------------------------------------ SoftwareCheckpoint scheme
 
 TEST_F(SoftwareTest, FirstWriteTakesProtFaultAndCopies)
 {
@@ -197,20 +212,6 @@ TEST_F(SoftwareTest, FirstWriteTakesProtFaultAndCopies)
     Cycles c = store(pageBase, 1);
     EXPECT_GT(c, rig.cfg.writeProtectFaultCycles);
     EXPECT_EQ(engine.pagesSavedThisEpoch(), 1u);
-}
-
-TEST_F(SoftwareTest, SoftwareCopyCostsMoreThanHardware)
-{
-    MemoryRig rig2;
-    rig2.space->mapRegion(pageBase, 8, os::Region::Data);
-    ckpt::VirtualCheckpoint hw(rig2.cfg, *rig2.context, *rig2.space,
-                               rig2.phys, *rig2.hierarchy, rig2.stats);
-    rig2.context->incrementGts();
-    hw.onRequestBegin(0);
-    Cycles hw_cost = hw.onStore(0, 1, pageBase, 8);
-
-    newRequest();
-    EXPECT_GT(store(pageBase, 1), hw_cost);
 }
 
 TEST_F(SoftwareTest, FailureRestoresPages)
@@ -222,6 +223,118 @@ TEST_F(SoftwareTest, FailureRestoresPages)
     EXPECT_EQ(rig.peek64(pageBase + 512), 0x7777u);
 }
 
+// ------------------------------------- software vs virtual page copies
+
+namespace
+{
+
+constexpr std::uint32_t copyPages = 6;
+
+/** Pages @p engine holds a backup copy of for the current epoch. */
+std::uint64_t
+pagesSaved(const ckpt::CheckpointPolicy &engine)
+{
+    return dynamic_cast<const ckpt::VirtualCheckpoint &>(engine)
+        .pagesSavedThisEpoch();
+}
+
+/** The engine makePolicy builds for @p scheme, on a rig of its own. */
+struct PageCopyRig
+{
+    explicit PageCopyRig(CheckpointScheme scheme)
+        : rig(schemeConfig(scheme))
+    {
+        rig.space->mapRegion(pageBase, copyPages, os::Region::Data);
+        engine = ckpt::makePolicy(rig.cfg, *rig.context, *rig.space,
+                                  rig.phys, *rig.hierarchy, rig.stats);
+    }
+
+    std::vector<std::vector<std::uint8_t>>
+    image()
+    {
+        std::vector<std::vector<std::uint8_t>> pages;
+        for (std::uint32_t p = 0; p < copyPages; ++p) {
+            pages.push_back(rig.phys.snapshotFrame(rig.space->translate(
+                1, pageBase / rig.cfg.pageBytes + p)));
+        }
+        return pages;
+    }
+
+    MemoryRig rig;
+    std::unique_ptr<ckpt::CheckpointPolicy> engine;
+};
+
+} // anonymous namespace
+
+// Software checkpointing is the virtual engine's copy-whole-page-on-
+// first-write algorithm behind a write-protect fault: the same bytes
+// and saved pages, and each first-touch store costs exactly
+// writeProtectFaultCycles more.
+TEST(PageCopyEngines, SoftwareIsVirtualPlusProtFault)
+{
+    for (std::uint64_t seed : {1, 2, 3, 4}) {
+        SCOPED_TRACE(seed);
+        PageCopyRig virt(CheckpointScheme::VirtualCheckpoint);
+        PageCopyRig soft(CheckpointScheme::SoftwareCheckpoint);
+        const Cycles fault = soft.rig.cfg.writeProtectFaultCycles;
+        Pcg32 rng(seed, 31);
+        // Pages copied since the last request begin, failure or
+        // invalidate, and the image a failure must restore.
+        std::set<std::uint32_t> copied;
+        auto boundary = virt.image();
+        std::uint64_t first_touches = 0;
+        Tick tick = 0;
+        for (int step = 0; step < 600; ++step) {
+            double op = rng.uniformReal();
+            if (op < 0.08) {
+                for (PageCopyRig *r : {&virt, &soft}) {
+                    r->rig.context->incrementGts();
+                    r->engine->onRequestBegin(tick);
+                }
+                copied.clear();
+                boundary = virt.image();
+            } else if (op < 0.13) {
+                virt.engine->onFailure(tick);
+                soft.engine->onFailure(tick);
+                copied.clear();
+                ASSERT_EQ(virt.image(), boundary);
+                ASSERT_EQ(soft.image(), boundary);
+            } else if (op < 0.16) {
+                virt.engine->invalidate();
+                soft.engine->invalidate();
+                copied.clear();
+                boundary = virt.image();
+            } else {
+                std::uint32_t page = rng.nextBounded(copyPages);
+                Addr addr = pageBase + page * 4096 +
+                    rng.nextBounded(4096 / 8) * 8;
+                Cycles cv = virt.engine->onStore(tick, 1, addr, 8);
+                Cycles cs = soft.engine->onStore(tick, 1, addr, 8);
+                bool first = copied.insert(page).second;
+                first_touches += first ? 1 : 0;
+                ASSERT_EQ(cv == 0, !first);
+                ASSERT_EQ(cs, first ? cv + fault : 0);
+                std::uint64_t value = rng.next64();
+                virt.rig.poke64(addr, value);
+                soft.rig.poke64(addr, value);
+                tick += cs + rng.nextBounded(2000);
+            }
+            ASSERT_EQ(pagesSaved(*virt.engine), copied.size());
+            ASSERT_EQ(pagesSaved(*soft.engine), copied.size());
+            ASSERT_EQ(virt.image(), soft.image());
+        }
+        EXPECT_GT(first_touches, 50u);
+        const auto *faults = dynamic_cast<const stats::Scalar *>(
+            soft.rig.stats.findPath("ckpt_software.prot_faults"));
+        ASSERT_NE(faults, nullptr);
+        EXPECT_EQ(faults->value(), static_cast<double>(first_touches));
+        ASSERT_NE(virt.rig.stats.findPath("ckpt_virtual.rollbacks"),
+                  nullptr);
+        EXPECT_EQ(virt.rig.stats.findPath("ckpt_virtual.prot_faults"),
+                  nullptr);
+    }
+}
+
 // ------------------------------------------------------------ factory
 
 TEST(PolicyFactory, BuildsEveryScheme)
@@ -231,14 +344,15 @@ TEST(PolicyFactory, BuildsEveryScheme)
          {CheckpointScheme::None, CheckpointScheme::DeltaBackup,
           CheckpointScheme::VirtualCheckpoint,
           CheckpointScheme::MemoryUpdateLog,
-          CheckpointScheme::SoftwareCheckpoint}) {
-        SystemConfig cfg = rig.cfg;
-        cfg.checkpointScheme = scheme;
+          CheckpointScheme::SoftwareCheckpoint,
+          CheckpointScheme::DomainRewind}) {
+        SystemConfig cfg = schemeConfig(scheme);
         stats::StatGroup group(
             std::string("f_") + checkpointSchemeName(scheme));
         auto p = ckpt::makePolicy(cfg, *rig.context, *rig.space,
                                   rig.phys, *rig.hierarchy, group);
         ASSERT_NE(p, nullptr);
+        EXPECT_STREQ(p->name(), checkpointSchemeName(scheme));
     }
 }
 

@@ -272,7 +272,7 @@ TEST(UpdateLogDuplicates, RandomizedReplayMatchesReferenceUndoLog)
 
 // ------------------------------------- RefMemory engine equivalence
 
-/** software_ckpt and virtual_ckpt run the *same* schedule (fixed
+/** The software and virtual schemes run the *same* schedule (fixed
  * seed) and every rollback must land on the RefMemory image captured
  * at that epoch's begin. */
 class RefMemoryEquivalence
@@ -915,7 +915,7 @@ TEST(OracleEndToEnd, DormantDamageSurvivingRejuvenationIsFlagged)
     req.seq = 1;
     req.attack = net::AttackKind::Dormant;
     sys.processRequest(slot, req);
-    ASSERT_TRUE(sys.refsForPid(pid)->app->hasDormantDamage());
+    ASSERT_TRUE(sys.refsForPid(pid).second->app->hasDormantDamage());
     ASSERT_TRUE(checker.ok());
 
     // Drive the recovery hook directly, claiming a rejuvenation

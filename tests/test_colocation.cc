@@ -166,6 +166,58 @@ TEST(Colocation, ContextSwitchChargedBetweenProcesses)
     EXPECT_GT(out.startTick, t0);
 }
 
+// A co-service is built, attacked and revived like a main service
+// under every checkpoint scheme, and its host's memory stays as it was.
+TEST(Colocation, CoServiceRecoversUnderEveryScheme)
+{
+    setLogVerbosity(0);
+    for (auto scheme :
+         {CheckpointScheme::None, CheckpointScheme::DeltaBackup,
+          CheckpointScheme::VirtualCheckpoint,
+          CheckpointScheme::MemoryUpdateLog,
+          CheckpointScheme::SoftwareCheckpoint,
+          CheckpointScheme::DomainRewind}) {
+        SCOPED_TRACE(checkpointSchemeName(scheme));
+        SystemConfig cfg = coConfig();
+        cfg.checkpointScheme = scheme;
+        IndraSystem sys(core::NodeConfig{cfg});
+        sys.boot();
+        std::size_t slot = sys.deployService(shortDaemon("httpd"));
+        std::size_t dns = sys.deployCoService(slot, shortDaemon("bind"));
+        core::ServiceSlot &host = sys.slot(slot);
+        core::Service &co = *host.coServices[dns];
+        EXPECT_STREQ(co.policy->name(), checkpointSchemeName(scheme));
+
+        // One lookup resolves either process to its record and the
+        // slot whose core it shares.
+        auto web_refs = sys.refsForPid(host.pid);
+        EXPECT_EQ(web_refs.first, &host);
+        EXPECT_EQ(web_refs.second, static_cast<core::Service *>(&host));
+        auto dns_refs = sys.refsForPid(co.pid);
+        EXPECT_EQ(dns_refs.first, &host);
+        EXPECT_EQ(dns_refs.second, &co);
+        EXPECT_EQ(sys.refsForPid(co.pid + 1).second, nullptr);
+
+        EXPECT_EQ(sys.processRequest(slot, request(1)).status,
+                  RequestStatus::Served);
+        EXPECT_EQ(sys.processCoRequest(slot, dns, request(1)).status,
+                  RequestStatus::Served);
+        auto web_before = imageOf(sys, host.pid);
+        auto out = sys.processCoRequest(slot, dns,
+                                        request(2, AttackKind::StackSmash));
+        EXPECT_NE(out.status, RequestStatus::Served);
+        // With no backup engine the process is restarted instead.
+        EXPECT_EQ(out.status == RequestStatus::Lost,
+                  scheme == CheckpointScheme::None);
+        EXPECT_EQ(web_before, imageOf(sys, host.pid));
+
+        EXPECT_EQ(sys.processCoRequest(slot, dns, request(3)).status,
+                  RequestStatus::Served);
+        EXPECT_EQ(sys.processRequest(slot, request(2)).status,
+                  RequestStatus::Served);
+    }
+}
+
 TEST(OpenLoop, ResponseIncludesQueueingBehindRecovery)
 {
     setLogVerbosity(0);
