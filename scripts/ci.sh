@@ -8,23 +8,15 @@
 #                  and matching across --jobs, the differential oracle,
 #                  and every bench smoke run as a --jobs 1 vs --jobs 8
 #                  identity check with its self-checks armed).
-#   ci-asan-ubsan  address+undefined sanitizers over the labelled
-#                  corruption paths and the config registry: -L
-#                  faults, resilience, harness, obs, check, adversary,
-#                  domain, cluster, rca, config, timing, ckpt (the
-#                  differential-oracle tests, including the fixed-seed
-#                  fuzz slice, its planted-bug sensitivity checks and
-#                  the malformed scenario-JSON test, run under both
-#                  sanitizer configs; timing holds the page-transfer
-#                  kernel's equivalence property test and the
-#                  cache's differential test against a timestamp-LRU
-#                  reference model; ckpt holds the checkpoint engines,
-#                  the co-location tests, which build and tear down
-#                  services on shared slots, and the recovery ladder).
-#   ci-tsan        thread sanitizer over the parallel sweep harness,
-#                  the storm cells, and the per-cell trace logs:
-#                  -L harness, resilience, obs, check, adversary,
-#                  domain, cluster, rca, config.
+#   ci-asan-ubsan  address+undefined sanitizers over every test except
+#                  the one excluded label, vulnmap-full (the full
+#                  bench_vuln_map --smoke sweep, too heavy for
+#                  instrumented builds).
+#   ci-tsan        thread sanitizer over the same tests.
+#
+# Every test gets its ctest label where it is registered
+# (cmake/indra_test.cmake), and the every_test_labelled ctest fails if
+# one has none, so a new test runs under both sanitizers by default.
 #
 # All three presets set CMAKE_COMPILE_WARNING_AS_ERROR, so a -Wall
 # -Wextra warning anywhere in the tree fails the build (CMake 3.24 or

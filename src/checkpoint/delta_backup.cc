@@ -261,33 +261,37 @@ DeltaBackup::onLoad(Tick tick, Pid pid, Addr vaddr, std::uint32_t bytes)
     if (last_line >= linesPerPage())
         last_line = linesPerPage() - 1;
 
+    // Figure 5: serve the read from the backup line and recover the
+    // active line on the way. Every line of a line-crossing load
+    // charges its active-line write to the load's first line.
+    Addr first_line_addr = alignDown(vaddr, config.backupLineBytes);
     for (std::uint32_t line = first_line; line <= last_line; ++line) {
-        if (!rec.rollbackBv.test(line))
-            continue;
-        std::uint32_t off = line * config.backupLineBytes;
-        if (!lineIntact(rec, line)) {
-            // Corrupt backup copy: refuse to apply it. The pending
-            // rollback is dropped so the damage can never land; the
-            // escalation ladder has already (or will) put this page
-            // right via macro rollback.
-            ++statCorruptionDetected;
-            rec.rollbackBv.clear(line);
-            continue;
-        }
-        // Figure 5: serve the read from the backup line and recover
-        // the active line on the way.
-        copyLine(page.pfn, off, rec.backupPfn, off);
-        rec.rollbackBv.clear(line);
-        ++statLazyLineRecoveries;
-        cost += chargeLineTransfer(
-            tick + cost, memsys.backupAddr(rec.backupPfn, off), false);
-        cost += chargeLineTransfer(
-            tick + cost, alignDown(vaddr, config.backupLineBytes), true);
+        if (rec.rollbackBv.test(line))
+            cost += rollbackLine(rec, page.pfn, line, tick + cost,
+                                 first_line_addr);
     }
     if (!rec.rollbackBv.any())
         rec.rollbackVld = false;
     if (cost)
         statRecoveryCycles += static_cast<double>(cost);
+    return cost;
+}
+
+Cycles
+DeltaBackup::rollbackLine(BackupPageRecord &rec, Pfn pfn,
+                          std::uint32_t line, Tick tick, Addr active_addr)
+{
+    rec.rollbackBv.clear(line);
+    if (!lineIntact(rec, line)) {
+        ++statCorruptionDetected;
+        return 0;
+    }
+    std::uint32_t off = line * config.backupLineBytes;
+    copyLine(pfn, off, rec.backupPfn, off);
+    ++statLazyLineRecoveries;
+    Cycles cost = chargeLineTransfer(
+        tick, memsys.backupAddr(rec.backupPfn, off), false);
+    cost += chargeLineTransfer(tick + cost, active_addr, true);
     return cost;
 }
 
@@ -426,23 +430,11 @@ DeltaBackup::drainRollback(Tick tick)
             continue;
         const os::PageInfo &page = space.pageInfo(vpn);
         for (std::uint32_t line = 0; line < linesPerPage(); ++line) {
-            if (!rec.rollbackBv.test(line))
-                continue;
-            std::uint32_t off = line * config.backupLineBytes;
-            if (!lineIntact(rec, line)) {
-                ++statCorruptionDetected;
-                rec.rollbackBv.clear(line);
-                continue;
-            }
-            copyLine(page.pfn, off, rec.backupPfn, off);
-            rec.rollbackBv.clear(line);
-            ++statLazyLineRecoveries;
-            cost += chargeLineTransfer(
-                tick + cost, memsys.backupAddr(rec.backupPfn, off),
-                false);
-            cost += chargeLineTransfer(
-                tick + cost,
-                memsys.backupAddr(page.pfn, off), true);
+            if (rec.rollbackBv.test(line))
+                cost += rollbackLine(
+                    rec, page.pfn, line, tick + cost,
+                    memsys.backupAddr(page.pfn,
+                                      line * config.backupLineBytes));
         }
         rec.rollbackVld = false;
     }

@@ -193,6 +193,19 @@ class DeltaBackup : public CheckpointPolicy
                     std::uint32_t line) const;
 
     /**
+     * One lazy-rollback step (Figure 5) for a line of @p rec pending
+     * rollback: copy its backup over the active line at @p pfn and
+     * charge the backup read, then the active-line write to
+     * @p active_addr, from @p tick. A corrupt backup copy is never
+     * applied: it is counted and its pending rollback dropped, so the
+     * damage can never land; the escalation ladder has already (or
+     * will) put the page right via macro rollback. Returns the cycles
+     * charged.
+     */
+    Cycles rollbackLine(BackupPageRecord &rec, Pfn pfn,
+                        std::uint32_t line, Tick tick, Addr active_addr);
+
+    /**
      * Backup lines of @p rec that fail lineIntact() among those a
      * micro recovery would consume: the pending rollback lines when
      * @p pending, plus the dirty lines when @p armed.

@@ -30,8 +30,14 @@
  * nodes run shared-nothing on a ParallelSweep), then applies the
  * round's pool grants in canonical (tick, node) order. Rounds with
  * no work are skipped calendar-style. Nothing about the simulation
- * depends on --jobs or on where round boundaries fall, so a
- * fixed-seed cluster run is bit-identical for any worker count.
+ * depends on --jobs, so a fixed-seed cluster run is bit-identical for
+ * any worker count. Where round boundaries fall does not matter
+ * either, with one known exception: a node under an armed adaptive
+ * adversary can change with the round width, because
+ * AdaptiveAdversary::nextMove draws from its stream and updates its
+ * state before it declines a move past its horizon, and each
+ * NodeHandle::advanceTo call asks it once more (ROADMAP.md item 4,
+ * "Results never depend on how time is sliced").
  */
 
 #ifndef INDRA_CLUSTER_CLUSTER_HH

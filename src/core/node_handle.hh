@@ -23,8 +23,13 @@
  *
  * runStorm is the run-to-completion helper — construct,
  * advanceTo(maxTick), finish(). The event sequence is derived from
- * the plan seed and the schedule alone, never from where the
- * advanceTo windows fall.
+ * the plan seed and the schedule alone, not from where the advanceTo
+ * windows fall, with one known exception: under an armed
+ * AdversaryConfig, every advanceTo call asks the AdaptiveAdversary
+ * for a move, and a move it declines past its horizon has already
+ * drawn from its stream and updated its state, so the stepping
+ * pattern can change the run (ROADMAP.md item 4, "Results never
+ * depend on how time is sliced").
  *
  * A fixed arrival script (request i at tick t_i, no legit clients of
  * the handle's own) is a plan with legitRequests = 0 and deadline =

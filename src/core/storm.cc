@@ -35,11 +35,15 @@
  * signals; all of its draws come from a per-strategy PCG32 stream, so
  * the loop stays bit-identical for any sweep --jobs count.
  *
- * Stepping never changes the simulation: advanceTo(bound) merely
- * pauses the very same loop once the next scheduled event lies past
- * @p bound, so where a cluster scheduler's round boundaries fall is
- * invisible to the event sequence. runStorm == construct +
- * advanceTo(maxTick) + finish().
+ * advanceTo(bound) pauses the very same loop once the next scheduled
+ * event lies past @p bound, and runStorm == construct +
+ * advanceTo(maxTick) + finish(). Stepping does not change the
+ * simulation except under an armed adversary: pumpAdversary runs on
+ * every loop pass, AdaptiveAdversary::nextMove draws from its stream
+ * and updates its state before it declines a move past its horizon,
+ * so the number of declined calls, and with it the run, depends on
+ * the advanceTo pattern (ROADMAP.md item 4, "Results never depend on
+ * how time is sliced").
  */
 
 #include <algorithm>

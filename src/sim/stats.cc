@@ -29,19 +29,6 @@ Scalar::accept(StatSink &sink) const
     sink.visitScalar(*this, _value);
 }
 
-// ------------------------------------------------------------------- Gauge
-
-Gauge::Gauge(StatGroup &parent, std::string name, std::string desc)
-    : StatBase(parent, std::move(name), std::move(desc))
-{
-}
-
-void
-Gauge::accept(StatSink &sink) const
-{
-    sink.visitScalar(*this, _value);
-}
-
 // ----------------------------------------------------------------- Formula
 
 Formula::Formula(StatGroup &parent, std::string name, std::string desc,

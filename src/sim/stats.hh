@@ -32,7 +32,7 @@ class Histogram;
 /**
  * Visitor over a statistics tree. StatGroup::accept() drives it:
  * beginGroup/endGroup bracket each (nested) group, every scalar-like
- * stat (Scalar, Gauge, Formula) arrives through visitScalar with its
+ * stat (Scalar, Formula) arrives through visitScalar with its
  * current value, and the multi-valued stats pass themselves so sinks
  * can render whichever moments/buckets they care about.
  */
@@ -74,9 +74,7 @@ class StatBase
 
 /**
  * A monotonically updated scalar counter: it only ever accumulates
- * (operator++ / operator+=) and resets to zero. For a value that is
- * *assigned* — a level, a high-water mark, a configuration echo — use
- * Gauge, which is allowed to move in both directions.
+ * (operator++ / operator+=) and resets to zero.
  */
 class Scalar : public StatBase
 {
@@ -85,26 +83,6 @@ class Scalar : public StatBase
 
     Scalar &operator++() { ++_value; return *this; }
     Scalar &operator+=(double v) { _value += v; return *this; }
-    double value() const { return _value; }
-
-    void accept(StatSink &sink) const override;
-    void reset() override { _value = 0; }
-
-  private:
-    double _value = 0;
-};
-
-/**
- * An assignable level. Unlike Scalar there is no monotonicity
- * contract: set() may move the value in either direction, and the
- * last set wins.
- */
-class Gauge : public StatBase
-{
-  public:
-    Gauge(StatGroup &parent, std::string name, std::string desc);
-
-    void set(double v) { _value = v; }
     double value() const { return _value; }
 
     void accept(StatSink &sink) const override;

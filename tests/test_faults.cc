@@ -236,6 +236,45 @@ TEST(FaultDelta, FlipDetectedAtVerifyAndNeverApplied)
     EXPECT_EQ(rig.peek64(pageBase), 0xbadu);
 }
 
+// The same flip met on the lazy read path (Figure 5): a load of the
+// pending line counts the corruption once, drops the rollback and
+// leaves the current bytes in place.
+TEST(FaultDelta, FlipNeverAppliedByLazyLoad)
+{
+    MemoryRig rig;
+    rig.space->mapRegion(pageBase, 4, os::Region::Data);
+    ckpt::DeltaBackup engine(rig.cfg, *rig.context, *rig.space,
+                             rig.phys, *rig.hierarchy, rig.stats);
+    FaultPlan plan;
+    plan.add(FaultKind::DeltaFlip, 1.0).setSeed(3);
+    FaultInjector inj(plan, rig.stats);
+    engine.setFaultInjector(&inj);
+
+    rig.poke64(pageBase, 0x600d);
+    rig.context->incrementGts();
+    engine.onRequestBegin(0);
+    engine.onStore(0, 1, pageBase, 8);  // backup line corrupted here
+    rig.poke64(pageBase, 0xbad);
+    ASSERT_GT(inj.injected(FaultKind::DeltaFlip), 0u);
+
+    engine.onFailure(0);
+    std::uint64_t before = engine.corruptionDetected();
+    engine.onLoad(0, 1, pageBase, 8);
+    EXPECT_EQ(rig.peek64(pageBase), 0xbadu);
+    EXPECT_EQ(engine.corruptionDetected(), before + 1);
+    const ckpt::BackupPageRecord *rec =
+        engine.record(pageBase / rig.cfg.pageBytes);
+    ASSERT_NE(rec, nullptr);
+    EXPECT_FALSE(rec->rollbackVld);
+
+    // The dropped rollback is gone for good: neither another load nor
+    // a drain meets it again.
+    engine.onLoad(0, 1, pageBase, 8);
+    engine.drainRollback(0);
+    EXPECT_EQ(rig.peek64(pageBase), 0xbadu);
+    EXPECT_EQ(engine.corruptionDetected(), before + 1);
+}
+
 TEST(FaultDelta, CleanBackupPassesVerification)
 {
     MemoryRig rig;

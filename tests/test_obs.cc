@@ -204,14 +204,14 @@ struct SampleTree
     stats::StatGroup root{"sys"};
     stats::StatGroup child{root, "svc"};
     stats::Scalar count{child, "count", "things counted"};
-    stats::Gauge level{child, "level", "a level"};
+    stats::Scalar level{child, "level", "a level"};
     stats::Distribution dist{child, "lat", "latency"};
     stats::Histogram hist{child, "occ", "occupancy", 10.0, 4};
 
     SampleTree()
     {
         count += 3;
-        level.set(7.5);
+        level += 7.5;
         dist.sample(10);
         dist.sample(20);
         hist.sample(5);

@@ -39,31 +39,6 @@ TEST(Scalar, StartsAtZeroAndCounts)
     EXPECT_EQ(s.value(), 0.0);
 }
 
-// Scalar is monotonic (++/+= only); level-valued quantities go
-// through Gauge, which is the only stat type with assignment.
-TEST(Gauge, SetOverwritesAndResets)
-{
-    StatGroup g("g");
-    Gauge w(g, "w", "watermark");
-    EXPECT_EQ(w.value(), 0.0);
-    w.set(17.5);
-    EXPECT_DOUBLE_EQ(w.value(), 17.5);
-    w.set(3.0); // gauges may go down; scalars must not
-    EXPECT_DOUBLE_EQ(w.value(), 3.0);
-    w.reset();
-    EXPECT_EQ(w.value(), 0.0);
-}
-
-TEST(Gauge, AppearsInTextDump)
-{
-    StatGroup root("sys");
-    Gauge w(root, "depth", "queue depth");
-    w.set(9);
-    std::string dump = textDump(root);
-    EXPECT_NE(dump.find("sys.depth"), std::string::npos);
-    EXPECT_NE(dump.find("9"), std::string::npos);
-}
-
 TEST(Formula, ComputesOnDemand)
 {
     StatGroup g("g");
