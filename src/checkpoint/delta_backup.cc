@@ -79,18 +79,18 @@ DeltaBackup::linesBackedUpThisEpoch() const
     return epochLinesBackedUp;
 }
 
-std::uint32_t
+std::uint64_t
 DeltaBackup::lineChecksum(Pfn pfn, std::uint32_t off) const
 {
     phys.read(pfn, off, lineBuf.data(), config.backupLineBytes);
-    return faults::checksum32(lineBuf.data(), lineBuf.size());
+    return faults::checksum64(lineBuf.data(), lineBuf.size());
 }
 
 void
 DeltaBackup::sealBackupLine(BackupPageRecord &rec, std::uint32_t line)
 {
     std::uint32_t off = line * config.backupLineBytes;
-    std::uint32_t sum = lineChecksum(rec.backupPfn, off);
+    std::uint64_t sum = lineChecksum(rec.backupPfn, off);
     rec.lineSums[line] = sum;
     if (injector && injector->fire(faults::FaultKind::DeltaFlip)) {
         std::uint32_t bit = injector->pick(faults::FaultKind::DeltaFlip,
@@ -112,11 +112,12 @@ DeltaBackup::lineIntact(const BackupPageRecord &rec,
                         std::uint32_t line) const
 {
     // sealBackupLine maintains liveSums on every backup write, so the
-    // intactness test is a pure integer compare. FNV-1a's byte steps
-    // are bijective in the running hash, so any injected single-bit
-    // flip is guaranteed (not just probabilistically likely) to make
-    // the two sums differ — detection outcomes are identical to
-    // re-hashing the line on every check.
+    // intactness test is a pure integer compare. The seal's word steps
+    // are bijective in the running hash and in the word, so an
+    // injected single-bit flip (a one-word change) is guaranteed, not
+    // just probabilistically likely, to make the two sums differ —
+    // detection outcomes are identical to re-hashing the line on
+    // every check.
     return rec.liveSums[line] == rec.lineSums[line];
 }
 

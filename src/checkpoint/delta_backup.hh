@@ -37,19 +37,19 @@ struct BackupPageRecord
     LineBitVector rollbackBv;     //!< lines pending lazy rollback
     bool rollbackVld = false;     //!< fast "any rollback pending" flag
     /**
-     * Per-line FNV checksum of the backup copy, recorded when the
-     * line entered the backup page; consulted for lines with a dirty
-     * or rollback bit set before their backup copy is trusted.
+     * Per-line seal (faults::checksum64) of the backup copy, recorded
+     * when the line entered the backup page; consulted for lines with
+     * a dirty or rollback bit set before their backup copy is trusted.
      */
-    std::vector<std::uint32_t> lineSums;
+    std::vector<std::uint64_t> lineSums;
     /**
-     * FNV checksum of the backup line's *current* bytes, updated on
+     * Seal of the backup line's *current* bytes, updated on
      * every write to the backup copy (the seal itself and any injected
      * flip). Backup frames are written only through sealBackupLine, so
      * this cache is exact and integrity checks reduce to comparing it
      * against lineSums — no memory is re-read or re-hashed.
      */
-    std::vector<std::uint32_t> liveSums;
+    std::vector<std::uint64_t> liveSums;
     /** The record is on DeltaBackup's list of armed records. */
     bool armedListed = false;
     /**
@@ -180,7 +180,7 @@ class DeltaBackup : public CheckpointPolicy
     BackupPageRecord &recordFor(Vpn vpn, Tick tick, Cycles &cost);
 
     /** Checksum of one backup line's current bytes. */
-    std::uint32_t lineChecksum(Pfn pfn, std::uint32_t off) const;
+    std::uint64_t lineChecksum(Pfn pfn, std::uint32_t off) const;
 
     /**
      * Record the checksum of a line just copied into the backup page,

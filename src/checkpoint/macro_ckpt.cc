@@ -57,7 +57,7 @@ MacroCheckpoint::capture(Tick tick, os::ProcessContext &ctx,
             seal.pfn = info.pfn;
             seal.version = ver;
             seal.sum =
-                faults::checksum32(page.bytes.data(), page.bytes.size());
+                faults::checksum64(page.bytes.data(), page.bytes.size());
         }
         page.sealedSum = seal.sum;
         page.liveSum = seal.sum;
@@ -108,10 +108,10 @@ MacroCheckpoint::capture(Tick tick, os::ProcessContext &ctx,
             bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
             // The image page changed after sealing: refresh its live
             // sum so the cached verify sees exactly the damage a full
-            // re-hash would (FNV-1a maps a one-bit difference to a
+            // re-hash would (the seal maps a one-word difference to a
             // different sum unconditionally), and stop treating it as
             // a copy of its frame.
-            page.liveSum = faults::checksum32(bytes.data(), bytes.size());
+            page.liveSum = faults::checksum64(bytes.data(), bytes.size());
             page.heldPfn = invalidPfn;
         }
         if (injector->fire(faults::FaultKind::MacroTruncate)) {

@@ -44,7 +44,7 @@ struct MacroRestoreResult
  * Full application checkpoint: memory image + process context +
  * resource allocation state.
  *
- * Every captured page is sealed with an FNV checksum and the page
+ * Every captured page is sealed with faults::checksum64 and the page
  * count is recorded; restore() verifies the whole image *before*
  * touching any process state, so a corrupted or truncated checkpoint
  * is reported to the caller instead of silently restoring wrong state.
@@ -90,7 +90,7 @@ class MacroCheckpoint
      * re-hashing the frame.
      */
     void
-    resealPage(Vpn vpn, Pfn pfn, std::uint32_t sum)
+    resealPage(Vpn vpn, Pfn pfn, std::uint64_t sum)
     {
         sealCache[vpn] = {pfn, phys.frameVersion(pfn), sum};
     }
@@ -139,15 +139,15 @@ class MacroCheckpoint
     struct ImagePage
     {
         std::vector<std::uint8_t> bytes;
-        std::uint32_t sealedSum = 0;  //!< checksum sealed at capture
+        std::uint64_t sealedSum = 0;  //!< checksum sealed at capture
         /**
-         * FNV checksum of the page's *current* bytes. Image pages are
+         * Seal of the page's *current* bytes. Image pages are
          * only written at capture time (snapshot, then any injected
          * corruption, which refreshes this sum), so verifyImage can
          * compare it against sealedSum without re-hashing megabytes
          * of page data on every restore attempt.
          */
-        std::uint32_t liveSum = 0;
+        std::uint64_t liveSum = 0;
         /**
          * The frame copy this page's bytes equal: frame heldPfn at
          * write version heldVersion, or none (invalidPfn). Set by a
@@ -180,7 +180,7 @@ class MacroCheckpoint
     {
         Pfn pfn = invalidPfn;
         std::uint64_t version = 0;  //!< PhysicalMemory::frameVersion
-        std::uint32_t sum = 0;
+        std::uint64_t sum = 0;
     };
     /**
      * Checksum memo, keyed by vpn and validated against the page's

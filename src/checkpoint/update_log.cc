@@ -21,7 +21,7 @@ MemoryUpdateLog::MemoryUpdateLog(const SystemConfig &cfg,
 {
 }
 
-std::uint32_t
+std::uint64_t
 MemoryUpdateLog::entryChecksum(const UndoEntry &e)
 {
     // Pack the payload fields into a contiguous buffer: struct
@@ -31,7 +31,7 @@ MemoryUpdateLog::entryChecksum(const UndoEntry &e)
     std::memcpy(buf, &e.vaddr, 8);
     std::memcpy(buf + 8, &e.oldValue, 8);
     std::memcpy(buf + 16, &e.bytes, 4);
-    return faults::checksum32(buf, sizeof(buf));
+    return faults::checksum64(buf, sizeof(buf));
 }
 
 void

@@ -47,11 +47,11 @@ class MemoryUpdateLog : public CheckpointPolicy
         Addr vaddr = 0;
         std::uint32_t bytes = 0;
         std::uint64_t oldValue = 0;
-        std::uint32_t sum = 0;  //!< checksum sealed at append time
+        std::uint64_t sum = 0;  //!< checksum sealed at append time
     };
 
     /** Checksum over an entry's payload fields. */
-    static std::uint32_t entryChecksum(const UndoEntry &e);
+    static std::uint64_t entryChecksum(const UndoEntry &e);
 
     /** Seal a freshly appended entry, then maybe corrupt it. */
     void sealEntry(UndoEntry &e);

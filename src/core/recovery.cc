@@ -54,7 +54,7 @@ RecoveryManager::RecoveryManager(const SystemConfig &cfg,
         Pfn pfn = proc.space->pageInfo(vpn).pfn;
         auto &bytes = initialImage[vpn];
         bytes = phys.snapshotFrame(pfn);
-        std::uint32_t sum = faults::checksum32(bytes.data(), bytes.size());
+        std::uint64_t sum = faults::checksum64(bytes.data(), bytes.size());
         initialSums[vpn] = sum;
         // The frame holds exactly these bytes: seal it, so the boot
         // capture that follows does not hash the page again.

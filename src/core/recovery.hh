@@ -195,7 +195,7 @@ class RecoveryManager
      * Rejuvenation writes these exact bytes back, so it can re-seal
      * the macro engine's page-checksum memo without re-hashing.
      */
-    std::unordered_map<Vpn, std::uint32_t> initialSums;
+    std::unordered_map<Vpn, std::uint64_t> initialSums;
 
     stats::StatGroup statGroup;
     stats::Scalar statMicroRecoveries;

@@ -336,13 +336,13 @@ IndraSystem::runOneRequest(ServiceSlot &s, Service &svc,
         corrupt0 = svc.corruptionDetected();
 
     net::RequestExecution gen = svc.app->beginRequest(*reqp);
-    cpu::Instruction inst;
+    cpu::RetireSink sink{*s.core, svc.pid};
     bool failed = false;
     bool detected = false;
     Tick fail_tick = 0;
 
-    while (gen.next(inst)) {
-        cpu::ExecResult res = s.core->execute(svc.pid, inst);
+    while (gen.step(sink)) {
+        const cpu::ExecResult &res = sink.result;
 
         if (s.monitor && s.monitor->pendingDetection()) {
             const mon::DetectionEvent &det =

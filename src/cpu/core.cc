@@ -141,69 +141,93 @@ Core::doFetch(Pid pid, const Instruction &inst)
     return mem::MemFault::None;
 }
 
+mem::MemFault
+Core::fetchAndRetire(Pid pid, const Instruction &inst)
+{
+    mem::MemFault fault = doFetch(pid, inst);
+    if (fault != mem::MemFault::None)
+        return fault;
+    ++statInstructions;
+    consumeSlot();
+    return mem::MemFault::None;
+}
+
+ExecResult
+Core::executeLoad(Pid pid, const Instruction &inst)
+{
+    ExecResult result;
+    result.fault = fetchAndRetire(pid, inst);
+    if (result.fault != mem::MemFault::None)
+        return result;
+
+    ++statLoads;
+    if (ckptHooks)
+        stall(ckptHooks->onLoad(tick, pid, inst.effAddr, inst.bytes));
+    mem::MemOutcome out = hierarchy.load(tick, pid, inst.effAddr);
+    result.fault = out.fault;
+    if (result.fault != mem::MemFault::None)
+        return result;
+    if (out.latency > config.l1d.hitLatency) {
+        statMemStallCycles +=
+            static_cast<double>(out.latency - config.l1d.hitLatency);
+        stall(out.latency - config.l1d.hitLatency);
+    }
+    if (inst.bytes == 8 &&
+        (inst.effAddr % config.pageBytes) + 8 <= config.pageBytes) {
+        result.loadValue = phys.read64(
+            out.pfn,
+            static_cast<std::uint32_t>(inst.effAddr % config.pageBytes));
+    }
+    return result;
+}
+
+ExecResult
+Core::executeStore(Pid pid, const Instruction &inst)
+{
+    ExecResult result;
+    result.fault = fetchAndRetire(pid, inst);
+    if (result.fault != mem::MemFault::None)
+        return result;
+
+    ++statStores;
+    if (ckptHooks)
+        stall(ckptHooks->onStore(tick, pid, inst.effAddr, inst.bytes));
+    mem::MemOutcome out = hierarchy.store(tick, pid, inst.effAddr);
+    result.fault = out.fault;
+    if (result.fault != mem::MemFault::None)
+        return result;
+    if (out.latency > config.l1d.hitLatency) {
+        statMemStallCycles +=
+            static_cast<double>(out.latency - config.l1d.hitLatency);
+        stall(out.latency - config.l1d.hitLatency);
+    }
+    if ((inst.effAddr % config.pageBytes) + inst.bytes <=
+        config.pageBytes) {
+        std::uint64_t v = inst.value;
+        phys.write(out.pfn,
+                   static_cast<std::uint32_t>(
+                       inst.effAddr % config.pageBytes),
+                   &v, std::min<std::uint32_t>(inst.bytes, 8));
+    }
+    return result;
+}
+
 ExecResult
 Core::executeSlow(Pid pid, const Instruction &inst)
 {
     ExecResult result;
-
-    result.fault = doFetch(pid, inst);
+    result.fault = fetchAndRetire(pid, inst);
     if (result.fault != mem::MemFault::None)
         return result;
-
-    ++statInstructions;
-    consumeSlot();
 
     switch (inst.op) {
       case Op::Alu:
       case Op::Jump:
         break;
 
-      case Op::Load: {
-        ++statLoads;
-        if (ckptHooks)
-            stall(ckptHooks->onLoad(tick, pid, inst.effAddr, inst.bytes));
-        mem::MemOutcome out = hierarchy.load(tick, pid, inst.effAddr);
-        result.fault = out.fault;
-        if (result.fault != mem::MemFault::None)
-            return result;
-        if (out.latency > config.l1d.hitLatency) {
-            statMemStallCycles +=
-                static_cast<double>(out.latency - config.l1d.hitLatency);
-            stall(out.latency - config.l1d.hitLatency);
-        }
-        if (inst.bytes == 8 &&
-            (inst.effAddr % config.pageBytes) + 8 <= config.pageBytes) {
-            result.loadValue = phys.read64(
-                out.pfn, static_cast<std::uint32_t>(
-                         inst.effAddr % config.pageBytes));
-        }
-        break;
-      }
-
-      case Op::Store: {
-        ++statStores;
-        if (ckptHooks)
-            stall(ckptHooks->onStore(tick, pid, inst.effAddr,
-                                     inst.bytes));
-        mem::MemOutcome out = hierarchy.store(tick, pid, inst.effAddr);
-        result.fault = out.fault;
-        if (result.fault != mem::MemFault::None)
-            return result;
-        if (out.latency > config.l1d.hitLatency) {
-            statMemStallCycles +=
-                static_cast<double>(out.latency - config.l1d.hitLatency);
-            stall(out.latency - config.l1d.hitLatency);
-        }
-        if ((inst.effAddr % config.pageBytes) + inst.bytes <=
-            config.pageBytes) {
-            std::uint64_t v = inst.value;
-            phys.write(out.pfn,
-                       static_cast<std::uint32_t>(
-                           inst.effAddr % config.pageBytes),
-                       &v, std::min<std::uint32_t>(inst.bytes, 8));
-        }
-        break;
-      }
+      case Op::Load:
+      case Op::Store:
+        panic("loads and stores execute through executeLoad/Store");
 
       case Op::Call: {
         ++statCalls;

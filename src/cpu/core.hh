@@ -71,21 +71,50 @@ class Core
     /** Attach the OS syscall handler. */
     void setSyscallHandler(SyscallHandler *handler) { osHandler = handler; }
 
-    /** Execute one instruction of process @p pid. */
+    /**
+     * Execute one instruction of process @p pid whose op the caller
+     * knows to be @p O: the simple-op fast path, the load and the
+     * store bodies are picked at compile time.
+     */
+    template <Op O>
     ExecResult
     execute(Pid pid, const Instruction &inst)
     {
-        // Fast path: a simple op whose fetch line is already warm
-        // retires with no memory access, trace record, or hook call —
-        // only the retire accounting below has any effect, so the
-        // general path is bypassed for the bulk of the stream.
-        if ((inst.op == Op::Alu || inst.op == Op::Jump) &&
-            alignDown(inst.pc, config.l1i.lineBytes) == lastFetchLine) {
-            ++statInstructions;
-            consumeSlot();
-            return ExecResult{};
+        if constexpr (O == Op::Alu || O == Op::Jump) {
+            // Fast path: a simple op whose fetch line is already warm
+            // retires with no memory access, trace record, or hook
+            // call — only the retire accounting has any effect, so the
+            // general path is bypassed for the bulk of the stream.
+            if (alignDown(inst.pc, config.l1i.lineBytes) == lastFetchLine) {
+                ++statInstructions;
+                consumeSlot();
+                return ExecResult{};
+            }
+            return executeSlow(pid, inst);
+        } else if constexpr (O == Op::Load) {
+            return executeLoad(pid, inst);
+        } else if constexpr (O == Op::Store) {
+            return executeStore(pid, inst);
+        } else {
+            return executeSlow(pid, inst);
         }
-        return executeSlow(pid, inst);
+    }
+
+    /** Execute one instruction of process @p pid, of any op. */
+    ExecResult
+    execute(Pid pid, const Instruction &inst)
+    {
+        switch (inst.op) {
+          case Op::Alu:
+          case Op::Jump:
+            return execute<Op::Alu>(pid, inst);
+          case Op::Load:
+            return executeLoad(pid, inst);
+          case Op::Store:
+            return executeStore(pid, inst);
+          default:
+            return executeSlow(pid, inst);
+        }
     }
 
     /** Current simulated time on this core. */
@@ -133,7 +162,22 @@ class Core
         }
     }
 
-    /** The general execute path (misses, memory ops, records). */
+    /**
+     * Fetch @p inst and, unless the fetch faults, account its retire
+     * slot. Every op but a warm simple one starts here.
+     */
+    mem::MemFault fetchAndRetire(Pid pid, const Instruction &inst);
+
+    /** A load: checkpoint hook, data access, functional read. */
+    ExecResult executeLoad(Pid pid, const Instruction &inst);
+
+    /** A store: checkpoint hook, data access, functional write. */
+    ExecResult executeStore(Pid pid, const Instruction &inst);
+
+    /**
+     * Every other op, and a simple op whose fetch line is cold:
+     * fetch misses, control-transfer records, syscalls, I/O, halt.
+     */
     ExecResult executeSlow(Pid pid, const Instruction &inst);
 
     /** Instruction-fetch path; returns any fault. */
@@ -178,6 +222,28 @@ class Core
     stats::Scalar statRecordsSent;
     stats::Scalar statSyncStallCycles;
     stats::Scalar statMemStallCycles;
+};
+
+/**
+ * A generator sink (see net::RequestExecution::step) that retires
+ * each instruction on @p core as process @p pid: emit<O>() when the
+ * generator knows the op, emit() otherwise. result is the outcome of
+ * the last instruction emitted.
+ */
+struct RetireSink
+{
+    Core &core;
+    Pid pid;
+    ExecResult result{};
+
+    template <Op O>
+    void
+    emit(const Instruction &inst)
+    {
+        result = core.execute<O>(pid, inst);
+    }
+
+    void emit(const Instruction &inst) { result = core.execute(pid, inst); }
 };
 
 } // namespace indra::cpu

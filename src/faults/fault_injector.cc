@@ -1,19 +1,26 @@
 #include "faults/fault_injector.hh"
 
+#include <cstring>
+
 #include "sim/logging.hh"
 
 namespace indra::faults
 {
 
-std::uint32_t
-checksum32(const void *data, std::size_t len)
+std::uint64_t
+checksum64(const void *data, std::size_t len)
 {
+    constexpr std::uint64_t prime = 0x100000001b3ULL;
     const auto *p = static_cast<const std::uint8_t *>(data);
-    std::uint32_t h = 0x811c9dc5u;
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 0x01000193u;
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    std::size_t i = 0;
+    for (; i + 8 <= len; i += 8) {
+        std::uint64_t w;
+        std::memcpy(&w, p + i, 8);
+        h = (h ^ w) * prime;
     }
+    for (; i < len; ++i)
+        h = (h ^ p[i]) * prime;
     return h;
 }
 

@@ -10,9 +10,9 @@
  * fire()/pick() only on armed kinds, which keeps a null or empty-plan
  * run bit-identical to a build without the subsystem.
  *
- * Also home to checksum32(), the FNV-1a integrity checksum the
- * hardened consumers (delta pages, update log, macro images) compute
- * when state enters backup storage and verify when it leaves.
+ * Also home to checksum64(), the integrity seal the hardened
+ * consumers (delta pages, update log, macro images) compute when
+ * state enters backup storage and verify when it leaves.
  */
 
 #ifndef INDRA_FAULTS_FAULT_INJECTOR_HH
@@ -33,8 +33,17 @@
 namespace indra::faults
 {
 
-/** FNV-1a 32-bit checksum over @p len bytes at @p data. */
-std::uint32_t checksum32(const void *data, std::size_t len);
+/**
+ * Word-wise FNV-style seal over @p len bytes at @p data: from the
+ * 64-bit FNV offset basis, each 8-byte word w (host byte order) steps
+ * h = (h ^ w) * 0x100000001b3 mod 2^64, and trailing bytes step one at
+ * a time. Each step is a bijection in h (the multiplier is odd) and in
+ * the word (xor), so two equal-length inputs that differ in exactly
+ * one word — in particular any single flipped bit — always seal to
+ * different values. Sums are compared for equality only and never
+ * leave the process.
+ */
+std::uint64_t checksum64(const void *data, std::size_t len);
 
 /**
  * One fired injection, as recorded in the injector's append-only site

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "cpu/core.hh"
 #include "sim/logging.hh"
 
 namespace indra::net
@@ -34,16 +35,57 @@ constexpr double seqStoreProb = 0.65;
 
 } // anonymous namespace
 
+// ------------------------------------------------------------ DrawPlan
+
+DrawPlan::DrawPlan(const ServiceProgram &prog_ref, std::uint32_t page_bytes)
+    : prog(prog_ref), profile(prog_ref.profile()), pageBytes(page_bytes),
+      plannedPages(std::min(profile.pagesPerRequest, profile.dataPages)),
+      longjmp(profile.longjmpProb), heapAlloc(profile.heapAllocProb),
+      coldCall(profile.coldCallFraction),
+      libraryCall(profile.libraryCallFraction),
+      indirectCall(profile.indirectCallFraction),
+      leafBurst(leafBurstProb), stackLoad(stackLoadFraction),
+      stackStore(profile.stackStoreFraction), seqLoad(seqLoadProb),
+      seqStore(seqStoreProb),
+      loadBelow(Chance::belowThreshold(profile.loadFraction)),
+      storeBelow(Chance::belowThreshold(profile.loadFraction +
+                                        profile.storeFraction)),
+      callBelow(Chance::belowThreshold(
+          profile.loadFraction + profile.storeFraction + callProb)),
+      preambleCallBelow(Chance::belowThreshold(
+          profile.loadFraction + profile.storeFraction + preambleCallProb)),
+      leafRunCallBelow(Chance::belowThreshold(
+          profile.loadFraction + profile.storeFraction + leafRunCallProb)),
+      appFunction(prog_ref.appFunctionCount()),
+      libFunction(prog_ref.libFunctionCount()),
+      dataPage(profile.dataPages), plannedPage(plannedPages),
+      pageLine(page_bytes / planLineBytes), lineWord(planLineBytes / 8),
+      stackOffset(192), leafRunLength(15),
+      hotFunction(std::min(profile.hotFunctions,
+                           prog_ref.appFunctionCount()),
+                  profile.hotZipf),
+      dataPageRank(profile.dataPages, profile.dataZipf),
+      blockRepeats(profile.blockRepeat > 1.0 ? 1.0 / profile.blockRepeat
+                                             : 1.0)
+{
+    std::uint32_t lines_per_page = pageLine.range();
+    dirtyLines = static_cast<std::uint32_t>(
+        std::lround(profile.dirtyLineFraction * lines_per_page));
+    if (dirtyLines == 0)
+        dirtyLines = 1;
+    if (dirtyLines > lines_per_page)
+        dirtyLines = lines_per_page;
+    writableLine = BoundedDraw(dirtyLines);
+}
+
 // ---------------------------------------------------- RequestExecution
 
-RequestExecution::RequestExecution(const ServiceProgram &prog_ref,
-                                   Pcg32 rng_in, AttackKind attack_kind,
-                                   bool surface_dormant,
-                                   std::uint32_t page_bytes, double weight)
-    : prog(prog_ref), profile(prog_ref.profile()), rng(rng_in),
-      attack(attack_kind), surfaceDormant(surface_dormant),
-      pageBytes(page_bytes),
-      linesPerPage(page_bytes / planLineBytes)
+RequestExecution::RequestExecution(const DrawPlan &plan_ref, Pcg32 rng_in,
+                                   AttackKind attack_kind,
+                                   bool surface_dormant, double weight)
+    : plan(plan_ref), prog(plan_ref.prog), profile(plan_ref.profile),
+      rng(rng_in), attack(attack_kind), surfaceDormant(surface_dormant),
+      pageBytes(plan_ref.pageBytes)
 {
     double mean = static_cast<double>(profile.instrPerRequest) * weight;
     double spread = mean * profile.instrCv;
@@ -59,7 +101,7 @@ RequestExecution::RequestExecution(const ServiceProgram &prog_ref,
     // Some requests exercise the daemon's setjmp/longjmp error
     // handling (malformed-but-harmless input bails back to the
     // dispatcher's setjmp point).
-    if (rng.bernoulli(profile.longjmpProb))
+    if (plan.longjmp.draw(rng))
         longjmpAtBudget = budget / 2;
     planPages();
     buildEventQueue();
@@ -69,36 +111,26 @@ void
 RequestExecution::planPages()
 {
     std::unordered_set<std::uint32_t> chosen;
-    std::uint32_t want =
-        std::min(profile.pagesPerRequest, profile.dataPages);
+    std::uint32_t want = plan.plannedPages;
     std::uint32_t attempts = 0;
     while (chosen.size() < want && attempts < want * 12) {
         ++attempts;
-        std::uint32_t idx =
-            rng.zipf(profile.dataPages, profile.dataZipf);
-        chosen.insert(idx);
+        chosen.insert(plan.dataPageRank.draw(rng));
     }
     while (chosen.size() < want)
-        chosen.insert(rng.nextBounded(profile.dataPages));
-
-    std::uint32_t dirty_lines = static_cast<std::uint32_t>(
-        std::lround(profile.dirtyLineFraction * linesPerPage));
-    if (dirty_lines == 0)
-        dirty_lines = 1;
-    if (dirty_lines > linesPerPage)
-        dirty_lines = linesPerPage;
+        chosen.insert(plan.dataPage.draw(rng));
 
     for (std::uint32_t idx : chosen) {
-        PagePlan plan;
-        plan.base = prog.dataBase() +
+        PagePlan page;
+        page.base = prog.dataBase() +
             static_cast<Addr>(idx) * pageBytes;
         std::unordered_set<std::uint16_t> lines;
-        while (lines.size() < dirty_lines) {
-            lines.insert(static_cast<std::uint16_t>(
-                rng.nextBounded(linesPerPage)));
+        while (lines.size() < plan.dirtyLines) {
+            lines.insert(
+                static_cast<std::uint16_t>(plan.pageLine.draw(rng)));
         }
-        plan.writableLines.assign(lines.begin(), lines.end());
-        pages.push_back(std::move(plan));
+        page.writableLines.assign(lines.begin(), lines.end());
+        pages.push_back(std::move(page));
     }
 }
 
@@ -112,8 +144,13 @@ RequestExecution::buildEventQueue()
     for (std::uint32_t i = 0; i < profile.ioWritesPerRequest; ++i)
         events.push_back(EvKind::IoWrite);
     events.push_back(EvKind::Log);
-    if (rng.bernoulli(profile.heapAllocProb))
+    if (plan.heapAlloc.draw(rng))
         events.push_back(EvKind::Alloc);
+    // The per-slot event draw, ratioChance(pending, budget), equals
+    // bernoulli(pending / budget) only within these bounds.
+    panic_if(events.size() >= (std::size_t{1} << 21) ||
+                 budget >= (std::uint64_t{1} << 53),
+             "request event queue or budget too large to draw exactly");
 }
 
 std::vector<Vpn>
@@ -129,35 +166,28 @@ RequestExecution::plannedPages() const
 std::uint32_t
 RequestExecution::pickFunction()
 {
-    if (rng.bernoulli(profile.coldCallFraction))
-        return rng.nextBounded(prog.appFunctionCount());
-    std::uint32_t hot = std::min(profile.hotFunctions,
-                                 prog.appFunctionCount());
-    return rng.zipf(hot, profile.hotZipf);
+    if (plan.coldCall.draw(rng))
+        return plan.appFunction.draw(rng);
+    return plan.hotFunction.draw(rng);
 }
 
 std::uint32_t
 RequestExecution::drawRepeats()
 {
-    if (profile.blockRepeat <= 1.0)
-        return 1;
-    return 1 + rng.geometric(1.0 / profile.blockRepeat);
+    return 1 + plan.blockRepeats.draw(rng);
 }
 
 Addr
 RequestExecution::randomDataLineAddr(bool writable)
 {
-    const PagePlan &plan = pages[rng.nextBounded(
-        static_cast<std::uint32_t>(pages.size()))];
+    const PagePlan &page = pages[plan.plannedPage.draw(rng)];
     std::uint32_t line;
-    if (writable) {
-        line = plan.writableLines[rng.nextBounded(
-            static_cast<std::uint32_t>(plan.writableLines.size()))];
-    } else {
-        line = rng.nextBounded(linesPerPage);
-    }
-    std::uint32_t word = rng.nextBounded(planLineBytes / 8);
-    return plan.base + static_cast<Addr>(line) * planLineBytes +
+    if (writable)
+        line = page.writableLines[plan.writableLine.draw(rng)];
+    else
+        line = plan.pageLine.draw(rng);
+    std::uint32_t word = plan.lineWord.draw(rng);
+    return page.base + static_cast<Addr>(line) * planLineBytes +
         static_cast<Addr>(word) * 8;
 }
 
@@ -166,7 +196,7 @@ RequestExecution::nextLoadAddr()
 {
     // Request parsing streams through buffers: most loads continue
     // sequentially within the current page.
-    if (seqLoadAddr != 0 && rng.bernoulli(seqLoadProb)) {
+    if (seqLoadAddr != 0 && plan.seqLoad.draw(rng)) {
         Addr next = seqLoadAddr + 8;
         if (next % pageBytes != 0) {
             seqLoadAddr = next;
@@ -183,7 +213,7 @@ RequestExecution::nextStoreAddr()
     // Stores fill a line word-by-word (string/struct construction)
     // but never leave their planned writable line, so the dirty-line
     // density stays profile-controlled.
-    if (seqStoreAddr != 0 && rng.bernoulli(seqStoreProb)) {
+    if (seqStoreAddr != 0 && plan.seqStore.draw(rng)) {
         Addr next = seqStoreAddr + 8;
         if (next % planLineBytes != 0) {
             seqStoreAddr = next;
@@ -198,7 +228,7 @@ Addr
 RequestExecution::stackScratchAddr()
 {
     Addr base = sp > prog.stackBase() + 256 ? sp : prog.stackBase() + 256;
-    Addr a = base + rng.nextBounded(192);
+    Addr a = base + plan.stackOffset.draw(rng);
     return alignDown(a, 8);
 }
 
@@ -207,10 +237,9 @@ RequestExecution::pushCall(cpu::Instruction &out, Addr call_pc,
                            bool indirect)
 {
     std::uint32_t fn_idx;
-    if (indirect && rng.bernoulli(profile.libraryCallFraction) &&
+    if (indirect && plan.libraryCall.draw(rng) &&
         prog.libFunctionCount() > 0) {
-        fn_idx = prog.appFunctionCount() +
-            rng.nextBounded(prog.libFunctionCount());
+        fn_idx = prog.appFunctionCount() + plan.libFunction.draw(rng);
     } else {
         fn_idx = pickFunction();
     }
@@ -245,48 +274,49 @@ RequestExecution::emitReturn(cpu::Instruction &out)
     frames.pop_back();
 }
 
+template <class Sink>
 void
-RequestExecution::emitEvent(cpu::Instruction &out, Addr pc)
+RequestExecution::emitEvent(Sink &sink, cpu::Instruction &out, Addr pc)
 {
-    EvKind ev = events.front();
-    events.pop_front();
+    EvKind ev = events[nextEvent++];
     out.pc = pc;
+    out.op = cpu::Op::Syscall;
     switch (ev) {
       case EvKind::Open:
-        out.op = cpu::Op::Syscall;
         out.imm = static_cast<std::uint32_t>(cpu::SyscallNo::OpenFile);
         out.value = rng.next();
         break;
       case EvKind::Close:
-        out.op = cpu::Op::Syscall;
         out.imm = static_cast<std::uint32_t>(cpu::SyscallNo::CloseFile);
         out.value = 0;  // close the newest descriptor
         break;
       case EvKind::IoWrite:
         out.op = cpu::Op::IoWrite;
         out.effAddr = 0xf0000000ULL;
-        break;
+        sink.template emit<cpu::Op::IoWrite>(out);
+        return;
       case EvKind::Log:
-        out.op = cpu::Op::Syscall;
         out.imm = static_cast<std::uint32_t>(cpu::SyscallNo::WriteLog);
         out.value = count;
         break;
       case EvKind::Alloc:
-        out.op = cpu::Op::Syscall;
         out.imm = static_cast<std::uint32_t>(cpu::SyscallNo::AllocPages);
         out.value = 1;
         break;
     }
+    sink.template emit<cpu::Op::Syscall>(out);
 }
 
+template <class Sink>
 void
-RequestExecution::emitBodyInstr(cpu::Instruction &out)
+RequestExecution::emitBodyInstr(Sink &sink, cpu::Instruction &out)
 {
     Frame &fr = frames.back();
 
     // Function body exhausted: return to the caller.
     if (fr.curBlock >= fr.blocks) {
         emitReturn(out);
+        sink.template emit<cpu::Op::Return>(out);
         return;
     }
 
@@ -295,42 +325,40 @@ RequestExecution::emitBodyInstr(cpu::Instruction &out)
         static_cast<Addr>(fr.instrInBlock) * cpu::instrBytes;
 
     // Interleave queued syscall/I-O events.
-    if (!events.empty() && budget > 0 &&
-        rng.bernoulli(static_cast<double>(events.size()) /
-                      static_cast<double>(budget))) {
-        emitEvent(out, pc);
+    bool called = false;
+    if (nextEvent < events.size() && budget > 0 &&
+        ratioChance(rng, events.size() - nextEvent, budget)) {
+        emitEvent(sink, out, pc);
     } else {
-        double r = rng.uniformReal();
-        if (r < profile.loadFraction) {
+        std::uint32_t r = rng.next();
+        out.pc = pc;
+        if (r < plan.loadBelow) {
             out.op = cpu::Op::Load;
-            out.pc = pc;
-            out.effAddr = rng.bernoulli(stackLoadFraction)
-                ? stackScratchAddr()
-                : nextLoadAddr();
-        } else if (r < profile.loadFraction + profile.storeFraction) {
+            out.effAddr = plan.stackLoad.draw(rng) ? stackScratchAddr()
+                                                   : nextLoadAddr();
+            sink.template emit<cpu::Op::Load>(out);
+        } else if (r < plan.storeBelow) {
             out.op = cpu::Op::Store;
-            out.pc = pc;
-            out.effAddr = rng.bernoulli(profile.stackStoreFraction)
-                ? stackScratchAddr()
-                : nextStoreAddr();
+            out.effAddr = plan.stackStore.draw(rng) ? stackScratchAddr()
+                                                    : nextStoreAddr();
             out.value = (static_cast<std::uint64_t>(rng.next()) << 32) |
                 rng.next();
-        } else if (double cp = burstCallsLeft > 0
-                       ? leafRunCallProb
+            sink.template emit<cpu::Op::Store>(out);
+        } else if (std::uint64_t call_below = burstCallsLeft > 0
+                       ? plan.leafRunCallBelow
                        : ((fr.curBlock == 0 && fr.instrInBlock < 3)
-                              ? preambleCallProb
-                              : callProb);
-                   r < profile.loadFraction + profile.storeFraction +
-                       cp &&
+                              ? plan.preambleCallBelow
+                              : plan.callBelow);
+                   r < call_below &&
                    frames.size() < profile.maxCallDepth &&
                    budget > 64) {
-            bool indirect = rng.bernoulli(profile.indirectCallFraction);
+            bool indirect = plan.indirectCall.draw(rng);
             bool leaf = false;
             if (burstCallsLeft > 0) {
                 --burstCallsLeft;
                 leaf = true;
-            } else if (rng.bernoulli(leafBurstProb)) {
-                burstCallsLeft = 6 + rng.nextBounded(15);
+            } else if (plan.leafBurst.draw(rng)) {
+                burstCallsLeft = 6 + plan.leafRunLength.draw(rng);
             }
             pushCall(out, pc, indirect);
             if (leaf) {
@@ -339,20 +367,23 @@ RequestExecution::emitBodyInstr(cpu::Instruction &out)
                 frames.back().blocks = 1;
                 frames.back().repsLeft = 1;
             }
+            if (indirect)
+                sink.template emit<cpu::Op::CallInd>(out);
+            else
+                sink.template emit<cpu::Op::Call>(out);
             // pushCall replaced the running frame's position; the
             // caller resumes at pc + 4 when the callee returns, which
             // the block bookkeeping below models.
+            called = true;
         } else {
             out.op = cpu::Op::Alu;
-            out.pc = pc;
+            sink.template emit<cpu::Op::Alu>(out);
         }
     }
 
     // Advance intra-function position (the frame reference may have
     // been invalidated by pushCall's push; re-take it).
-    Frame &cur = out.op == cpu::Op::Call || out.op == cpu::Op::CallInd
-        ? frames[frames.size() - 2]
-        : frames.back();
+    Frame &cur = called ? frames[frames.size() - 2] : frames.back();
     if (++cur.instrInBlock >= ServiceProgram::blockBytes /
             cpu::instrBytes) {
         cur.instrInBlock = 0;
@@ -493,131 +524,167 @@ RequestExecution::buildExploit()
     }
 }
 
+template <class Sink>
+bool
+RequestExecution::step(Sink &sink)
+{
+    cpu::Instruction out;
+    for (;;) {
+        switch (phase) {
+          case Phase::Prologue: {
+            if (prologueStep == 0) {
+                out.op = cpu::Op::Syscall;
+                out.pc = prog.dispatcherAddr();
+                out.imm = static_cast<std::uint32_t>(
+                    cpu::SyscallNo::RequestCheckpoint);
+                ++prologueStep;
+                sink.template emit<cpu::Op::Syscall>(out);
+            } else {
+                out.op = cpu::Op::Setjmp;
+                out.pc = prog.dispatcherAddr() + 4;
+                out.imm = 1;
+                phase = Phase::Body;
+                sink.template emit<cpu::Op::Setjmp>(out);
+            }
+            ++count;
+            return true;
+          }
+
+          case Phase::Body: {
+            // A benign request that trips planted dormant damage fails
+            // in the middle of processing.
+            if (surfaceDormant && budget <= triggerBudget) {
+                if (!crashEmitted) {
+                    out.op = cpu::Op::Syscall;
+                    out.pc = prog.dispatcherAddr() + 12;
+                    out.imm = static_cast<std::uint32_t>(
+                        cpu::SyscallNo::Crash);
+                    crashEmitted = true;
+                    sink.template emit<cpu::Op::Syscall>(out);
+                } else {
+                    out.op = cpu::Op::Halt;
+                    out.pc = prog.dispatcherAddr() + 16;
+                    phase = Phase::Done;
+                    sink.template emit<cpu::Op::Halt>(out);
+                }
+                ++count;
+                return true;
+            }
+
+            if (attack != AttackKind::None && !exploitDone &&
+                budget <= triggerBudget) {
+                buildExploit();
+                exploitDone = true;
+                phase = Phase::Exploit;
+                continue;
+            }
+
+            if (budget == 0) {
+                phase = Phase::Unwind;
+                continue;
+            }
+
+            // Non-local error exit: longjmp back to the dispatcher's
+            // setjmp env, abandoning the whole call stack.
+            if (longjmpAtBudget != 0 && !longjmpDone &&
+                budget <= longjmpAtBudget && !frames.empty()) {
+                longjmpDone = true;
+                out.op = cpu::Op::Longjmp;
+                out.pc = frames.back().entry;
+                out.target = prog.dispatcherAddr() + 8;  // after setjmp
+                out.imm = 1;
+                frames.clear();
+                sp = prog.stackTop() - 128;
+                sink.template emit<cpu::Op::Longjmp>(out);
+                --budget;
+                ++count;
+                return true;
+            }
+
+            if (frames.empty()) {
+                Addr pc = prog.dispatcherAddr() + 8 +
+                    (topCalls % 5) * cpu::instrBytes;
+                ++topCalls;
+                pushCall(out, pc, false);
+                sink.template emit<cpu::Op::Call>(out);
+            } else {
+                emitBodyInstr(sink, out);
+            }
+            --budget;
+            ++count;
+            return true;
+          }
+
+          case Phase::Exploit: {
+            if (exploitIdx < exploitSeq.size()) {
+                sink.emit(exploitSeq[exploitIdx++]);
+                ++count;
+                return true;
+            }
+            if (attack == AttackKind::Dormant) {
+                phase = Phase::Body;  // dormant attacks finish the request
+                continue;
+            }
+            phase = Phase::Done;
+            return false;
+          }
+
+          case Phase::Unwind: {
+            if (!frames.empty()) {
+                emitReturn(out);
+                sink.template emit<cpu::Op::Return>(out);
+                ++count;
+                return true;
+            }
+            phase = Phase::Epilogue;
+            continue;
+          }
+
+          case Phase::Epilogue: {
+            if (nextEvent < events.size()) {
+                emitEvent(sink, out, prog.dispatcherAddr() + 20);
+                ++count;
+                return true;
+            }
+            out.op = cpu::Op::Halt;
+            out.pc = prog.dispatcherAddr() + 24;
+            phase = Phase::Done;
+            sink.template emit<cpu::Op::Halt>(out);
+            ++count;
+            return true;
+          }
+
+          case Phase::Done:
+            return false;
+        }
+        return false;
+    }
+}
+
+namespace
+{
+
+/** The sink behind next(): copies the instruction out. */
+struct CopySink
+{
+    cpu::Instruction &out;
+
+    template <cpu::Op>
+    void emit(const cpu::Instruction &inst) { out = inst; }
+    void emit(const cpu::Instruction &inst) { out = inst; }
+};
+
+} // anonymous namespace
+
+template bool RequestExecution::step(CopySink &);
+template bool RequestExecution::step(cpu::RetireSink &);
+
 bool
 RequestExecution::next(cpu::Instruction &out)
 {
     out = cpu::Instruction{};
-
-    switch (phase) {
-      case Phase::Prologue: {
-        if (prologueStep == 0) {
-            out.op = cpu::Op::Syscall;
-            out.pc = prog.dispatcherAddr();
-            out.imm = static_cast<std::uint32_t>(
-                cpu::SyscallNo::RequestCheckpoint);
-            ++prologueStep;
-        } else {
-            out.op = cpu::Op::Setjmp;
-            out.pc = prog.dispatcherAddr() + 4;
-            out.imm = 1;
-            phase = Phase::Body;
-        }
-        ++count;
-        return true;
-      }
-
-      case Phase::Body: {
-        // A benign request that trips planted dormant damage fails in
-        // the middle of processing.
-        if (surfaceDormant && budget <= triggerBudget) {
-            if (!crashEmitted) {
-                out.op = cpu::Op::Syscall;
-                out.pc = prog.dispatcherAddr() + 12;
-                out.imm =
-                    static_cast<std::uint32_t>(cpu::SyscallNo::Crash);
-                crashEmitted = true;
-            } else {
-                out.op = cpu::Op::Halt;
-                out.pc = prog.dispatcherAddr() + 16;
-                phase = Phase::Done;
-            }
-            ++count;
-            return true;
-        }
-
-        if (attack != AttackKind::None && !exploitDone &&
-            budget <= triggerBudget) {
-            buildExploit();
-            exploitDone = true;
-            phase = Phase::Exploit;
-            return next(out);
-        }
-
-        if (budget == 0) {
-            phase = Phase::Unwind;
-            return next(out);
-        }
-
-        // Non-local error exit: longjmp back to the dispatcher's
-        // setjmp env, abandoning the whole call stack.
-        if (longjmpAtBudget != 0 && !longjmpDone &&
-            budget <= longjmpAtBudget && !frames.empty()) {
-            longjmpDone = true;
-            out.op = cpu::Op::Longjmp;
-            out.pc = frames.back().entry;
-            out.target = prog.dispatcherAddr() + 8;  // after setjmp
-            out.imm = 1;
-            frames.clear();
-            sp = prog.stackTop() - 128;
-            --budget;
-            ++count;
-            return true;
-        }
-
-        if (frames.empty()) {
-            Addr pc = prog.dispatcherAddr() + 8 +
-                (topCalls % 5) * cpu::instrBytes;
-            ++topCalls;
-            pushCall(out, pc, false);
-        } else {
-            emitBodyInstr(out);
-        }
-        --budget;
-        ++count;
-        return true;
-      }
-
-      case Phase::Exploit: {
-        if (exploitIdx < exploitSeq.size()) {
-            out = exploitSeq[exploitIdx++];
-            ++count;
-            return true;
-        }
-        if (attack == AttackKind::Dormant) {
-            phase = Phase::Body;  // dormant attacks finish the request
-            return next(out);
-        }
-        phase = Phase::Done;
-        return false;
-      }
-
-      case Phase::Unwind: {
-        if (!frames.empty()) {
-            emitReturn(out);
-            ++count;
-            return true;
-        }
-        phase = Phase::Epilogue;
-        return next(out);
-      }
-
-      case Phase::Epilogue: {
-        if (!events.empty()) {
-            emitEvent(out, prog.dispatcherAddr() + 20);
-            ++count;
-            return true;
-        }
-        out.op = cpu::Op::Halt;
-        out.pc = prog.dispatcherAddr() + 24;
-        phase = Phase::Done;
-        ++count;
-        return true;
-      }
-
-      case Phase::Done:
-        return false;
-    }
-    return false;
+    CopySink sink{out};
+    return step(sink);
 }
 
 // --------------------------------------------------- ServiceApplication
@@ -626,9 +693,9 @@ ServiceApplication::ServiceApplication(const DaemonProfile &profile,
                                        std::uint64_t seed,
                                        std::uint32_t page_bytes)
     : _profile(profile), prog(profile, seed, page_bytes),
+      plan(prog, page_bytes),
       rng(seed ^ 0x77eeddccbbaa0099ULL,
-          std::hash<std::string>{}(profile.name) | 1),
-      pageBytes(page_bytes)
+          std::hash<std::string>{}(profile.name) | 1)
 {
 }
 
@@ -643,8 +710,8 @@ ServiceApplication::beginRequest(const ServiceRequest &req)
                req.seq >= *dormantSurfaceAt) {
         surface = true;
     }
-    return RequestExecution(prog, rng.fork(), req.attack, surface,
-                            pageBytes, req.weight);
+    return RequestExecution(plan, rng.fork(), req.attack, surface,
+                            req.weight);
 }
 
 } // namespace indra::net

@@ -3,22 +3,30 @@
  * The service application and its per-request instruction-stream
  * generator.
  *
- * A RequestExecution is a pull-based generator: the system asks it
- * for one MiniIsa instruction at a time and feeds that instruction to
- * the resurrectee core. The stream models request processing as the
- * paper's daemons exhibit it — a dispatcher loop calling into a hot
- * set of handler functions (with loops, nested calls, indirect and
- * library calls), loads/stores over a ~50-page working set with a
- * controlled dirty-line density, interspersed syscalls and I/O
- * writes, and, for malicious requests, the architectural effects of
- * the exploit payload.
+ * A RequestExecution produces one request's MiniIsa stream into a
+ * sink, one instruction per step(). Where the generator's own branch
+ * already decided the op (a load, a store, a call, an ALU slot), it
+ * hands the instruction over as sink.emit<Op::X>(inst), so a sink that
+ * retires it on the resurrectee core (cpu::RetireSink) runs that op's
+ * body without deciding the op again; instructions whose op is data
+ * (exploit payloads, queued events) go through sink.emit(inst).
+ * next() is the copying wrapper for callers that want the
+ * instructions themselves.
+ *
+ * The stream models request processing as the paper's daemons
+ * exhibit it — a dispatcher loop calling into a hot set of handler
+ * functions (with loops, nested calls, indirect and library calls),
+ * loads/stores over a ~50-page working set with a controlled
+ * dirty-line density, interspersed syscalls and I/O writes, and, for
+ * malicious requests, the architectural effects of the exploit
+ * payload. Every draw whose parameters depend only on the daemon
+ * profile and program is prepared once in the service's DrawPlan.
  */
 
 #ifndef INDRA_NET_WORKLOAD_HH
 #define INDRA_NET_WORKLOAD_HH
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -31,25 +39,92 @@
 namespace indra::net
 {
 
+/**
+ * The draws of a service's requests, prepared once from its profile
+ * and program: every probability, bound, Zipf and geometric draw
+ * whose parameters are fixed, and the op-class thresholds of a body
+ * slot. Each gives exactly the draws and the results of the per-call
+ * Pcg32 formula it replaces.
+ */
+struct DrawPlan
+{
+    DrawPlan(const ServiceProgram &prog, std::uint32_t page_bytes);
+
+    DrawPlan(const DrawPlan &) = delete;
+    DrawPlan &operator=(const DrawPlan &) = delete;
+
+    const ServiceProgram &prog;
+    const DaemonProfile &profile;
+    std::uint32_t pageBytes;
+    /** Pages a request plans, and the writable lines of each. */
+    std::uint32_t plannedPages;
+    std::uint32_t dirtyLines;
+
+    Chance longjmp;
+    Chance heapAlloc;
+    Chance coldCall;
+    Chance libraryCall;
+    Chance indirectCall;
+    Chance leafBurst;
+    Chance stackLoad;
+    Chance stackStore;
+    Chance seqLoad;
+    Chance seqStore;
+
+    /**
+     * A body slot draws one word r and is a load below loadBelow, a
+     * store below storeBelow, and a call candidate below the call
+     * threshold of its position (Chance::belowThreshold of the same
+     * double sums the op fractions add up to).
+     */
+    std::uint64_t loadBelow;
+    std::uint64_t storeBelow;
+    std::uint64_t callBelow;          //!< mid-body slot
+    std::uint64_t preambleCallBelow;  //!< first slots of a function
+    std::uint64_t leafRunCallBelow;   //!< inside a leaf-call run
+
+    BoundedDraw appFunction;
+    BoundedDraw libFunction;
+    BoundedDraw dataPage;
+    BoundedDraw plannedPage;
+    BoundedDraw writableLine;
+    BoundedDraw pageLine;
+    BoundedDraw lineWord;
+    BoundedDraw stackOffset;
+    BoundedDraw leafRunLength;
+    ZipfTable hotFunction;
+    ZipfTable dataPageRank;
+    /** Extra passes over a block (p = 1 / blockRepeat). */
+    GeometricDraw blockRepeats;
+};
+
 /** Generator of one request's instruction stream. */
 class RequestExecution
 {
   public:
     /**
-     * @param prog       static program image
+     * @param plan       the service's prepared draws (outlives this)
      * @param rng        per-request random stream
      * @param attack     payload carried by the request
      * @param surface_dormant this benign request trips previously
      *                   planted dormant damage (crashes mid-body)
-     * @param page_bytes system page size
      * @param weight     request length multiplier
      */
-    RequestExecution(const ServiceProgram &prog, Pcg32 rng,
-                     AttackKind attack, bool surface_dormant,
-                     std::uint32_t page_bytes, double weight = 1.0);
+    RequestExecution(const DrawPlan &plan, Pcg32 rng, AttackKind attack,
+                     bool surface_dormant, double weight = 1.0);
 
     /**
-     * Produce the next instruction.
+     * Produce the next instruction into @p sink: sink.emit<Op>(inst)
+     * where the op is decided here, sink.emit(inst) otherwise.
+     * Instantiated in workload.cc for cpu::RetireSink and the copying
+     * sink behind next().
+     * @return false when the stream is exhausted (nothing emitted).
+     */
+    template <class Sink>
+    bool step(Sink &sink);
+
+    /**
+     * Copy the next instruction to @p out.
      * @return false when the stream is exhausted.
      */
     bool next(cpu::Instruction &out);
@@ -104,14 +179,17 @@ class RequestExecution
     std::uint32_t drawRepeats();
     void pushCall(cpu::Instruction &out, Addr call_pc, bool indirect);
     void emitReturn(cpu::Instruction &out);
-    void emitBodyInstr(cpu::Instruction &out);
-    void emitEvent(cpu::Instruction &out, Addr pc);
+    template <class Sink>
+    void emitBodyInstr(Sink &sink, cpu::Instruction &out);
+    template <class Sink>
+    void emitEvent(Sink &sink, cpu::Instruction &out, Addr pc);
     void buildExploit();
     Addr randomDataLineAddr(bool writable);
     Addr nextLoadAddr();
     Addr nextStoreAddr();
     Addr stackScratchAddr();
 
+    const DrawPlan &plan;
     const ServiceProgram &prog;
     const DaemonProfile &profile;
     Pcg32 rng;
@@ -127,13 +205,14 @@ class RequestExecution
     Addr sp = 0;
     std::vector<Frame> frames;
     std::vector<PagePlan> pages;
-    std::deque<EvKind> events;
+    /** Queued events; those before nextEvent have issued. */
+    std::vector<EvKind> events;
+    std::size_t nextEvent = 0;
     std::uint64_t topCalls = 0;
     std::vector<cpu::Instruction> exploitSeq;
     std::size_t exploitIdx = 0;
     bool exploitDone = false;
     bool crashEmitted = false;
-    std::uint32_t linesPerPage;
     /** Sequential-access cursors (parsers stream through buffers). */
     Addr seqLoadAddr = 0;
     Addr seqStoreAddr = 0;
@@ -158,6 +237,10 @@ class ServiceApplication
      */
     ServiceApplication(const DaemonProfile &profile, std::uint64_t seed,
                        std::uint32_t page_bytes);
+
+    // The draw plan refers to the program held alongside it.
+    ServiceApplication(const ServiceApplication &) = delete;
+    ServiceApplication &operator=(const ServiceApplication &) = delete;
 
     const ServiceProgram &program() const { return prog; }
     const DaemonProfile &profile() const { return _profile; }
@@ -190,8 +273,8 @@ class ServiceApplication
   private:
     DaemonProfile _profile;
     ServiceProgram prog;
+    DrawPlan plan;
     Pcg32 rng;
-    std::uint32_t pageBytes;
     std::optional<std::uint64_t> dormantSurfaceAt;
     std::uint32_t _dormantDomain = domainUnassigned;
 };

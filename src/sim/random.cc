@@ -49,54 +49,34 @@ Pcg32::uniform(std::uint64_t lo, std::uint64_t hi)
     }
 }
 
-std::uint32_t
-Pcg32::geometric(double p)
+GeometricDraw::GeometricDraw(double p)
 {
     panic_if(p <= 0.0 || p > 1.0, "geometric: p out of range");
-    if (p == 1.0)
-        return 0;
-    double u = uniformReal();
-    // Guard against log(0).
-    if (u <= 0.0)
-        u = 1e-12;
-    return static_cast<std::uint32_t>(std::log(u) / std::log(1.0 - p));
+    certain = p == 1.0;
+    if (!certain)
+        logFail = std::log(1.0 - p);
 }
 
-std::uint32_t
-Pcg32::zipf(std::uint32_t n, double s)
+ZipfTable::ZipfTable(std::uint32_t n_in, double s)
+    : n(n_in), unitExponent(std::abs(s - 1.0) < 1e-9),
+      oneMinusS(1.0 - s), invOneMinusS(1.0 / (1.0 - s))
 {
-    panic_if(n == 0, "zipf: n == 0");
-    if (n == 1)
-        return 0;
-    // Rejection-inversion (Hormann & Derflinger) for s != 1 handled by
-    // the generalized harmonic integral; falls back to s ~ 1 safely.
-    auto h = [s](double x) {
-        if (std::abs(s - 1.0) < 1e-9)
-            return std::log(x);
-        return (std::pow(x, 1.0 - s) - 1.0) / (1.0 - s);
-    };
-    auto hInv = [s](double y) {
-        if (std::abs(s - 1.0) < 1e-9)
-            return std::exp(y);
-        return std::pow(1.0 + y * (1.0 - s), 1.0 / (1.0 - s));
-    };
-    double hx0 = h(0.5) - 1.0;
-    double hn = h(n + 0.5);
-    for (;;) {
-        double u = hx0 + uniformReal() * (hn - hx0);
-        double x = hInv(u);
-        std::uint32_t k = static_cast<std::uint32_t>(x + 0.5);
-        if (k < 1)
-            k = 1;
-        if (k > n)
-            k = n;
-        double acceptance = std::pow(static_cast<double>(k), -s);
-        double bound = h(k + 0.5) - h(k - 0.5);
-        // Cheap accept test: acceptance / bound is close to 1 for the
-        // dominating density; a uniform draw decides.
-        if (uniformReal() * bound <= acceptance)
-            return k - 1;
+    hx0 = h(0.5) - 1.0;
+    span = h(n + 0.5) - hx0;
+    acceptance.assign(n + 1, 0.0);
+    bound.assign(n + 1, 0.0);
+    for (std::uint32_t k = 1; k <= n; ++k) {
+        acceptance[k] = std::pow(static_cast<double>(k), -s);
+        bound[k] = h(k + 0.5) - h(k - 0.5);
     }
+}
+
+double
+ZipfTable::h(double x) const
+{
+    if (unitExponent)
+        return std::log(x);
+    return (std::pow(x, oneMinusS) - 1.0) / oneMinusS;
 }
 
 Pcg32

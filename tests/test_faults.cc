@@ -131,17 +131,53 @@ TEST(FaultPlan, KindNamesRoundTrip)
         EXPECT_EQ(faults::faultKindFromName(faults::faultKindName(k)), k);
 }
 
-// -------------------------------------------------------- checksum32
+// -------------------------------------------------------- checksum64
 
 TEST(Checksum, FnvBasisAndSensitivity)
 {
-    // FNV-1a over zero bytes is the offset basis.
-    EXPECT_EQ(faults::checksum32(nullptr, 0), 0x811c9dc5u);
+    // The seal over zero bytes is the 64-bit FNV offset basis.
+    constexpr std::uint64_t basis = 0xcbf29ce484222325ULL;
+    constexpr std::uint64_t prime = 0x100000001b3ULL;
+    EXPECT_EQ(faults::checksum64(nullptr, 0), basis);
+
+    // One word is one step; a tail byte is one more.
+    std::uint8_t nine[9] = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+    std::uint64_t w;
+    std::memcpy(&w, nine, 8);
+    EXPECT_EQ(faults::checksum64(nine, 8), (basis ^ w) * prime);
+    EXPECT_EQ(faults::checksum64(nine, 9),
+              (((basis ^ w) * prime) ^ 9u) * prime);
 
     std::uint8_t buf[64] = {};
-    std::uint32_t clean = faults::checksum32(buf, sizeof(buf));
+    std::uint64_t clean = faults::checksum64(buf, sizeof(buf));
     buf[17] ^= 0x01;  // a single flipped bit must change the digest
-    EXPECT_NE(faults::checksum32(buf, sizeof(buf)), clean);
+    EXPECT_NE(faults::checksum64(buf, sizeof(buf)), clean);
+}
+
+// Every injected corruption flips one bit of a sealed unit. Each word
+// step is a bijection in the running hash and in the word, so no flip
+// of any bit position may leave the seal unchanged: try them all, on
+// a backup line, a macro image page and a packed undo record.
+TEST(Checksum, EveryBitFlipOfALinePageAndUndoRecordChangesTheSeal)
+{
+    Pcg32 rng(23, 5);
+    for (std::size_t len : {std::size_t{64}, std::size_t{4096},
+                            std::size_t{20}}) {
+        std::vector<std::uint8_t> bytes(len);
+        for (auto &b : bytes)
+            b = static_cast<std::uint8_t>(rng.next());
+        const std::uint64_t clean =
+            faults::checksum64(bytes.data(), len);
+        std::size_t missed = 0;
+        for (std::size_t bit = 0; bit < len * 8; ++bit) {
+            bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+            if (faults::checksum64(bytes.data(), len) == clean)
+                ++missed;
+            bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        }
+        EXPECT_EQ(missed, 0u) << len << "-byte unit";
+        EXPECT_EQ(faults::checksum64(bytes.data(), len), clean);
+    }
 }
 
 // ----------------------------------------------------- FaultInjector

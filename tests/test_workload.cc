@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "net/daemon_profile.hh"
@@ -445,6 +447,138 @@ TEST_F(GeneratorTest, DormantCompletesNormallyThenSurfaces)
 
     app.healDormantDamage();
     EXPECT_FALSE(app.hasDormantDamage());
+}
+
+// ------------------------------------------------------- stream pin
+
+namespace
+{
+
+/** Fold @p v into the running digest @p h (FNV-style step plus a
+ *  shift-xor, so every field bit reaches the high half). */
+void
+mixInto(std::uint64_t &h, std::uint64_t v)
+{
+    h = (h ^ v) * 0x100000001b3ULL;
+    h ^= h >> 29;
+}
+
+/** Digest of every field of every instruction of one daemon's streams
+ *  for @p attack: 4 seeds x surface-dormant off/on x weights
+ *  {0.5, 1, 2}, each stream's length folded in after its last
+ *  instruction. */
+std::uint64_t
+pinnedDigest(net::DaemonProfile profile, AttackKind attack)
+{
+    profile.instrPerRequest = 40000;  // full draw mix, test-sized
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        ServiceProgram prog(profile, seed, 4096);
+        net::DrawPlan plan(prog, 4096);
+        for (bool surface : {false, true}) {
+            for (double weight : {0.5, 1.0, 2.0}) {
+                RequestExecution gen(
+                    plan, Pcg32(seed * 7919, 0x5eed0000ULL + seed),
+                    attack, surface, weight);
+                cpu::Instruction inst;
+                while (gen.next(inst)) {
+                    mixInto(h, static_cast<std::uint64_t>(inst.op));
+                    mixInto(h, inst.pc);
+                    mixInto(h, inst.target);
+                    mixInto(h, inst.effAddr);
+                    mixInto(h, inst.value);
+                    mixInto(h, inst.imm);
+                    mixInto(h, inst.bytes);
+                }
+                mixInto(h, gen.emitted());
+            }
+        }
+    }
+    return h;
+}
+
+} // anonymous namespace
+
+// Pins the exact instruction stream: any moved draw, reordered branch
+// or changed field shows up as a changed digest. The expected values
+// were printed by this test; a deliberate change to the generator's
+// output must re-record them and say so.
+TEST(StreamPin, EveryFieldOfEveryStandardStreamIsPinned)
+{
+    const AttackKind kinds[] = {
+        AttackKind::None,          AttackKind::StackSmash,
+        AttackKind::CodeInjection, AttackKind::FuncPtrHijack,
+        AttackKind::FormatString,  AttackKind::DosFlood,
+        AttackKind::Dormant,
+    };
+    const std::map<std::string, std::vector<std::uint64_t>> expected = {
+        {"ftpd",
+         {0xaa23c02188bf31daULL, 0x2d44848fc8714aaaULL,
+          0x47e1ba5309e7f65fULL, 0xa76fbfee6eb72d72ULL,
+          0x27b2d139ed46a48fULL, 0xc2e02240e0e545a3ULL,
+          0x734b79d50db1b79dULL}},
+        {"httpd",
+         {0x19132a4d4804a771ULL, 0xf1ea6e42adfdc2ceULL,
+          0x89cca25f2242920aULL, 0x71282539da56a007ULL,
+          0x6142ea1f4ce11dcdULL, 0x07c1402ad7a593e6ULL,
+          0x502f1fed2f373760ULL}},
+        {"bind",
+         {0x3c589175f4f88cb1ULL, 0xc757799f88e6f6f6ULL,
+          0xa6861e2dc69268f6ULL, 0xa98c75ca6071509dULL,
+          0x295d66bf815ab02dULL, 0xd3ff4d9f9be03585ULL,
+          0x749dd2083b6b36fdULL}},
+        {"sendmail",
+         {0x9e1fe579a96ff6eeULL, 0xe5d6c803a9120732ULL,
+          0xecfd042d1e34dd6eULL, 0x2735b46a02b2b356ULL,
+          0x688fe5b7aa1d8036ULL, 0xa22f51ee270814a4ULL,
+          0x1dff00d16b3c4e31ULL}},
+        {"imap",
+         {0x4b7f4e27f690086bULL, 0x4c02208f2ceb981cULL,
+          0x6c238582b49260cbULL, 0x21794e117015041bULL,
+          0x3b91019e57858552ULL, 0xe2c133d984656a47ULL,
+          0xe3df7337fef97a9fULL}},
+        {"nfs",
+         {0xb76441a739987b82ULL, 0xed02050381ce68d8ULL,
+          0xec06267cfed40d8bULL, 0xc5764397c79eca53ULL,
+          0xee683c31bbd6409bULL, 0xe9f876b98c489efaULL,
+          0x87a892b05f836633ULL}},
+        {"bind-edges",
+         {0x183a27dc5552d2f7ULL, 0x232a0415e58ada2aULL,
+          0xd4af6364370e0932ULL, 0xeef19d48b959dd21ULL,
+          0x17389206074cf84fULL, 0x6a16190ab6dd07a5ULL,
+          0x497cd966bd5a29a1ULL}},
+    };
+    // The standard daemons, plus one whose draws take the edge paths
+    // they never reach: a longjmp in most requests, a certain heap
+    // allocation, no block repeats, and no library calls.
+    std::vector<net::DaemonProfile> profiles = net::standardDaemons();
+    net::DaemonProfile edges = net::daemonByName("bind");
+    edges.name = "bind-edges";
+    edges.longjmpProb = 0.6;
+    edges.heapAllocProb = 1.0;
+    edges.blockRepeat = 1.0;
+    edges.libraryCallFraction = 0.0;
+    edges.indirectCallFraction = 0.9;
+    profiles.push_back(edges);
+    std::string printed;
+    for (const auto &profile : profiles) {
+        char row[512];
+        int n = std::snprintf(row, sizeof(row), "        {\"%s\", {",
+                              profile.name.c_str());
+        std::vector<std::uint64_t> got;
+        for (AttackKind kind : kinds) {
+            got.push_back(pinnedDigest(profile, kind));
+            n += std::snprintf(row + n, sizeof(row) - n, "%s0x%016llxULL",
+                               got.size() == 1 ? "" : ", ",
+                               static_cast<unsigned long long>(got.back()));
+        }
+        std::snprintf(row + n, sizeof(row) - n, "}},\n");
+        printed += row;
+        auto it = expected.find(profile.name);
+        EXPECT_TRUE(it != expected.end() && got == it->second)
+            << profile.name << " stream digests moved";
+    }
+    std::printf("%s", printed.c_str());
 }
 
 // ----------------------------------------------------------- exploits
