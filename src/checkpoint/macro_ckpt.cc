@@ -31,21 +31,22 @@ MacroCheckpoint::capture(Tick tick, os::ProcessContext &ctx,
                          os::AddressSpace &space,
                          os::SystemResources &res)
 {
-    // Keep the previous image's pages: the same working set is
-    // recaptured every interval, so a page whose frame is still the
-    // copy it holds is not copied again, and a changed page reuses
-    // its buffer.
+    // Keep the previous image's pages, or take back a discarded
+    // image's: the same working set is recaptured every interval, so
+    // a page whose frame is still the copy it holds is not copied
+    // again, and a changed page reuses its buffer.
     ++captureEpoch;
     const std::vector<Vpn> mapped = space.mappedPages();
     Cycles cost = 0;
     for (Vpn vpn : mapped) {
         const os::PageInfo &info = space.pageInfo(vpn);
-        auto [it, fresh] = image.try_emplace(vpn);
-        ImagePage &page = it->second;
-        if (fresh && !spareBuffers.empty()) {
-            page.bytes = std::move(spareBuffers.back());
-            spareBuffers.pop_back();
+        auto it = image.find(vpn);
+        if (it == image.end()) {
+            auto kept = discarded.extract(vpn);
+            it = kept ? image.insert(std::move(kept)).position
+                      : image.try_emplace(vpn).first;
         }
+        ImagePage &page = it->second;
         std::uint64_t ver = phys.frameVersion(info.pfn);
         if (!page.holds(info.pfn, ver)) {
             phys.snapshotFrameInto(info.pfn, page.bytes);
@@ -75,8 +76,8 @@ MacroCheckpoint::capture(Tick tick, os::ProcessContext &ctx,
                 ++it;
         }
     }
-    // Buffers a smaller working set did not need are freed, not kept.
-    spareBuffers.clear();
+    // Discarded pages a smaller working set did not map are freed.
+    discarded.clear();
     // The page count is sealed before any injected damage, so a
     // truncated image is caught by the count check at restore time.
     expectedPages = image.size();
@@ -199,9 +200,10 @@ void
 MacroCheckpoint::discard()
 {
     captured = false;
-    for (auto &[vpn, page] : image)
-        spareBuffers.push_back(std::move(page.bytes));
-    image.clear();
+    // The nodes move across whole; emptying the image this way keeps
+    // its bucket array, as clear() does.
+    while (!image.empty())
+        discarded.insert(image.extract(image.begin()));
     expectedPages = 0;
 }
 

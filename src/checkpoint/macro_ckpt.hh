@@ -74,8 +74,10 @@ class MacroCheckpoint
 
     /**
      * Drop the captured image (e.g. after it failed verification or
-     * a rejuvenation made it obsolete). The page buffers are kept
-     * for the next capture; the checksum memo survives too.
+     * a rejuvenation made it obsolete). Its pages are kept aside for
+     * the next capture, which reuses a page's buffer and, while its
+     * frame is still the copy the page holds, skips copying it; the
+     * checksum memo survives too.
      */
     void discard();
 
@@ -168,13 +170,22 @@ class MacroCheckpoint
 
     bool captured = false;
     std::uint64_t captureEpoch = 0;
+    /**
+     * The captured image. restore() charges its pages in this map's
+     * iteration order, so every capture fills it in mapped-page order,
+     * and discard() empties it (keeping the bucket array, as clear()
+     * does) rather than keeping it for the next capture: the order,
+     * and with it every restore charge, is the one a cleared map
+     * refilled in capture order has.
+     */
     std::unordered_map<Vpn, ImagePage> image;
     /**
-     * Page buffers of a discarded image, reused by the next capture's
-     * pages instead of allocating fresh ones (rejuvenation discards
-     * and recaptures the whole image back to back).
+     * The pages of a discarded image, with their buffers and held
+     * frame records, taken back by the next capture (rejuvenation
+     * discards and recaptures the whole image back to back). Pages
+     * that capture does not map again are freed.
      */
-    std::vector<std::vector<std::uint8_t>> spareBuffers;
+    std::unordered_map<Vpn, ImagePage> discarded;
     /** Memoized seal of one page: frame identity plus its checksum. */
     struct PageSeal
     {

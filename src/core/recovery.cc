@@ -52,13 +52,14 @@ RecoveryManager::RecoveryManager(const SystemConfig &cfg,
     initialResources = proc.resources->snapshot();
     for (Vpn vpn : proc.space->mappedPages()) {
         Pfn pfn = proc.space->pageInfo(vpn).pfn;
-        auto &bytes = initialImage[vpn];
-        bytes = phys.snapshotFrame(pfn);
-        std::uint64_t sum = faults::checksum64(bytes.data(), bytes.size());
-        initialSums[vpn] = sum;
+        LoadPage &page = loadImage[vpn];
+        page.bytes = phys.snapshotFrame(pfn);
+        page.sum = faults::checksum64(page.bytes.data(), page.bytes.size());
+        page.heldPfn = pfn;
+        page.heldVersion = phys.frameVersion(pfn);
         // The frame holds exactly these bytes: seal it, so the boot
         // capture that follows does not hash the page again.
-        macro.resealPage(vpn, pfn, sum);
+        macro.resealPage(vpn, pfn, page.sum);
     }
 }
 
@@ -233,16 +234,24 @@ RecoveryManager::rejuvenate(Tick tick)
     // then the register context.
     accountRestore(
         proc.resources->restoreTo(initialResources, *proc.space));
-    for (const auto &[vpn, bytes] : initialImage) {
-        if (!proc.space->isMapped(vpn))
+    for (auto &[vpn, page] : loadImage) {
+        const os::PageInfo *info = proc.space->findPage(vpn);
+        if (!info)
             continue;
-        Pfn pfn = proc.space->pageInfo(vpn).pfn;
-        phys.write(pfn, 0, bytes.data(),
-                   static_cast<std::uint32_t>(bytes.size()));
+        const Pfn pfn = info->pfn;
+        // A frame still at the version the page was copied from (or
+        // last written back to) already holds the load-time bytes.
+        if (page.heldPfn != pfn ||
+            page.heldVersion != phys.frameVersion(pfn)) {
+            phys.write(pfn, 0, page.bytes.data(),
+                       static_cast<std::uint32_t>(page.bytes.size()));
+            page.heldPfn = pfn;
+            page.heldVersion = phys.frameVersion(pfn);
+        }
         // The frame now holds the load-time bytes whose checksum was
         // computed at construction: reseal so the checkpoint taken
         // right below skips re-hashing every page.
-        macro.resealPage(vpn, pfn, initialSums.at(vpn));
+        macro.resealPage(vpn, pfn, page.sum);
     }
     proc.context->restore(initialContext);
 

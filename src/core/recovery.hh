@@ -189,13 +189,26 @@ class RecoveryManager
     /** Load-time state: the rejuvenation target. */
     os::ProcessContext::Snapshot initialContext;
     os::ResourceSnapshot initialResources;
-    std::unordered_map<Vpn, std::vector<std::uint8_t>> initialImage;
-    /**
-     * Checksum of each load-time page, computed once at construction.
-     * Rejuvenation writes these exact bytes back, so it can re-seal
-     * the macro engine's page-checksum memo without re-hashing.
-     */
-    std::unordered_map<Vpn, std::uint64_t> initialSums;
+    /** One page of the load-time image. */
+    struct LoadPage
+    {
+        std::vector<std::uint8_t> bytes;
+        /**
+         * Checksum of the bytes, computed once at construction.
+         * Rejuvenation writes these exact bytes back, so it can
+         * re-seal the macro engine's page-checksum memo without
+         * re-hashing.
+         */
+        std::uint64_t sum = 0;
+        /**
+         * The frame copy the bytes equal: frame heldPfn at write
+         * version heldVersion. While it holds, rejuvenation skips
+         * writing the page back.
+         */
+        Pfn heldPfn = invalidPfn;
+        std::uint64_t heldVersion = 0;
+    };
+    std::unordered_map<Vpn, LoadPage> loadImage;
 
     stats::StatGroup statGroup;
     stats::Scalar statMicroRecoveries;

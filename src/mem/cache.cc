@@ -1,6 +1,7 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "sim/logging.hh"
 
@@ -37,25 +38,26 @@ Cache::accessRun(Hot &h, Addr base, std::uint32_t n, bool is_write,
     const std::uint64_t set = setIndex(base);
     panic_if(n == 0 || set + n > numSets,
              "cache run of ", n, " lines leaves the sets");
+    // The sets are contiguous, so "every set equals the first" is
+    // "every set equals the one before it": one overlapping compare.
     Way *run = &words[set * ways];
-    Way diff = 0;
-    for (std::uint32_t s = 1; s < n; ++s) {
-        for (std::uint32_t w = 0; w < ways; ++w)
-            diff |= run[s * ways + w] ^ run[w];
-    }
-    if (diff)
+    const std::size_t tail = static_cast<std::size_t>(n - 1) * ways;
+    if (std::memcmp(run + ways, run, tail * sizeof(Way)) != 0)
         return false;
 
     // Every set holds the same ways, so the rule decides the same for
-    // each: apply it once and copy the result across, unless it was a
-    // hit on the front way that left the set as it was.
+    // each: apply it once and copy the result across, doubling the
+    // copied prefix each time, unless it was a hit on the front way
+    // that left the set as it was.
     Hot one;
     const Way front = run[0];
     first = accessSet(one, set, tagOf(base), is_write);
     if (!first.hit || run[0] != front) {
-        for (std::uint32_t s = 1; s < n; ++s) {
-            for (std::uint32_t w = 0; w < ways; ++w)
-                run[s * ways + w] = run[w];
+        const std::size_t total = tail + ways;
+        for (std::size_t have = ways; have < total;) {
+            const std::size_t copy = std::min(have, total - have);
+            std::memcpy(run + have, run, copy * sizeof(Way));
+            have += copy;
         }
     }
     h.accesses += n;

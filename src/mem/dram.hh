@@ -86,6 +86,40 @@ class DramModel
         statLatency.moments() = h.latency;
     }
 
+    /** One bank's row buffer and service horizon. */
+    struct Bank
+    {
+        bool rowOpen = false;
+        std::uint64_t openRow = 0;
+        Tick busyUntil = 0;
+
+        bool operator==(const Bank &) const = default;
+    };
+
+    /** The bank that address @p addr maps to. */
+    std::uint32_t
+    bankOf(Addr addr) const
+    {
+        return static_cast<std::uint32_t>(addr >> rowShift) &
+            (config.numBanks - 1);
+    }
+
+    /** True when addresses @p a and @p b fall in one DRAM row. */
+    bool
+    sameRow(Addr a, Addr b) const
+    {
+        return a >> rowShift == b >> rowShift;
+    }
+
+    const Bank &bankState(std::uint32_t i) const { return banks[i]; }
+
+    /**
+     * Move bank @p i's service horizon @p by cycles later: the bank
+     * side of a run of accesses whose effect is known in advance
+     * (MemHierarchy::pageTransfer's repeating fill chain).
+     */
+    void delayBank(std::uint32_t i, Cycles by) { banks[i].busyUntil += by; }
+
     /**
      * Service time in core cycles of one access of a fixed size, per
      * row-buffer state: command latency plus burst beats.
@@ -140,7 +174,7 @@ class DramModel
     {
         ++h.accesses;
         std::uint64_t row = addr >> rowShift;
-        Bank &bank = banks[row & (config.numBanks - 1)];
+        Bank &bank = banks[bankOf(addr)];
 
         Cycles service;
         if (bank.rowOpen && bank.openRow == row) {
@@ -173,13 +207,6 @@ class DramModel
     void drain();
 
   private:
-    struct Bank
-    {
-        bool rowOpen = false;
-        std::uint64_t openRow = 0;
-        Tick busyUntil = 0;
-    };
-
     DramConfig config;
     std::uint32_t ratio;       //!< core clocks per bus clock
     std::uint32_t busWidth;

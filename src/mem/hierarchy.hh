@@ -188,12 +188,22 @@ class MemHierarchy
      * the same charge, and the same L2/bus/DRAM end state and stats,
      * as the equivalent loop of lineTransfer() calls. When the page's
      * lines are L2 lines whose sets hold the same ways, one L2
-     * decision (Cache::accessRun) stands for all of them. The L2
-     * counters, bus horizon and DRAM latency moments stay in locals
-     * for the whole page and are stored back once.
+     * decision (Cache::accessRun) stands for all of them. When that
+     * decision is a miss whose fills fall in one DRAM row, and whose
+     * write-backs (if any) in one row too, the fill chain runs line by
+     * line only until a line repeats the one before it (fillRun());
+     * the rest of the page is then known and is added in one step.
+     * The L2 counters, bus horizon and DRAM latency moments stay in
+     * locals for the whole page and are stored back once.
      * @return the cycles the page took
      */
     Cycles pageTransfer(Tick tick, Pfn pfn, bool is_write);
+
+    /**
+     * Pages whose fill chain pageTransfer() charged in one step once
+     * it repeated: a host-side count for tests, not a stat.
+     */
+    std::uint64_t repeatedFillRuns() const { return repeatedRuns; }
 
     /** Synthetic address region for checkpoint/backup traffic. */
     static constexpr Addr backupRegionBase = 1ULL << 40;
@@ -241,13 +251,18 @@ class MemHierarchy
         DramModel::Hot dram;
         Cycles busBusy;
         DramModel::Timing dramTiming;
+        /**
+         * The DRAM latencies the last fillLine() sampled: the fill,
+         * then the write-back's when it had one.
+         */
+        Cycles sampled[2];
     };
 
     FillPath
     openFillPath()
     {
         return {bus.hot(), dram.hot(), bus.occupancy(config.l2.lineBytes),
-                dram.timing(config.l2.lineBytes)};
+                dram.timing(config.l2.lineBytes), {0, 0}};
     }
 
     void
@@ -273,14 +288,32 @@ class MemHierarchy
             path.bus, tick + hit_latency, line_bytes, path.busBusy);
         DramResult dr = dram.access(path.dram, path.dramTiming,
                                     busr.startTick, cache_addr);
+        path.sampled[0] = dr.latency;
         if (l2r.writeback) {
             BusResult wb = MemoryBus::transfer(
                 path.bus, dr.doneTick, line_bytes, path.busBusy);
-            dram.access(path.dram, path.dramTiming, wb.startTick,
-                        l2r.victimAddr);
+            path.sampled[1] = dram.access(path.dram, path.dramTiming,
+                                          wb.startTick, l2r.victimAddr)
+                                  .latency;
         }
         return dr.doneTick > tick ? dr.doneTick - tick : hit_latency;
     }
+
+    /**
+     * Fill the @p n lines from @p base, which all missed with the one
+     * L2 outcome @p run (line i's victim is run.victimAddr + i lines),
+     * in order over an open @p path: the uniform-miss half of
+     * pageTransfer(). Every fill adds cycles to ticks and takes maxima
+     * of them, so the chain is invariant under a shift of every tick.
+     * When the fills share one DRAM row and the write-backs one row, a
+     * line that leaves the bus and both banks as the line before it
+     * did, relative to its end tick, proves that every later line
+     * repeats it; those lines are then charged in one step, their
+     * latencies sampled in order through Moments::sampleRepeat().
+     * @return the cycles the lines took
+     */
+    Cycles fillRun(FillPath &path, Tick tick, Addr base, std::uint32_t n,
+                   CacheResult run);
 
     /** Shared L2-and-beyond path for both instruction and data. */
     MemOutcome
@@ -345,6 +378,7 @@ class MemHierarchy
     Tlb itlb;
     Tlb dtlb;
     stats::Scalar statFaults;
+    std::uint64_t repeatedRuns = 0;
 };
 
 } // namespace indra::mem

@@ -120,12 +120,13 @@ class Distribution : public StatBase
 {
   public:
     /**
-     * The running moments of one sample stream. sample() is the only
-     * Welford update in the tree: Distribution::sample forwards to it,
-     * and a batch kernel (MemHierarchy::pageTransfer) copies the
-     * moments into a local, samples every value in order, and stores
-     * them back. Welford rounding is order-dependent, so samples are
-     * never merged or reordered.
+     * The running moments of one sample stream. accumulate() is the
+     * only Welford update in the tree, one call per sample:
+     * Distribution::sample forwards to sample(), and a batch kernel
+     * (MemHierarchy::pageTransfer) copies the moments into a local,
+     * samples every value in order (a repeating run of values through
+     * sampleRepeat()), and stores them back. Welford rounding is
+     * order-dependent, so samples are never merged or reordered.
      */
     struct Moments
     {
@@ -145,6 +146,33 @@ class Distribution : public StatBase
                 lo = std::min(lo, v);
                 hi = std::max(hi, v);
             }
+            accumulate(v);
+        }
+
+        /**
+         * sample() each of the @p k values @p v, in order, @p reps
+         * times over: the same Welford updates in the same order. The
+         * min and max are taken on the first pass only, because a
+         * second pass over the same values cannot move them.
+         */
+        void
+        sampleRepeat(const double *v, std::size_t k, std::uint64_t reps)
+        {
+            if (reps == 0)
+                return;
+            for (std::size_t i = 0; i < k; ++i)
+                sample(v[i]);
+            for (std::uint64_t r = 1; r < reps; ++r) {
+                for (std::size_t i = 0; i < k; ++i)
+                    accumulate(v[i]);
+            }
+        }
+
+      private:
+        /** The count, total and Welford update of one sample. */
+        void
+        accumulate(double v)
+        {
             ++n;
             total += v;
             // Welford update: E[x^2] - E[x]^2 cancels catastrophically

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "checkpoint/delta_backup.hh"
@@ -14,6 +16,9 @@
 #include "checkpoint/policy.hh"
 #include "checkpoint/update_log.hh"
 #include "checkpoint/virtual_ckpt.hh"
+#include "faults/fault_injector.hh"
+#include "faults/fault_plan.hh"
+#include "obs/stat_sinks.hh"
 #include "os/resources.hh"
 #include "sim/random.hh"
 #include "test_util.hh"
@@ -506,8 +511,9 @@ TEST(MacroCkpt, FreedAndReusedFrameIsResnapshotted)
     EXPECT_EQ(rig.peek64(pageBase), 0u);  // the reused frame's zeros
 }
 
-// discard() keeps the page buffers but no copy record: the next
-// capture copies every page again, and restore needs that capture.
+// discard() drops the image, so it holds no frame and restore needs
+// a new capture; that capture copies again the page whose frame was
+// written in between.
 TEST(MacroCkpt, DiscardDropsCopyRecords)
 {
     MemoryRig rig;
@@ -529,4 +535,125 @@ TEST(MacroCkpt, DiscardDropsCopyRecords)
     rig.poke64(pageBase, 0x3333);
     ASSERT_TRUE(macro.restore(0, *rig.context, *rig.space, res).ok);
     EXPECT_EQ(rig.peek64(pageBase), 0x2222u);
+}
+
+namespace
+{
+
+/** What the last restore of a macro-engine scenario left behind. */
+struct MacroRun
+{
+    Cycles cycles = 0;
+    std::string stats;
+    std::vector<std::vector<std::uint8_t>> frames;
+};
+
+/**
+ * Capture, write, restore, write, then take a second image with the
+ * same engine after discard() (@p discard) or with a fresh engine,
+ * write again and restore it.
+ */
+MacroRun
+discardScenario(bool discard)
+{
+    const std::uint64_t pages = 40;  // past the image map's rehashes
+    MemoryRig rig;
+    rig.space->mapRegion(pageBase, pages, os::Region::Data);
+    os::SystemResources res(1);
+    stats::StatGroup engines("engines");
+    auto macro = std::make_unique<ckpt::MacroCheckpoint>(
+        rig.cfg, rig.phys, *rig.hierarchy, engines);
+    auto write_every = [&](std::uint64_t stride, std::uint64_t value) {
+        for (std::uint64_t p = 0; p < pages; p += stride)
+            rig.poke64(pageBase + p * rig.cfg.pageBytes + 8 * stride,
+                       value + p);
+    };
+
+    write_every(1, 0x100);
+    Tick t = macro->capture(0, *rig.context, *rig.space, res);
+    write_every(2, 0xdead0000);
+    t += macro->restore(t, *rig.context, *rig.space, res).cycles;
+    write_every(3, 0xbeef0000);
+    if (discard) {
+        macro->discard();
+    } else {
+        macro.reset();
+        macro = std::make_unique<ckpt::MacroCheckpoint>(
+            rig.cfg, rig.phys, *rig.hierarchy, engines);
+    }
+    t += macro->capture(t, *rig.context, *rig.space, res);
+    write_every(4, 0xf00d0000);
+
+    MacroRun run;
+    ckpt::MacroRestoreResult restored =
+        macro->restore(t, *rig.context, *rig.space, res);
+    EXPECT_TRUE(restored.ok);
+    run.cycles = restored.cycles;
+    std::ostringstream os;
+    obs::TextStatSink sink(os);
+    rig.stats.accept(sink);
+    run.stats = os.str();
+    for (Vpn vpn : rig.space->mappedPages())
+        run.frames.push_back(
+            rig.phys.snapshotFrame(rig.space->translate(1, vpn)));
+    return run;
+}
+
+} // namespace
+
+// discard() sets the image's pages aside and the next capture takes
+// them back, skipping the copy of each frame still at the version its
+// page holds. The image it builds must restore as a fresh engine's
+// does: the same cycles, memory-system stats and bytes. restore()
+// charges pages in the image map's order, so this pins that capture
+// refills the cleared map in mapped-page order.
+TEST(MacroCkpt, DiscardThenCaptureRestoresAsAFreshEngine)
+{
+    MacroRun reused = discardScenario(true);
+    MacroRun fresh = discardScenario(false);
+    EXPECT_EQ(reused.cycles, fresh.cycles);
+    EXPECT_EQ(reused.stats, fresh.stats);
+    EXPECT_EQ(reused.frames, fresh.frames);
+}
+
+// A page that MacroCorrupt flipped in the image is no copy of its
+// frame: after discard(), the next capture must copy it again rather
+// than take the flipped buffer back as held.
+TEST(MacroCkpt, CorruptedPageIsCopiedAgainAfterDiscard)
+{
+    MemoryRig rig;
+    rig.space->mapRegion(pageBase, 4, os::Region::Data);
+    os::SystemResources res(1);
+    ckpt::MacroCheckpoint macro(rig.cfg, rig.phys, *rig.hierarchy,
+                                rig.stats);
+    faults::FaultPlan plan;
+    plan.add(faults::FaultKind::MacroCorrupt, 1.0).setSeed(11);
+    faults::FaultInjector inj(plan, rig.stats);
+
+    const std::vector<Vpn> vpns = rig.space->mappedPages();
+    std::vector<std::vector<std::uint8_t>> original;
+    for (Vpn vpn : vpns) {
+        rig.poke64(vpn * rig.cfg.pageBytes, 0x7000 + vpn);
+        original.push_back(
+            rig.phys.snapshotFrame(rig.space->translate(1, vpn)));
+    }
+    macro.setFaultInjector(&inj);
+    macro.capture(0, *rig.context, *rig.space, res);
+    macro.setFaultInjector(nullptr);
+    std::uint64_t unheld = 0;
+    for (Vpn vpn : vpns)
+        unheld += !macro.holdsFrame(vpn, rig.space->translate(1, vpn));
+    ASSERT_EQ(unheld, 1u);  // exactly the corrupted page
+
+    macro.discard();
+    macro.capture(0, *rig.context, *rig.space, res);
+    for (Vpn vpn : vpns) {
+        EXPECT_TRUE(macro.holdsFrame(vpn, rig.space->translate(1, vpn)));
+        rig.poke64(vpn * rig.cfg.pageBytes, 0xbad);
+    }
+    ASSERT_TRUE(macro.restore(0, *rig.context, *rig.space, res).ok);
+    for (std::size_t i = 0; i < vpns.size(); ++i) {
+        EXPECT_EQ(rig.phys.snapshotFrame(rig.space->translate(1, vpns[i])),
+                  original[i]);
+    }
 }

@@ -208,3 +208,66 @@ TEST_F(RecoveryTest, RecoverWithoutSnapshotRejuvenates)
     // Rejuvenation re-arms the macro checkpoint for future failures.
     EXPECT_TRUE(macro->hasCheckpoint());
 }
+
+// Rejuvenation writes back only the load-time pages whose frames no
+// longer hold the load-time bytes, and leaves every mapped load-time
+// page equal to them: a frame written since load, one never written,
+// a page remapped to another frame, and a frame freed and handed out
+// again at the same pfn.
+TEST_F(RecoveryTest, RejuvenationRestoresEveryLoadTimePage)
+{
+    // Rebuild the manager over nonzero load-time bytes.
+    const Addr base = 0x10000000;
+    const Vpn vpn0 = base / 4096;
+    for (Vpn i = 0; i < 4; ++i)
+        poke(base + i * 4096 + 16, 0x1000 + i);
+    manager.reset();
+    manager = std::make_unique<core::RecoveryManager>(
+        rig.cfg, *policy, *macro, kernel, rig.phys, pid, *core, nullptr,
+        rig.stats);
+    std::vector<std::vector<std::uint8_t>> load;
+    std::vector<Pfn> load_pfns;
+    for (Vpn i = 0; i < 4; ++i) {
+        load_pfns.push_back(proc->space->translate(pid, vpn0 + i));
+        load.push_back(rig.phys.snapshotFrame(load_pfns.back()));
+    }
+
+    poke(base + 64, 0xbad);  // page 0: written
+    // Page 1 is left alone. Page 2: its frame goes to another page,
+    // so it is mapped again on a fresh frame, which one write brings
+    // to the version the load-time record holds: only the pfn tells
+    // the two apart.
+    const std::uint64_t held2 = rig.phys.frameVersion(load_pfns[2]);
+    ASSERT_TRUE(proc->space->unmapPage(vpn0 + 2));
+    proc->space->mapPage(vpn0 + 100, os::Region::Data);
+    proc->space->mapPage(vpn0 + 2, os::Region::Data);
+    const Pfn moved = proc->space->translate(pid, vpn0 + 2);
+    ASSERT_NE(moved, load_pfns[2]);
+    while (rig.phys.frameVersion(moved) < held2)
+        poke(base + 2 * 4096 + 32, 0xbad2);
+    ASSERT_EQ(rig.phys.frameVersion(moved), held2);
+    // Page 3: freed and handed out again at the same pfn, as zeros.
+    ASSERT_TRUE(proc->space->unmapPage(vpn0 + 3));
+    proc->space->mapPage(vpn0 + 3, os::Region::Data);
+    ASSERT_EQ(proc->space->translate(pid, vpn0 + 3), load_pfns[3]);
+    const std::uint64_t untouched = rig.phys.frameVersion(load_pfns[1]);
+
+    manager->proactiveRestore(core->curTick());
+    std::vector<std::uint64_t> versions;
+    for (Vpn i = 0; i < 4; ++i) {
+        SCOPED_TRACE(i);
+        Pfn pfn = proc->space->translate(pid, vpn0 + i);
+        EXPECT_EQ(rig.phys.snapshotFrame(pfn), load[i]);
+        versions.push_back(rig.phys.frameVersion(pfn));
+    }
+    EXPECT_EQ(versions[1], untouched);  // no copy of a held frame
+
+    // With nothing written since, a second rejuvenation copies no page.
+    manager->proactiveRestore(core->curTick());
+    for (Vpn i = 0; i < 4; ++i) {
+        SCOPED_TRACE(i);
+        Pfn pfn = proc->space->translate(pid, vpn0 + i);
+        EXPECT_EQ(rig.phys.snapshotFrame(pfn), load[i]);
+        EXPECT_EQ(rig.phys.frameVersion(pfn), versions[i]);
+    }
+}

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/stat_sinks.hh"
 #include "sim/stats.hh"
@@ -165,6 +168,58 @@ TEST(Distribution, StddevNeverNanUnderTinySpread)
     EXPECT_GE(d.variance(), 0.0);
     EXPECT_FALSE(std::isnan(d.stddev()));
     EXPECT_GE(d.stddev(), 0.0);
+}
+
+// Moments::sampleRepeat stands for a loop of sample() calls over a
+// repeating run of values (the extrapolated DRAM fill chain): every
+// moment must come out bit for bit as the loop leaves it.
+TEST(Distribution, SampleRepeatEqualsPerSampleLoop)
+{
+    using Moments = Distribution::Moments;
+    struct Case
+    {
+        const char *what;
+        Moments start;
+        std::vector<double> run;
+        std::uint64_t reps;
+    };
+    Moments warm;
+    for (double v : {300.0, 180.0, 250.0})
+        warm.sample(v);
+    Moments big;
+    big.sample(9007199254740000.0);  // total just below 2^53
+    const Case cases[] = {
+        {"from n = 0, one value", Moments{}, {140.0}, 7},
+        {"from n = 0, a pair", Moments{}, {140.0, 380.0}, 5},
+        {"pair below lo", warm, {120.0, 130.0}, 9},
+        {"pair above hi", warm, {400.0, 390.0}, 9},
+        {"pair moving lo and hi", warm, {100.0, 500.0}, 3},
+        {"pair inside", warm, {200.0, 260.0}, 11},
+        {"one repetition", warm, {170.0, 310.0}, 1},
+        {"no repetition", warm, {170.0, 310.0}, 0},
+        {"total near 2^53", big, {523.0, 1.0}, 64},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        Moments looped = c.start;
+        for (std::uint64_t r = 0; r < c.reps; ++r) {
+            for (double v : c.run)
+                looped.sample(v);
+        }
+        Moments repeated = c.start;
+        repeated.sampleRepeat(c.run.data(), c.run.size(), c.reps);
+        auto bits = [](double v) {
+            std::uint64_t b;
+            std::memcpy(&b, &v, sizeof(b));
+            return b;
+        };
+        EXPECT_EQ(repeated.n, looped.n);
+        EXPECT_EQ(bits(repeated.total), bits(looped.total));
+        EXPECT_EQ(bits(repeated.runMean), bits(looped.runMean));
+        EXPECT_EQ(bits(repeated.m2), bits(looped.m2));
+        EXPECT_EQ(bits(repeated.lo), bits(looped.lo));
+        EXPECT_EQ(bits(repeated.hi), bits(looped.hi));
+    }
 }
 
 TEST(Histogram, BucketsAndOverflow)

@@ -264,9 +264,14 @@ struct PageCase
     Tick tick = 0;
     bool isWrite = false;
     Warm warm = Warm::Random;
+    /** The bus is left busy until long after the page would finish. */
+    bool busyBus = false;
 };
 
-/** Seeds past this one warm the L2 by whole-page transfers. */
+/**
+ * Seeds past this one warm the L2 by whole-page transfers; seeds past
+ * twice this one make uniform pages whose fills share one DRAM row.
+ */
 constexpr std::uint64_t randomSeeds = 240;
 
 PageCase
@@ -275,7 +280,18 @@ pageCase(std::uint64_t seed)
     Pcg32 rng(seed);
     PageCase c;
     c.cfg = testutil::smallConfig();
-    if (seed > randomSeeds) {
+    if (seed > 2 * randomSeeds) {
+        // The shape whose fill chain pageTransfer extrapolates once it
+        // repeats. The default L2's sets repeat every 32 frames, so a
+        // page's victims sit in its own DRAM bank; with one set per
+        // page line they sit in the next few frames, in other banks.
+        c.warm = Warm::Group;
+        if (rng.next() & 1) {
+            c.cfg.l2.sizeBytes = static_cast<std::uint64_t>(
+                c.cfg.pageBytes) * c.cfg.l2.associativity;
+        }
+        c.busyBus = rng.nextBounded(3) == 0;
+    } else if (seed > randomSeeds) {
         // Backup lines are L2 lines and a page fits in the sets: the
         // shape pageTransfer can take as one L2 decision.
         const Warm kinds[] = {Warm::Group, Warm::GroupTag,
@@ -394,6 +410,8 @@ warmPath(MemoryRig &rig, const PageCase &c, std::uint64_t seed)
     if (rng.next() & 1)
         rig.bus.transfer(c.tick + rng.nextBounded(2000),
                          line * (1 + rng.nextBounded(16)));
+    if (c.busyBus)
+        rig.bus.transfer(c.tick, 64 * c.cfg.pageBytes);
 }
 
 } // namespace
@@ -401,14 +419,19 @@ warmPath(MemoryRig &rig, const PageCase &c, std::uint64_t seed)
 // pageTransfer batches a page's lineTransfer calls: for every seeded
 // pre-state it must return the same cycles and leave the same L2, bus,
 // DRAM and stats state behind as the per-line loop, whether it takes
-// the page as one L2 decision or falls back to a decision per line.
+// the page as one L2 decision or falls back to a decision per line,
+// and whether it extrapolates a repeating fill chain or runs it out.
 TEST(PageTransferKernel, EqualsPerLineLoopOverSeededPreStates)
 {
     std::uint32_t run_hits = 0;
     std::uint32_t run_misses = 0;
     std::uint32_t run_writebacks = 0;
     std::uint32_t fallbacks = 0;
-    for (std::uint64_t seed = 1; seed <= 2 * randomSeeds; ++seed) {
+    // Pages whose fill chain was extrapolated, by pre-state kind.
+    std::uint32_t repeated_same_bank = 0;
+    std::uint32_t repeated_other_bank = 0;
+    std::uint32_t repeated_busy_bus = 0;
+    for (std::uint64_t seed = 1; seed <= 3 * randomSeeds; ++seed) {
         SCOPED_TRACE(seed);
         PageCase c = pageCase(seed);
         MemoryRig kernel(c.cfg);
@@ -444,8 +467,24 @@ TEST(PageTransferKernel, EqualsPerLineLoopOverSeededPreStates)
         else
             ++(first.writeback ? run_writebacks : run_misses);
 
+        const std::uint64_t repeated_before =
+            kernel.hierarchy->repeatedFillRuns();
         Cycles batched =
             kernel.hierarchy->pageTransfer(c.tick, c.pfn, c.isWrite);
+        if (kernel.hierarchy->repeatedFillRuns() != repeated_before) {
+            ASSERT_TRUE(run && !first.hit);
+            // Rows shorter than a page keep the per-line loop.
+            ASSERT_GE(c.cfg.dram.rowBytes, c.cfg.pageBytes);
+            if (c.busyBus)
+                ++repeated_busy_bus;
+            if (first.writeback) {
+                const Addr page = kernel.hierarchy->backupAddr(c.pfn, 0);
+                ++(kernel.dram.bankOf(first.victimAddr) ==
+                           kernel.dram.bankOf(page)
+                       ? repeated_same_bank
+                       : repeated_other_bank);
+            }
+        }
         Cycles looped = 0;
         for (std::uint32_t off = 0; off < c.cfg.pageBytes;
              off += c.cfg.backupLineBytes) {
@@ -497,4 +536,9 @@ TEST(PageTransferKernel, EqualsPerLineLoopOverSeededPreStates)
     EXPECT_GT(run_misses, 0u);
     EXPECT_GT(run_writebacks, 0u);
     EXPECT_GT(fallbacks, 0u);
+    // The repeat was found with write-backs to the page's own bank and
+    // to another bank, and behind a bus busy past the page.
+    EXPECT_GT(repeated_same_bank, 0u);
+    EXPECT_GT(repeated_other_bank, 0u);
+    EXPECT_GT(repeated_busy_bus, 0u);
 }
