@@ -7,11 +7,24 @@
 namespace indra::ckpt
 {
 
+namespace
+{
+
+std::uint64_t
+zeroPageChecksum(std::uint32_t page_bytes)
+{
+    const std::vector<std::uint8_t> zeros(page_bytes, 0);
+    return faults::checksum64(zeros.data(), zeros.size());
+}
+
+} // anonymous namespace
+
 MacroCheckpoint::MacroCheckpoint(const SystemConfig &cfg,
                                  mem::PhysicalMemory &phys_ref,
                                  mem::MemHierarchy &mem_ref,
                                  stats::StatGroup &parent)
     : config(cfg), phys(phys_ref), memsys(mem_ref),
+      zeroSum(zeroPageChecksum(phys_ref.pageBytes())),
       statGroup(parent, "macro_ckpt"),
       statCaptures(statGroup, "captures", "macro checkpoints taken"),
       statRestores(statGroup, "restores", "macro rollbacks performed"),
@@ -49,7 +62,11 @@ MacroCheckpoint::capture(Tick tick, os::ProcessContext &ctx,
         ImagePage &page = it->second;
         std::uint64_t ver = phys.frameVersion(info.pfn);
         if (!page.holds(info.pfn, ver)) {
-            phys.snapshotFrameInto(info.pfn, page.bytes);
+            // A never-written frame is all zeros: keep no copy of it.
+            if (phys.isZeroFrame(info.pfn))
+                page.bytes = std::vector<std::uint8_t>();
+            else
+                phys.snapshotFrameInto(info.pfn, page.bytes);
             page.heldPfn = info.pfn;
             page.heldVersion = ver;
         }
@@ -57,8 +74,10 @@ MacroCheckpoint::capture(Tick tick, os::ProcessContext &ctx,
         if (seal.pfn != info.pfn || seal.version != ver) {
             seal.pfn = info.pfn;
             seal.version = ver;
-            seal.sum =
-                faults::checksum64(page.bytes.data(), page.bytes.size());
+            seal.sum = page.bytes.empty()
+                           ? zeroSum
+                           : faults::checksum64(page.bytes.data(),
+                                                page.bytes.size());
         }
         page.sealedSum = seal.sum;
         page.liveSum = seal.sum;
@@ -103,9 +122,12 @@ MacroCheckpoint::capture(Tick tick, os::ProcessContext &ctx,
                 static_cast<std::uint32_t>(vpns.size()))];
             ImagePage &page = image.at(victim);
             auto &bytes = page.bytes;
+            // The bit is drawn over a whole page whether or not the
+            // page holds bytes; an all-zero page gets its zeros first.
             std::uint32_t bit = injector->pick(
-                faults::FaultKind::MacroCorrupt,
-                static_cast<std::uint32_t>(bytes.size() * 8));
+                faults::FaultKind::MacroCorrupt, phys.pageBytes() * 8);
+            if (bytes.empty())
+                bytes.assign(phys.pageBytes(), 0);
             bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
             // The image page changed after sealing: refresh its live
             // sum so the cached verify sees exactly the damage a full
@@ -164,17 +186,21 @@ MacroCheckpoint::restore(Tick tick, os::ProcessContext &ctx,
     res.restoreTo(resourceSnap, space);
 
     for (auto &[vpn, page] : image) {
-        if (!space.isMapped(vpn))
+        const os::PageInfo *info = space.findPage(vpn);
+        if (!info)
             continue;  // page no longer exists (should not happen)
-        const os::PageInfo &info = space.pageInfo(vpn);
-        std::uint64_t ver = phys.frameVersion(info.pfn);
+        const Pfn pfn = info->pfn;
+        std::uint64_t ver = phys.frameVersion(pfn);
         // A frame still at the version the page was copied from (or
         // last written back to) already holds exactly these bytes.
-        if (!page.holds(info.pfn, ver)) {
-            phys.write(info.pfn, 0, page.bytes.data(),
-                       static_cast<std::uint32_t>(page.bytes.size()));
-            ver = phys.frameVersion(info.pfn);
-            page.heldPfn = info.pfn;
+        if (!page.holds(pfn, ver)) {
+            if (page.bytes.empty())
+                phys.zeroFrame(pfn);
+            else
+                phys.write(pfn, 0, page.bytes.data(),
+                           static_cast<std::uint32_t>(page.bytes.size()));
+            ver = phys.frameVersion(pfn);
+            page.heldPfn = pfn;
             page.heldVersion = ver;
         }
         // The frame now holds exactly the sealed image bytes (the
@@ -182,9 +208,9 @@ MacroCheckpoint::restore(Tick tick, os::ProcessContext &ctx,
         // means the page's checksum at its current write version is
         // already known: refresh the memo so the next capture does
         // not re-hash pages only a rollback touched.
-        sealCache[vpn] = {info.pfn, ver, page.sealedSum};
+        sealCache[vpn] = {pfn, ver, page.sealedSum};
         // The simulated charge is the full page, copied or not.
-        cost += memsys.pageTransfer(tick + cost, info.pfn, true);
+        cost += memsys.pageTransfer(tick + cost, pfn, true);
     }
     ctx.restore(contextSnap);
     memsys.flushCaches();
@@ -213,6 +239,17 @@ MacroCheckpoint::holdsFrame(Vpn vpn, Pfn pfn) const
     auto it = image.find(vpn);
     return it != image.end() &&
            it->second.holds(pfn, phys.frameVersion(pfn));
+}
+
+std::size_t
+MacroCheckpoint::bufferedPages() const
+{
+    std::size_t n = 0;
+    for (const auto *pages : {&image, &discarded}) {
+        for (const auto &[vpn, page] : *pages)
+            n += page.bytes.capacity() != 0;
+    }
+    return n;
 }
 
 std::uint64_t

@@ -126,6 +126,19 @@ class MacroCheckpoint
      */
     bool holdsFrame(Vpn vpn, Pfn pfn) const;
 
+    /**
+     * The seal of an all-zero page: faults::checksum64 over one zero
+     * frame, computed once at construction. Every image page that
+     * holds no bytes is sealed with it.
+     */
+    std::uint64_t zeroPageSum() const { return zeroSum; }
+
+    /**
+     * Host memory held by the image: its pages (captured or set aside
+     * by discard()) that own a byte buffer. An all-zero page owns none.
+     */
+    std::size_t bufferedPages() const;
+
   private:
     /** True when the page count and every page checksum verify. */
     bool verifyImage(Tick tick);
@@ -133,6 +146,7 @@ class MacroCheckpoint
     const SystemConfig &config;
     mem::PhysicalMemory &phys;
     mem::MemHierarchy &memsys;
+    const std::uint64_t zeroSum;
     faults::FaultInjector *injector = nullptr;
     obs::TraceLog *traceLog = nullptr;
     std::uint32_t traceSource = 0;
@@ -140,6 +154,12 @@ class MacroCheckpoint
     /** One page of the captured image. */
     struct ImagePage
     {
+        /**
+         * The page's bytes, or none (and no buffer) when the page is
+         * all zero: a capture of a zero frame (see
+         * mem::PhysicalMemory::isZeroFrame) keeps no copy, and a
+         * restore of an empty page zeroes the frame.
+         */
         std::vector<std::uint8_t> bytes;
         std::uint64_t sealedSum = 0;  //!< checksum sealed at capture
         /**

@@ -53,8 +53,13 @@ RecoveryManager::RecoveryManager(const SystemConfig &cfg,
     for (Vpn vpn : proc.space->mappedPages()) {
         Pfn pfn = proc.space->pageInfo(vpn).pfn;
         LoadPage &page = loadImage[vpn];
-        page.bytes = phys.snapshotFrame(pfn);
-        page.sum = faults::checksum64(page.bytes.data(), page.bytes.size());
+        if (phys.isZeroFrame(pfn)) {
+            page.sum = macro.zeroPageSum();
+        } else {
+            page.bytes = phys.snapshotFrame(pfn);
+            page.sum =
+                faults::checksum64(page.bytes.data(), page.bytes.size());
+        }
         page.heldPfn = pfn;
         page.heldVersion = phys.frameVersion(pfn);
         // The frame holds exactly these bytes: seal it, so the boot
@@ -243,8 +248,11 @@ RecoveryManager::rejuvenate(Tick tick)
         // last written back to) already holds the load-time bytes.
         if (page.heldPfn != pfn ||
             page.heldVersion != phys.frameVersion(pfn)) {
-            phys.write(pfn, 0, page.bytes.data(),
-                       static_cast<std::uint32_t>(page.bytes.size()));
+            if (page.bytes.empty())
+                phys.zeroFrame(pfn);
+            else
+                phys.write(pfn, 0, page.bytes.data(),
+                           static_cast<std::uint32_t>(page.bytes.size()));
             page.heldPfn = pfn;
             page.heldVersion = phys.frameVersion(pfn);
         }
@@ -325,6 +333,15 @@ std::uint64_t
 RecoveryManager::releaseFailures() const
 {
     return static_cast<std::uint64_t>(statReleaseFailures.value());
+}
+
+std::size_t
+RecoveryManager::bufferedPages() const
+{
+    std::size_t n = 0;
+    for (const auto &[vpn, page] : loadImage)
+        n += page.bytes.capacity() != 0;
+    return n;
 }
 
 } // namespace indra::core

@@ -156,6 +156,12 @@ class RecoveryManager
     std::uint64_t releaseFailures() const;
 
     /**
+     * Host memory held by the load-time image: its pages that own a
+     * byte buffer. A page that was all zero at load owns none.
+     */
+    std::size_t bufferedPages() const;
+
+    /**
      * Attach a structured event log (nullable); @p source identifies
      * the recovered service's core. Ladder steps (micro, macro
      * escalation, rejuvenation) are traced as they complete.
@@ -192,6 +198,12 @@ class RecoveryManager
     /** One page of the load-time image. */
     struct LoadPage
     {
+        /**
+         * The page's load-time bytes, or none (and no buffer) when
+         * its frame was a never-written zero frame at load (see
+         * mem::PhysicalMemory::isZeroFrame): rejuvenation then zeroes
+         * the frame instead of writing bytes back.
+         */
         std::vector<std::uint8_t> bytes;
         /**
          * Checksum of the bytes, computed once at construction.

@@ -39,11 +39,10 @@ PhysicalMemory::freeFrame(Pfn pfn)
     checkFrame(pfn);
     panic_if(!isAllocated(pfn), "freeing unallocated frame ", pfn);
     live[pfn] = 0;
-    frames[pfn] = std::vector<std::uint8_t>();
     // Contents are discarded: a later reuse of this pfn starts from
     // zeros, so the version must move on even though nothing was
     // written through write().
-    ++versions[pfn];
+    zeroFrame(pfn);
     freeList.push_back(pfn);
     --allocated;
 }
@@ -62,6 +61,11 @@ PhysicalMemory::copy(Pfn dst_pfn, std::uint32_t dst_off, Pfn src_pfn,
     checkFrame(src_pfn);
     panic_if(src_off + len > frameBytes || dst_off + len > frameBytes,
              "copy crosses frame boundary");
+    if (len == frameBytes && !peek(src_pfn)) {
+        // A whole all-zero lazy frame: the destination becomes one.
+        zeroFrame(dst_pfn);
+        return;
+    }
     // Materializing the destination may grow the frame table, so the
     // source is looked up after it. memmove keeps a self-copy within
     // one frame safe.

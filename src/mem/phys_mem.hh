@@ -27,6 +27,15 @@ namespace indra::mem
  * until first written). The per-frame tables are vectors indexed by
  * pfn that grow with the highest frame touched (normally the
  * allocator's high-water mark), not with the capacity.
+ *
+ * Zero frames: a frame has no backing store from its allocation (or
+ * free, or zeroFrame()) until its first write, and while it has none
+ * it reads as zeros and isZeroFrame() holds. The converse is not
+ * promised — a written frame whose bytes happen to be zero keeps its
+ * store — so isZeroFrame() is an exact "never written since it was
+ * allocated, freed or zeroed", which lets the checkpoint engines skip
+ * copying, hashing and storing a page they know to be zero. A
+ * whole-frame copy() from such a frame makes the destination one too.
  */
 class PhysicalMemory
 {
@@ -95,12 +104,44 @@ class PhysicalMemory
 
     /**
      * Copy @p len bytes from (@p src_pfn, @p src_off) to
-     * (@p dst_pfn, @p dst_off). Used by checkpoint engines.
+     * (@p dst_pfn, @p dst_off). Used by checkpoint engines. A
+     * whole-frame copy from a zero frame zeroes the destination with
+     * zeroFrame(); a partial one writes the zeros.
      */
     void copy(Pfn dst_pfn, std::uint32_t dst_off, Pfn src_pfn,
               std::uint32_t src_off, std::uint32_t len);
 
-    /** Snapshot an entire frame's bytes (for tests / verification). */
+    /**
+     * True exactly when @p pfn has no backing store: it was not
+     * written since it was allocated, freed or zeroed, and reads as
+     * zeros.
+     */
+    bool
+    isZeroFrame(Pfn pfn) const
+    {
+        checkFrame(pfn);
+        return peek(pfn) == nullptr;
+    }
+
+    /**
+     * Make @p pfn all zeros by dropping its backing store. Like a
+     * write, this bumps the frame's version.
+     */
+    void
+    zeroFrame(Pfn pfn)
+    {
+        checkFrame(pfn);
+        cover(pfn);
+        frames[pfn] = std::vector<std::uint8_t>();
+        ++versions[pfn];
+    }
+
+    /**
+     * Snapshot an entire frame's bytes into a new buffer: the
+     * load-time image copies a written page with it, and the
+     * differential oracle's reference models and the tests compare
+     * frames through it.
+     */
     std::vector<std::uint8_t> snapshotFrame(Pfn pfn) const;
 
     /**

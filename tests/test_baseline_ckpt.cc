@@ -616,6 +616,34 @@ TEST(MacroCkpt, DiscardThenCaptureRestoresAsAFreshEngine)
     EXPECT_EQ(reused.frames, fresh.frames);
 }
 
+// An image page that holds no bytes is sealed with the checksum of a
+// zero page at the configured page size, and restoring it zeroes the
+// frame without materializing it.
+TEST(MacroCkpt, ZeroPageSealIsTheChecksumOfAZeroPage)
+{
+    for (std::uint32_t page_bytes : {1024u, 4096u, 8192u}) {
+        SCOPED_TRACE(page_bytes);
+        SystemConfig cfg = testutil::smallConfig();
+        cfg.pageBytes = page_bytes;
+        MemoryRig rig(cfg);
+        rig.space->mapRegion(pageBase, 2, os::Region::Data);
+        os::SystemResources res(1);
+        ckpt::MacroCheckpoint macro(rig.cfg, rig.phys, *rig.hierarchy,
+                                    rig.stats);
+        const std::vector<std::uint8_t> zeros(page_bytes, 0);
+        EXPECT_EQ(macro.zeroPageSum(),
+                  faults::checksum64(zeros.data(), zeros.size()));
+
+        macro.capture(0, *rig.context, *rig.space, res);
+        EXPECT_EQ(macro.bufferedPages(), 0u);
+        const Pfn pfn = rig.space->translate(1, pageBase / page_bytes);
+        rig.poke64(pageBase + 8, 0xbad);
+        ASSERT_TRUE(macro.restore(0, *rig.context, *rig.space, res).ok);
+        EXPECT_TRUE(rig.phys.isZeroFrame(pfn));
+        EXPECT_EQ(rig.phys.snapshotFrame(pfn), zeros);
+    }
+}
+
 // A page that MacroCorrupt flipped in the image is no copy of its
 // frame: after discard(), the next capture must copy it again rather
 // than take the flipped buffer back as held.

@@ -25,6 +25,7 @@
 #include "resilience/resilience_config.hh"
 #include "resilience/storm.hh"
 #include "sim/random.hh"
+#include "test_util.hh"
 
 using namespace indra;
 using net::RequestStatus;
@@ -204,6 +205,29 @@ TEST(DomainHealth, ZeroHealStreakClampsToOne)
     EXPECT_TRUE(board.degraded(1));
     board.noteServed(1);
     EXPECT_FALSE(board.degraded(1));
+}
+
+// An anchor taken while its page was never written is a zero frame;
+// rewinding to it leaves the page all zeros, and lazy again.
+TEST(DomainRewind, NeverWrittenAnchorRewindsToZeros)
+{
+    testutil::MemoryRig rig;
+    const Addr base = 0x10000000;
+    rig.space->mapRegion(base, 2, os::Region::Data);
+    ckpt::DomainRewindEngine eng(rig.cfg, *rig.context, *rig.space,
+                                 rig.phys, *rig.hierarchy, rig.stats);
+    eng.onRequestBegin(0);
+    eng.setActiveDomain(1);
+    const Pfn pfn = rig.space->translate(1, base / rig.cfg.pageBytes);
+    ASSERT_TRUE(rig.phys.isZeroFrame(pfn));
+    eng.onStore(0, 1, base + 8, 8);
+    rig.poke64(base + 8, 0xbad);
+
+    eng.attributeFailure(1, false);
+    eng.rewindAttributed(0);
+    ASSERT_EQ(eng.lastRewoundPages().size(), 1u);
+    EXPECT_EQ(rig.peek64(base + 8), 0u);
+    EXPECT_TRUE(rig.phys.isZeroFrame(pfn));
 }
 
 // ================================== confined rewind, system level

@@ -628,6 +628,54 @@ TEST(FaultMacro, VictimPicksDrawOverSortedImageVpns)
     }
 }
 
+// An image of never-written pages holds no bytes; MacroCorrupt gives
+// its victim the zeros first and flips a bit drawn over the whole page,
+// so the victim and bit picks are the ones a byte-holding image draws
+// and the damage is caught before a byte of process state moves.
+TEST(FaultMacro, CorruptAllZeroImageIsCaughtOnTheSamePicks)
+{
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        SCOPED_TRACE(seed);
+        MemoryRig rig;
+        rig.space->mapRegion(pageBase, 9, os::Region::Data);
+        os::SystemResources res(1);
+        ckpt::MacroCheckpoint macro(rig.cfg, rig.phys, *rig.hierarchy,
+                                    rig.stats);
+        FaultPlan plan;
+        plan.add(FaultKind::MacroCorrupt, 1.0).setSeed(seed);
+        FaultInjector inj(plan, rig.stats);
+        macro.setFaultInjector(&inj);
+        stats::StatGroup twin_stats("twin");
+        FaultInjector twin(plan, twin_stats);
+
+        std::vector<Vpn> vpns = rig.space->mappedPages();
+        std::sort(vpns.begin(), vpns.end());
+        for (Vpn vpn : vpns)
+            ASSERT_TRUE(rig.phys.isZeroFrame(rig.space->translate(1, vpn)));
+
+        macro.capture(0, *rig.context, *rig.space, res);
+        ASSERT_TRUE(twin.fire(FaultKind::MacroCorrupt));
+        Vpn victim = vpns[twin.pick(FaultKind::MacroCorrupt,
+                                    static_cast<std::uint32_t>(vpns.size()))];
+        twin.pick(FaultKind::MacroCorrupt, rig.cfg.pageBytes * 8);
+        // Both injectors stand at the same stream position.
+        EXPECT_EQ(inj.pick(FaultKind::MacroCorrupt, 1u << 30),
+                  twin.pick(FaultKind::MacroCorrupt, 1u << 30));
+        for (Vpn vpn : vpns) {
+            EXPECT_EQ(macro.holdsFrame(vpn, rig.space->translate(1, vpn)),
+                      vpn != victim);
+        }
+        EXPECT_EQ(macro.bufferedPages(), 1u);  // only the damaged page
+
+        auto result = macro.restore(0, *rig.context, *rig.space, res);
+        EXPECT_FALSE(result.ok);
+        EXPECT_EQ(macro.restoreFailures(), 1u);
+        EXPECT_EQ(macro.corruptionDetected(), 1u);
+        for (Vpn vpn : vpns)
+            EXPECT_TRUE(rig.phys.isZeroFrame(rig.space->translate(1, vpn)));
+    }
+}
+
 // -------------------------------------- resource release during revival
 
 TEST(FaultRelease, FailedReleasesLeakButStayRetryable)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "mem/phys_mem.hh"
 
@@ -79,6 +80,71 @@ TEST(PhysMem, CopyFromLazyFrameZeroes)
     pm.write64(dst, 0, 99);
     pm.copy(dst, 0, src, 0, 64);
     EXPECT_EQ(pm.read64(dst, 0), 0u);
+}
+
+// isZeroFrame is exactly "not written since alloc, free or zeroFrame":
+// any write ends it, even one of zeros.
+TEST(PhysMem, ZeroFrameHoldsUntilTheFirstWrite)
+{
+    PhysicalMemory pm(1 << 20, 4096);
+    Pfn a = pm.allocFrame();
+    EXPECT_TRUE(pm.isZeroFrame(a));
+    pm.write64(a, 8, 0);
+    EXPECT_FALSE(pm.isZeroFrame(a));
+
+    pm.zeroFrame(a);
+    EXPECT_TRUE(pm.isZeroFrame(a));
+    const std::uint8_t byte = 1;
+    pm.write(a, 4095, &byte, 1);
+    EXPECT_FALSE(pm.isZeroFrame(a));
+
+    pm.freeFrame(a);
+    Pfn b = pm.allocFrame();
+    ASSERT_EQ(b, a);  // reuse of the freed frame
+    EXPECT_TRUE(pm.isZeroFrame(b));
+    EXPECT_EQ(pm.read64(b, 4088), 0u);
+}
+
+TEST(PhysMem, ZeroFrameDropsBytesAndBumpsVersion)
+{
+    PhysicalMemory pm(1 << 20, 4096);
+    Pfn a = pm.allocFrame();
+    std::uint64_t v0 = pm.frameVersion(a);
+    pm.zeroFrame(a);  // already lazy: the version still moves
+    std::uint64_t v1 = pm.frameVersion(a);
+    EXPECT_GT(v1, v0);
+    pm.write64(a, 64, 0x77);
+    std::uint64_t v2 = pm.frameVersion(a);
+    pm.zeroFrame(a);
+    EXPECT_GT(pm.frameVersion(a), v2);
+    EXPECT_EQ(pm.read64(a, 64), 0u);
+    EXPECT_EQ(pm.snapshotFrame(a), std::vector<std::uint8_t>(4096, 0));
+}
+
+TEST(PhysMem, WholeCopyFromLazyFrameLeavesDestinationLazy)
+{
+    PhysicalMemory pm(1 << 20, 4096);
+    Pfn src = pm.allocFrame();  // never written: lazy zero
+    Pfn dst = pm.allocFrame();
+    pm.write64(dst, 128, 99);
+    std::uint64_t before = pm.frameVersion(dst);
+    pm.copy(dst, 0, src, 0, 4096);
+    EXPECT_TRUE(pm.isZeroFrame(dst));
+    EXPECT_GT(pm.frameVersion(dst), before);
+    EXPECT_EQ(pm.read64(dst, 128), 0u);
+    EXPECT_TRUE(pm.isZeroFrame(src));
+}
+
+TEST(PhysMem, PartialCopyFromLazyFrameMaterializesZeros)
+{
+    PhysicalMemory pm(1 << 20, 4096);
+    Pfn src = pm.allocFrame();
+    Pfn dst = pm.allocFrame();
+    std::uint64_t before = pm.frameVersion(dst);
+    pm.copy(dst, 0, src, 0, 4095);
+    EXPECT_FALSE(pm.isZeroFrame(dst));
+    EXPECT_GT(pm.frameVersion(dst), before);
+    EXPECT_EQ(pm.snapshotFrame(dst), std::vector<std::uint8_t>(4096, 0));
 }
 
 TEST(PhysMem, CopyWithinOneFrame)

@@ -209,6 +209,25 @@ TEST_F(RecoveryTest, RecoverWithoutSnapshotRejuvenates)
     EXPECT_TRUE(macro->hasCheckpoint());
 }
 
+// The fixture's load-time pages were never written: the load image
+// keeps no bytes for them, and rejuvenating one written since load
+// drops the written bytes again instead of copying zeros over them.
+TEST_F(RecoveryTest, RejuvenationZeroesANeverWrittenLoadPageLazily)
+{
+    const Addr base = 0x10000000;
+    const Pfn pfn = proc->space->translate(pid, base / 4096);
+    ASSERT_TRUE(rig.phys.isZeroFrame(pfn));
+    EXPECT_EQ(manager->bufferedPages(), 0u);
+
+    poke(base + 64, 0xbad);
+    ASSERT_FALSE(rig.phys.isZeroFrame(pfn));
+    manager->proactiveRestore(core->curTick());
+    EXPECT_EQ(peek(base + 64), 0u);
+    EXPECT_TRUE(rig.phys.isZeroFrame(pfn));
+    EXPECT_EQ(manager->bufferedPages(), 0u);
+    EXPECT_EQ(macro->bufferedPages(), 0u);
+}
+
 // Rejuvenation writes back only the load-time pages whose frames no
 // longer hold the load-time bytes, and leaves every mapped load-time
 // page equal to them: a frame written since load, one never written,

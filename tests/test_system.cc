@@ -71,6 +71,27 @@ TEST(System, BootAndDeploy)
     EXPECT_EQ(sys.slot(slot).coreId, 1u);
 }
 
+// A freshly deployed service's load image and boot capture keep a byte
+// buffer only for pages that hold written bytes: never-written pages,
+// which are nearly all of them, cost no host memory.
+TEST(System, FreshServiceImagesKeepNoZeroPages)
+{
+    IndraSystem sys(core::NodeConfig{testConfig()});
+    sys.boot();
+    std::size_t slot = sys.deployService(shortDaemon());
+    os::Process &proc = sys.kernel().process(sys.slot(slot).pid);
+    std::size_t mapped = 0;
+    std::size_t written = 0;
+    for (Vpn vpn : proc.space->mappedPages()) {
+        ++mapped;
+        written +=
+            !sys.physMem().isZeroFrame(proc.space->pageInfo(vpn).pfn);
+    }
+    EXPECT_LT(written, mapped);
+    EXPECT_EQ(sys.slot(slot).recovery->bufferedPages(), written);
+    EXPECT_EQ(sys.slot(slot).macro->bufferedPages(), written);
+}
+
 TEST(SystemDeath, DoubleBootPanics)
 {
     IndraSystem sys(core::NodeConfig{testConfig()});
