@@ -5,10 +5,13 @@
  * on the calling process; nothing system-wide is touched). Each
  * period of CPU time the process consumes, SIGPROF interrupts
  * whichever of its threads is running and the handler appends that
- * thread's interrupted PC to a preallocated buffer. The period asked
+ * thread's interrupted PC and its thread id to preallocated buffers,
+ * so a profile can be split per thread (symbolize.py --by-thread).
+ * The period asked
  * for is 1 ms; the kernel rounds it up to its timer tick, so the
  * effective rate is printed as samples per CPU second. At exit the PCs
- * and a copy of /proc/self/maps go to pcsample.<pid>.raw in the
+ * (one "pc tid" line each, in hex and decimal) and a copy of
+ * /proc/self/maps go to pcsample.<pid>.raw in the
  * working directory; symbolize.py turns that file into a flat profile.
  *
  * Unlike gprof, the samples include time spent in libm and libc, and
@@ -18,6 +21,7 @@
  *   cc -O2 -shared -fPIC -o pcsample.so scripts/pcsample/pcsample.c
  *   LD_PRELOAD=$PWD/pcsample.so ./some_binary args...
  *   python3 scripts/pcsample/symbolize.py pcsample.<pid>.raw
+ *   python3 scripts/pcsample/symbolize.py --by-thread pcsample.<pid>.raw
  */
 
 #define _GNU_SOURCE
@@ -27,6 +31,7 @@
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/syscall.h>
 #include <sys/time.h>
 #include <time.h>
 #include <ucontext.h>
@@ -37,6 +42,7 @@
 #define PCSAMPLE_PERIOD_US 1000
 
 static uintptr_t *samples;
+static pid_t *threads;
 static atomic_uint taken;
 static atomic_uint dropped;
 
@@ -59,9 +65,12 @@ onProf(int sig, siginfo_t *info, void *uc)
     (void)sig;
     (void)info;
     unsigned slot = atomic_fetch_add(&taken, 1);
-    if (slot < PCSAMPLE_CAPACITY)
+    if (slot < PCSAMPLE_CAPACITY) {
         samples[slot] = interruptedPc(uc);
-    else
+        /* A raw syscall: async-signal-safe, and older glibcs lack
+         * gettid(). */
+        threads[slot] = (pid_t)syscall(SYS_gettid);
+    } else
         atomic_fetch_add(&dropped, 1);
 }
 
@@ -69,8 +78,12 @@ __attribute__((constructor)) static void
 pcsampleStart(void)
 {
     samples = calloc(PCSAMPLE_CAPACITY, sizeof(*samples));
-    if (!samples)
+    threads = calloc(PCSAMPLE_CAPACITY, sizeof(*threads));
+    if (!samples || !threads) {
+        free(samples);
+        samples = NULL;
         return;
+    }
     struct sigaction sa;
     memset(&sa, 0, sizeof(sa));
     sa.sa_sigaction = onProf;
@@ -116,6 +129,7 @@ pcsampleStop(void)
     fprintf(out, "# samples %u dropped %u cpu_s %.3f per_cpu_s %.0f\n",
             n, atomic_load(&dropped), cpu_s, cpu_s > 0 ? n / cpu_s : 0.0);
     for (unsigned i = 0; i < n; ++i)
-        fprintf(out, "%lx\n", (unsigned long)samples[i]);
+        fprintf(out, "%lx %ld\n", (unsigned long)samples[i],
+                (long)threads[i]);
     fclose(out);
 }

@@ -2,6 +2,7 @@
 """Turn a pcsample.<pid>.raw file into a flat profile.
 
     python3 scripts/pcsample/symbolize.py pcsample.<pid>.raw [--top N]
+                                          [--by-thread]
 
 Each sampled PC is placed in its mapped file from the /proc/self/maps
 copy at the head of the raw file, then resolved with `addr2line -f -i
@@ -17,6 +18,11 @@ PCs in a file without a full symbol table (a stripped libc or libm
 has only its exported symbols, so addr2line names the nearest exported
 one) are charged to "[file] near <symbol>", so their time still shows
 as a share without a misleading function name.
+
+--by-thread prints the self and enclosing rankings once per sampled
+thread, in the order the threads were first sampled (the first is the
+main thread), each share a share of that thread's samples. Raw files
+from before thread ids were recorded read as one thread.
 """
 
 import argparse
@@ -27,7 +33,8 @@ import sys
 
 
 def read_raw(path):
-    maps, pcs, header = [], [], ""
+    """Maps, (pc, tid) samples and the header line of a raw file."""
+    maps, samples, header = [], [], ""
     section = None
     with open(path) as f:
         for line in f:
@@ -45,8 +52,10 @@ def read_raw(path):
                 lo, hi = (int(x, 16) for x in parts[0].split("-"))
                 maps.append((lo, hi, int(parts[2], 16), parts[5]))
             elif section == "samples" and line.strip():
-                pcs.append(int(line, 16))
-    return maps, pcs, header
+                parts = line.split()
+                tid = int(parts[1]) if len(parts) > 1 else 0
+                samples.append((int(parts[0], 16), tid))
+    return maps, samples, header
 
 
 def place(maps, pc):
@@ -92,52 +101,80 @@ def short(name, width=100):
     return name if len(name) <= width else name[:width - 3] + "..."
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("raw")
-    ap.add_argument("--top", type=int, default=30)
-    args = ap.parse_args()
-
-    maps, pcs, header = read_raw(args.raw)
-    if not pcs:
-        sys.exit("symbolize: no samples in " + args.raw)
-    by_file = collections.defaultdict(collections.Counter)
-    unplaced = 0
-    for pc in pcs:
+def names(maps, samples):
+    """Map each placed (path, offset) to its (file, self, enclosing)
+    names, resolving every file once."""
+    by_file = collections.defaultdict(set)
+    for pc, _ in samples:
         path, addr = place(maps, pc)
-        if path is None:
-            unplaced += 1
-        else:
-            by_file[path][addr] += 1
-
-    self_count = collections.Counter()
-    enclosing = collections.Counter()
-    files = collections.Counter()
-    for path, counts in by_file.items():
-        chains = resolve(path, sorted(counts))
+        if path is not None:
+            by_file[path].add(addr)
+    named = {}
+    for path, addrs in by_file.items():
+        chains = resolve(path, sorted(addrs))
         base = os.path.basename(path)
         full = os.path.isfile(path) and has_symtab(path)
-        for addr, n in counts.items():
-            files[base] += n
+        for addr in addrs:
             chain = chains.get(addr) or []
             if chain and full:
-                self_count[chain[0][0]] += n
-                enclosing[chain[-1][0]] += n
+                named[(path, addr)] = (base, chain[0][0], chain[-1][0])
             else:
                 name = f"[{base}]"
                 if chain:
                     name += " near " + chain[-1][0]
-                self_count[name] += n
-                enclosing[name] += n
+                named[(path, addr)] = (base, name, name)
+    return named
 
-    total = len(pcs)
+
+def rank(title, counter, total, top):
+    print(f"\n{title}:")
+    for name, n in counter.most_common(top):
+        print(f"  {100.0 * n / total:6.2f}%  {n:8d}  {short(name)}")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("raw")
+    ap.add_argument("--top", type=int, default=30)
+    ap.add_argument("--by-thread", action="store_true",
+                    help="rank each sampled thread's samples apart")
+    args = ap.parse_args()
+
+    maps, samples, header = read_raw(args.raw)
+    if not samples:
+        sys.exit("symbolize: no samples in " + args.raw)
+    named = names(maps, samples)
+
+    # One group of counters per thread (first sampled first), or one
+    # for the whole process.
+    groups = {}
+    sampled = collections.Counter()
+    unplaced = 0
+    for pc, tid in samples:
+        key = tid if args.by_thread else 0
+        if key not in groups:
+            groups[key] = [collections.Counter() for _ in range(3)]
+        sampled[key] += 1
+        path, addr = place(maps, pc)
+        if path is None:
+            unplaced += 1
+            continue
+        for counter, name in zip(groups[key], named[(path, addr)]):
+            counter[name] += 1
+
+    total = len(samples)
     print(f"{total} samples ({header}), {unplaced} outside any mapped file")
-    for title, counter in (("by file", files),
-                           ("self (innermost inline frame)", self_count),
-                           ("enclosing (out-of-line function)", enclosing)):
-        print(f"\n{title}:")
-        for name, n in counter.most_common(args.top):
-            print(f"  {100.0 * n / total:6.2f}%  {n:8d}  {short(name)}")
+    for i, (tid, (files, self_count, enclosing)) in enumerate(
+            groups.items()):
+        n = sampled[tid]
+        if args.by_thread:
+            role = "main thread" if i == 0 else f"thread {i + 1}"
+            print(f"\n=== {role} (tid {tid}): {n} samples, "
+                  f"{100.0 * n / total:.2f}% of all")
+        else:
+            rank("by file", files, n, args.top)
+        rank("self (innermost inline frame)", self_count, n, args.top)
+        rank("enclosing (out-of-line function)", enclosing, n, args.top)
 
 
 if __name__ == "__main__":

@@ -149,7 +149,7 @@ DeltaBackup::onStore(Tick tick, Pid pid, Addr vaddr, std::uint32_t bytes)
 {
     if (pid != context.pid())
         return 0;
-    Vpn vpn = vaddr / config.pageBytes;
+    Vpn vpn = geom.vpnOf(vaddr);
     const os::PageInfo *mapped = space.findPage(vpn);
     if (!mapped)
         return 0;
@@ -170,11 +170,9 @@ DeltaBackup::onStore(Tick tick, Pid pid, Addr vaddr, std::uint32_t bytes)
         touchedThisEpoch.insert(vpn);
     }
 
-    std::uint32_t page_off =
-        static_cast<std::uint32_t>(vaddr % config.pageBytes);
-    std::uint32_t first_line = page_off / config.backupLineBytes;
-    std::uint32_t last_line =
-        (page_off + bytes - 1) / config.backupLineBytes;
+    std::uint32_t page_off = geom.pageOffset(vaddr);
+    std::uint32_t first_line = geom.lineOf(page_off);
+    std::uint32_t last_line = geom.lineOf(page_off + bytes - 1);
     if (last_line >= linesPerPage())
         last_line = linesPerPage() - 1;
 
@@ -240,7 +238,7 @@ DeltaBackup::onLoad(Tick tick, Pid pid, Addr vaddr, std::uint32_t bytes)
     // none armed no load can have a line to recover.
     if (armedRecords.empty() || pid != context.pid())
         return 0;
-    Vpn vpn = vaddr / config.pageBytes;
+    Vpn vpn = geom.vpnOf(vaddr);
     BackupPageRecord *found = findRecord(vpn);
     if (!found || !found->rollbackVld)
         return 0;
@@ -254,11 +252,9 @@ DeltaBackup::onLoad(Tick tick, Pid pid, Addr vaddr, std::uint32_t bytes)
     if (!memsys.dTlb().contains(context.pid(), vpn))
         cost += config.backupRecordFetchCycles;
 
-    std::uint32_t page_off =
-        static_cast<std::uint32_t>(vaddr % config.pageBytes);
-    std::uint32_t first_line = page_off / config.backupLineBytes;
-    std::uint32_t last_line =
-        (page_off + bytes - 1) / config.backupLineBytes;
+    std::uint32_t page_off = geom.pageOffset(vaddr);
+    std::uint32_t first_line = geom.lineOf(page_off);
+    std::uint32_t last_line = geom.lineOf(page_off + bytes - 1);
     if (last_line >= linesPerPage())
         last_line = linesPerPage() - 1;
 

@@ -37,7 +37,7 @@ DomainRewindEngine::onStore(Tick tick, Pid pid, Addr vaddr,
     Cycles cost = DeltaBackup::onStore(tick, pid, vaddr, bytes);
     if (pid != context.pid())
         return cost;
-    Vpn vpn = vaddr / config.pageBytes;
+    Vpn vpn = geom.vpnOf(vaddr);
     const os::PageInfo *page = space.findPage(vpn);
     if (!page)
         return cost;

@@ -16,8 +16,8 @@ CheckpointPolicy::CheckpointPolicy(const SystemConfig &cfg,
                                    mem::MemHierarchy &mem_ref,
                                    stats::StatGroup &parent,
                                    const char *name)
-    : config(cfg), context(context_ref), space(space_ref), phys(phys_ref),
-      memsys(mem_ref),
+    : config(cfg), geom(cfg), context(context_ref), space(space_ref),
+      phys(phys_ref), memsys(mem_ref),
       statGroup(parent, name),
       statLinesBackedUp(statGroup, "lines_backed_up",
                         "backup-granularity lines copied to backup"),

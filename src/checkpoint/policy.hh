@@ -164,13 +164,10 @@ class CheckpointPolicy : public cpu::CheckpointHooks
     Cycles chargePageCopy(Tick tick, Pfn src_pfn, Pfn dst_pfn);
 
     /** Lines per page at backup granularity. */
-    std::uint32_t
-    linesPerPage() const
-    {
-        return config.pageBytes / config.backupLineBytes;
-    }
+    std::uint32_t linesPerPage() const { return geom.linesPerPage(); }
 
     const SystemConfig &config;
+    const PageGeometry geom;
     os::ProcessContext &context;
     os::AddressSpace &space;
     mem::PhysicalMemory &phys;

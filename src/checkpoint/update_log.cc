@@ -54,15 +54,14 @@ MemoryUpdateLog::onStore(Tick tick, Pid pid, Addr vaddr,
     (void)tick;
     if (pid != context.pid())
         return 0;
-    Vpn vpn = vaddr / config.pageBytes;
+    Vpn vpn = geom.vpnOf(vaddr);
     if (!space.isMapped(vpn))
         return 0;
 
     UndoEntry e;
     e.vaddr = vaddr;
     e.bytes = std::min<std::uint32_t>(bytes, 8);
-    std::uint32_t off =
-        static_cast<std::uint32_t>(vaddr % config.pageBytes);
+    std::uint32_t off = geom.pageOffset(vaddr);
     if (off + e.bytes > config.pageBytes)
         e.bytes = config.pageBytes - off;
     phys.read(space.pageInfo(vpn).pfn, off, &e.oldValue, e.bytes);

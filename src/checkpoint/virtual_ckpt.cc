@@ -44,7 +44,7 @@ VirtualCheckpoint::onStore(Tick tick, Pid pid, Addr vaddr,
     (void)bytes;
     if (pid != context.pid())
         return 0;
-    Vpn vpn = vaddr / config.pageBytes;
+    Vpn vpn = geom.vpnOf(vaddr);
     const os::PageInfo *page = space.findPage(vpn);
     if (!page)
         return 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "checkpoint/domain_ckpt.hh"
+#include "net/generator_pipe.hh"
 #include "sim/logging.hh"
 
 namespace indra::core
@@ -335,14 +336,16 @@ IndraSystem::runOneRequest(ServiceSlot &s, Service &svc,
     if (s.guard)
         corrupt0 = svc.corruptionDetected();
 
+    // The generator draws ahead on this thread's pipe helper; the core
+    // retires its stream here, in order, and the request's outcome is
+    // decided here before the next instruction retires.
     net::RequestExecution gen = svc.app->beginRequest(*reqp);
-    cpu::RetireSink sink{*s.core, svc.pid};
     bool failed = false;
     bool detected = false;
     Tick fail_tick = 0;
 
-    while (gen.step(sink)) {
-        const cpu::ExecResult &res = sink.result;
+    net::GeneratorPipe::local().run(gen, [&](const cpu::Instruction &inst) {
+        const cpu::ExecResult res = s.core->execute(svc.pid, inst);
 
         if (s.monitor && s.monitor->pendingDetection()) {
             const mon::DetectionEvent &det =
@@ -352,16 +355,15 @@ IndraSystem::runOneRequest(ServiceSlot &s, Service &svc,
             failed = true;
             fail_tick = std::max(s.core->curTick(), det.detectTick);
             s.monitor->clearDetection();
-            break;
+            return false;
         }
         if (res.fault != mem::MemFault::None || res.terminated) {
             failed = true;
             fail_tick = s.core->curTick();
-            break;
+            return false;
         }
-        if (res.halted)
-            break;
-    }
+        return !res.halted;
+    });
 
     if (checkSinkPtr)
         checkSinkPtr->onVerdict(s.core->curTick(), svc.pid, detected);

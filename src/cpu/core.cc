@@ -1,7 +1,5 @@
 #include "cpu/core.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace indra::cpu
@@ -10,7 +8,8 @@ namespace indra::cpu
 Core::Core(const SystemConfig &cfg, CoreId core_id, Privilege privilege,
            mem::MemHierarchy &hierarchy_ref, mem::PhysicalMemory &phys_ref,
            stats::StatGroup &parent)
-    : config(cfg), id(core_id), priv(privilege), hierarchy(hierarchy_ref),
+    : config(cfg), geom(cfg), id(core_id), priv(privilege),
+      hierarchy(hierarchy_ref),
       phys(phys_ref),
       cam(cfg.filterCamEntries, parent),
       statGroup(parent, "core"),
@@ -172,12 +171,9 @@ Core::executeLoad(Pid pid, const Instruction &inst)
             static_cast<double>(out.latency - config.l1d.hitLatency);
         stall(out.latency - config.l1d.hitLatency);
     }
-    if (inst.bytes == 8 &&
-        (inst.effAddr % config.pageBytes) + 8 <= config.pageBytes) {
-        result.loadValue = phys.read64(
-            out.pfn,
-            static_cast<std::uint32_t>(inst.effAddr % config.pageBytes));
-    }
+    const std::uint32_t off = geom.pageOffset(inst.effAddr);
+    if (inst.bytes == 8 && off + 8 <= config.pageBytes)
+        result.loadValue = phys.read64(out.pfn, off);
     return result;
 }
 
@@ -201,13 +197,15 @@ Core::executeStore(Pid pid, const Instruction &inst)
             static_cast<double>(out.latency - config.l1d.hitLatency);
         stall(out.latency - config.l1d.hitLatency);
     }
-    if ((inst.effAddr % config.pageBytes) + inst.bytes <=
-        config.pageBytes) {
-        std::uint64_t v = inst.value;
-        phys.write(out.pfn,
-                   static_cast<std::uint32_t>(
-                       inst.effAddr % config.pageBytes),
-                   &v, std::min<std::uint32_t>(inst.bytes, 8));
+    const std::uint32_t off = geom.pageOffset(inst.effAddr);
+    if (off + inst.bytes <= config.pageBytes) {
+        // A store carries at most one 64-bit word of data.
+        if (inst.bytes >= 8) {
+            phys.write64(out.pfn, off, inst.value);
+        } else {
+            std::uint64_t v = inst.value;
+            phys.write(out.pfn, off, &v, inst.bytes);
+        }
     }
     return result;
 }

@@ -71,16 +71,13 @@ class Core
     /** Attach the OS syscall handler. */
     void setSyscallHandler(SyscallHandler *handler) { osHandler = handler; }
 
-    /**
-     * Execute one instruction of process @p pid whose op the caller
-     * knows to be @p O: the simple-op fast path, the load and the
-     * store bodies are picked at compile time.
-     */
-    template <Op O>
+    /** Execute one instruction of process @p pid. */
     ExecResult
     execute(Pid pid, const Instruction &inst)
     {
-        if constexpr (O == Op::Alu || O == Op::Jump) {
+        switch (inst.op) {
+          case Op::Alu:
+          case Op::Jump:
             // Fast path: a simple op whose fetch line is already warm
             // retires with no memory access, trace record, or hook
             // call — only the retire accounting has any effect, so the
@@ -91,23 +88,6 @@ class Core
                 return ExecResult{};
             }
             return executeSlow(pid, inst);
-        } else if constexpr (O == Op::Load) {
-            return executeLoad(pid, inst);
-        } else if constexpr (O == Op::Store) {
-            return executeStore(pid, inst);
-        } else {
-            return executeSlow(pid, inst);
-        }
-    }
-
-    /** Execute one instruction of process @p pid, of any op. */
-    ExecResult
-    execute(Pid pid, const Instruction &inst)
-    {
-        switch (inst.op) {
-          case Op::Alu:
-          case Op::Jump:
-            return execute<Op::Alu>(pid, inst);
           case Op::Load:
             return executeLoad(pid, inst);
           case Op::Store:
@@ -195,6 +175,7 @@ class Core
     }
 
     const SystemConfig &config;
+    const PageGeometry geom;
     CoreId id;
     Privilege priv;
     mem::MemHierarchy &hierarchy;
@@ -222,28 +203,6 @@ class Core
     stats::Scalar statRecordsSent;
     stats::Scalar statSyncStallCycles;
     stats::Scalar statMemStallCycles;
-};
-
-/**
- * A generator sink (see net::RequestExecution::step) that retires
- * each instruction on @p core as process @p pid: emit<O>() when the
- * generator knows the op, emit() otherwise. result is the outcome of
- * the last instruction emitted.
- */
-struct RetireSink
-{
-    Core &core;
-    Pid pid;
-    ExecResult result{};
-
-    template <Op O>
-    void
-    emit(const Instruction &inst)
-    {
-        result = core.execute<O>(pid, inst);
-    }
-
-    void emit(const Instruction &inst) { result = core.execute(pid, inst); }
 };
 
 } // namespace indra::cpu

@@ -9,7 +9,7 @@ MemHierarchy::MemHierarchy(const SystemConfig &cfg, CoreId core_id,
                            Privilege privilege, const Translator &xlate,
                            MemWatchdog *watchdog_ptr, MemoryBus &bus_ref,
                            DramModel &dram_ref, stats::StatGroup &parent)
-    : config(cfg), core(core_id), priv(privilege), xlate(xlate),
+    : config(cfg), geom(cfg), core(core_id), priv(privilege), xlate(xlate),
       watchdog(watchdog_ptr), bus(bus_ref), dram(dram_ref),
       statGroup(parent, "memsys"),
       l1i(cfg.l1i, statGroup),

@@ -94,7 +94,7 @@ class MemHierarchy
         }
 
         Cycles latency = 0;
-        if (!itlb.access(pid, vaddr / config.pageBytes).hit)
+        if (!itlb.access(pid, geom.vpnOf(vaddr)).hit)
             latency += itlb.missPenalty();
 
         CacheResult l1r = l1i.access(vaddr, false);
@@ -123,7 +123,7 @@ class MemHierarchy
         }
 
         Cycles latency = 0;
-        if (!dtlb.access(pid, vaddr / config.pageBytes).hit)
+        if (!dtlb.access(pid, geom.vpnOf(vaddr)).hit)
             latency += dtlb.missPenalty();
 
         CacheResult l1r = l1d.access(vaddr, false);
@@ -149,7 +149,7 @@ class MemHierarchy
         }
 
         Cycles latency = 0;
-        if (!dtlb.access(pid, vaddr / config.pageBytes).hit)
+        if (!dtlb.access(pid, geom.vpnOf(vaddr)).hit)
             latency += dtlb.missPenalty();
 
         CacheResult l1r = l1d.access(vaddr, true);
@@ -353,7 +353,7 @@ class MemHierarchy
     MemFault
     translateAndCheck(Pid pid, Addr vaddr, Pfn &pfn) const
     {
-        pfn = xlate.translate(pid, vaddr / config.pageBytes);
+        pfn = xlate.translate(pid, geom.vpnOf(vaddr));
         if (pfn == invalidPfn)
             return MemFault::Unmapped;
         if (watchdog &&
@@ -364,6 +364,7 @@ class MemHierarchy
     }
 
     const SystemConfig &config;
+    const PageGeometry geom;
     CoreId core;
     Privilege priv;
     const Translator &xlate;

@@ -95,11 +95,18 @@ class PhysicalMemory
         return v;
     }
 
-    /** Convenience: write one 64-bit word. */
+    /**
+     * Write one 64-bit word: write() with the length fixed, so the copy
+     * is one move rather than a call into a runtime-length memcpy.
+     */
     void
     write64(Pfn pfn, std::uint32_t offset, std::uint64_t value)
     {
-        write(pfn, offset, &value, sizeof(value));
+        checkFrame(pfn);
+        panic_if(offset + sizeof(value) > frameBytes,
+                 "write crosses frame boundary");
+        std::memcpy(materialize(pfn) + offset, &value, sizeof(value));
+        ++versions[pfn];
     }
 
     /**

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <unordered_set>
 
-#include "cpu/core.hh"
 #include "sim/logging.hh"
 
 namespace indra::net
@@ -39,6 +38,7 @@ constexpr double seqStoreProb = 0.65;
 
 DrawPlan::DrawPlan(const ServiceProgram &prog_ref, std::uint32_t page_bytes)
     : prog(prog_ref), profile(prog_ref.profile()), pageBytes(page_bytes),
+      pageMask(Addr{page_bytes} - 1),
       plannedPages(std::min(profile.pagesPerRequest, profile.dataPages)),
       longjmp(profile.longjmpProb), heapAlloc(profile.heapAllocProb),
       coldCall(profile.coldCallFraction),
@@ -76,6 +76,7 @@ DrawPlan::DrawPlan(const ServiceProgram &prog_ref, std::uint32_t page_bytes)
     if (dirtyLines > lines_per_page)
         dirtyLines = lines_per_page;
     writableLine = BoundedDraw(dirtyLines);
+    panic_if(!isPowerOf2(page_bytes), "page size not a power of 2");
 }
 
 // ---------------------------------------------------- RequestExecution
@@ -98,6 +99,10 @@ RequestExecution::RequestExecution(const DrawPlan &plan_ref, Pcg32 rng_in,
     // surfaces when the damaged structure is first consulted.
     triggerBudget = static_cast<std::uint64_t>(len * 0.9);
     sp = prog.stackTop() - 128;
+    // The stream may be drawn on a thread that must not allocate: at
+    // most max(maxCallDepth, 1) frames are ever live.
+    frames.reserve(profile.maxCallDepth + 1);
+    exploitSeq.reserve(maxExploitInstrs);
     // Some requests exercise the daemon's setjmp/longjmp error
     // handling (malformed-but-harmless input bails back to the
     // dispatcher's setjmp point).
@@ -198,7 +203,7 @@ RequestExecution::nextLoadAddr()
     // sequentially within the current page.
     if (seqLoadAddr != 0 && plan.seqLoad.draw(rng)) {
         Addr next = seqLoadAddr + 8;
-        if (next % pageBytes != 0) {
+        if ((next & plan.pageMask) != 0) {
             seqLoadAddr = next;
             return next;
         }
@@ -274,9 +279,8 @@ RequestExecution::emitReturn(cpu::Instruction &out)
     frames.pop_back();
 }
 
-template <class Sink>
 void
-RequestExecution::emitEvent(Sink &sink, cpu::Instruction &out, Addr pc)
+RequestExecution::emitEvent(cpu::Instruction &out, Addr pc)
 {
     EvKind ev = events[nextEvent++];
     out.pc = pc;
@@ -293,8 +297,7 @@ RequestExecution::emitEvent(Sink &sink, cpu::Instruction &out, Addr pc)
       case EvKind::IoWrite:
         out.op = cpu::Op::IoWrite;
         out.effAddr = 0xf0000000ULL;
-        sink.template emit<cpu::Op::IoWrite>(out);
-        return;
+        break;
       case EvKind::Log:
         out.imm = static_cast<std::uint32_t>(cpu::SyscallNo::WriteLog);
         out.value = count;
@@ -304,19 +307,16 @@ RequestExecution::emitEvent(Sink &sink, cpu::Instruction &out, Addr pc)
         out.value = 1;
         break;
     }
-    sink.template emit<cpu::Op::Syscall>(out);
 }
 
-template <class Sink>
 void
-RequestExecution::emitBodyInstr(Sink &sink, cpu::Instruction &out)
+RequestExecution::emitBodyInstr(cpu::Instruction &out)
 {
     Frame &fr = frames.back();
 
     // Function body exhausted: return to the caller.
     if (fr.curBlock >= fr.blocks) {
         emitReturn(out);
-        sink.template emit<cpu::Op::Return>(out);
         return;
     }
 
@@ -328,7 +328,7 @@ RequestExecution::emitBodyInstr(Sink &sink, cpu::Instruction &out)
     bool called = false;
     if (nextEvent < events.size() && budget > 0 &&
         ratioChance(rng, events.size() - nextEvent, budget)) {
-        emitEvent(sink, out, pc);
+        emitEvent(out, pc);
     } else {
         std::uint32_t r = rng.next();
         out.pc = pc;
@@ -336,14 +336,12 @@ RequestExecution::emitBodyInstr(Sink &sink, cpu::Instruction &out)
             out.op = cpu::Op::Load;
             out.effAddr = plan.stackLoad.draw(rng) ? stackScratchAddr()
                                                    : nextLoadAddr();
-            sink.template emit<cpu::Op::Load>(out);
         } else if (r < plan.storeBelow) {
             out.op = cpu::Op::Store;
             out.effAddr = plan.stackStore.draw(rng) ? stackScratchAddr()
                                                     : nextStoreAddr();
             out.value = (static_cast<std::uint64_t>(rng.next()) << 32) |
                 rng.next();
-            sink.template emit<cpu::Op::Store>(out);
         } else if (std::uint64_t call_below = burstCallsLeft > 0
                        ? plan.leafRunCallBelow
                        : ((fr.curBlock == 0 && fr.instrInBlock < 3)
@@ -367,17 +365,12 @@ RequestExecution::emitBodyInstr(Sink &sink, cpu::Instruction &out)
                 frames.back().blocks = 1;
                 frames.back().repsLeft = 1;
             }
-            if (indirect)
-                sink.template emit<cpu::Op::CallInd>(out);
-            else
-                sink.template emit<cpu::Op::Call>(out);
             // pushCall replaced the running frame's position; the
             // caller resumes at pc + 4 when the callee returns, which
             // the block bookkeeping below models.
             called = true;
         } else {
             out.op = cpu::Op::Alu;
-            sink.template emit<cpu::Op::Alu>(out);
         }
     }
 
@@ -522,13 +515,14 @@ RequestExecution::buildExploit()
       case AttackKind::None:
         break;
     }
+    panic_if(exploitSeq.size() > maxExploitInstrs,
+             "exploit payload outgrew its reservation");
 }
 
-template <class Sink>
 bool
-RequestExecution::step(Sink &sink)
+RequestExecution::next(cpu::Instruction &out)
 {
-    cpu::Instruction out;
+    out = cpu::Instruction{};
     for (;;) {
         switch (phase) {
           case Phase::Prologue: {
@@ -538,13 +532,11 @@ RequestExecution::step(Sink &sink)
                 out.imm = static_cast<std::uint32_t>(
                     cpu::SyscallNo::RequestCheckpoint);
                 ++prologueStep;
-                sink.template emit<cpu::Op::Syscall>(out);
             } else {
                 out.op = cpu::Op::Setjmp;
                 out.pc = prog.dispatcherAddr() + 4;
                 out.imm = 1;
                 phase = Phase::Body;
-                sink.template emit<cpu::Op::Setjmp>(out);
             }
             ++count;
             return true;
@@ -560,12 +552,10 @@ RequestExecution::step(Sink &sink)
                     out.imm = static_cast<std::uint32_t>(
                         cpu::SyscallNo::Crash);
                     crashEmitted = true;
-                    sink.template emit<cpu::Op::Syscall>(out);
                 } else {
                     out.op = cpu::Op::Halt;
                     out.pc = prog.dispatcherAddr() + 16;
                     phase = Phase::Done;
-                    sink.template emit<cpu::Op::Halt>(out);
                 }
                 ++count;
                 return true;
@@ -595,7 +585,6 @@ RequestExecution::step(Sink &sink)
                 out.imm = 1;
                 frames.clear();
                 sp = prog.stackTop() - 128;
-                sink.template emit<cpu::Op::Longjmp>(out);
                 --budget;
                 ++count;
                 return true;
@@ -606,9 +595,8 @@ RequestExecution::step(Sink &sink)
                     (topCalls % 5) * cpu::instrBytes;
                 ++topCalls;
                 pushCall(out, pc, false);
-                sink.template emit<cpu::Op::Call>(out);
             } else {
-                emitBodyInstr(sink, out);
+                emitBodyInstr(out);
             }
             --budget;
             ++count;
@@ -617,7 +605,7 @@ RequestExecution::step(Sink &sink)
 
           case Phase::Exploit: {
             if (exploitIdx < exploitSeq.size()) {
-                sink.emit(exploitSeq[exploitIdx++]);
+                out = exploitSeq[exploitIdx++];
                 ++count;
                 return true;
             }
@@ -632,7 +620,6 @@ RequestExecution::step(Sink &sink)
           case Phase::Unwind: {
             if (!frames.empty()) {
                 emitReturn(out);
-                sink.template emit<cpu::Op::Return>(out);
                 ++count;
                 return true;
             }
@@ -642,14 +629,13 @@ RequestExecution::step(Sink &sink)
 
           case Phase::Epilogue: {
             if (nextEvent < events.size()) {
-                emitEvent(sink, out, prog.dispatcherAddr() + 20);
+                emitEvent(out, prog.dispatcherAddr() + 20);
                 ++count;
                 return true;
             }
             out.op = cpu::Op::Halt;
             out.pc = prog.dispatcherAddr() + 24;
             phase = Phase::Done;
-            sink.template emit<cpu::Op::Halt>(out);
             ++count;
             return true;
           }
@@ -659,32 +645,6 @@ RequestExecution::step(Sink &sink)
         }
         return false;
     }
-}
-
-namespace
-{
-
-/** The sink behind next(): copies the instruction out. */
-struct CopySink
-{
-    cpu::Instruction &out;
-
-    template <cpu::Op>
-    void emit(const cpu::Instruction &inst) { out = inst; }
-    void emit(const cpu::Instruction &inst) { out = inst; }
-};
-
-} // anonymous namespace
-
-template bool RequestExecution::step(CopySink &);
-template bool RequestExecution::step(cpu::RetireSink &);
-
-bool
-RequestExecution::next(cpu::Instruction &out)
-{
-    out = cpu::Instruction{};
-    CopySink sink{out};
-    return step(sink);
 }
 
 // --------------------------------------------------- ServiceApplication

@@ -3,15 +3,12 @@
  * The service application and its per-request instruction-stream
  * generator.
  *
- * A RequestExecution produces one request's MiniIsa stream into a
- * sink, one instruction per step(). Where the generator's own branch
- * already decided the op (a load, a store, a call, an ALU slot), it
- * hands the instruction over as sink.emit<Op::X>(inst), so a sink that
- * retires it on the resurrectee core (cpu::RetireSink) runs that op's
- * body without deciding the op again; instructions whose op is data
- * (exploit payloads, queued events) go through sink.emit(inst).
- * next() is the copying wrapper for callers that want the
- * instructions themselves.
+ * A RequestExecution produces one request's MiniIsa stream, one
+ * instruction per next(). It reads only its DrawPlan and the service
+ * program behind it, which nothing mutates while a request runs, and
+ * its own state: no simulation state reaches it. So the stream can be
+ * drawn ahead of the core that retires it, on another thread
+ * (GeneratorPipe), and is the same stream wherever it is drawn.
  *
  * The stream models request processing as the paper's daemons
  * exhibit it — a dispatcher loop calling into a hot set of handler
@@ -26,6 +23,7 @@
 #ifndef INDRA_NET_WORKLOAD_HH
 #define INDRA_NET_WORKLOAD_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -56,6 +54,7 @@ struct DrawPlan
     const ServiceProgram &prog;
     const DaemonProfile &profile;
     std::uint32_t pageBytes;
+    Addr pageMask;  //!< pageBytes - 1 (pageBytes is a power of 2)
     /** Pages a request plans, and the writable lines of each. */
     std::uint32_t plannedPages;
     std::uint32_t dirtyLines;
@@ -98,10 +97,21 @@ struct DrawPlan
     GeometricDraw blockRepeats;
 };
 
-/** Generator of one request's instruction stream. */
+/**
+ * Generator of one request's instruction stream.
+ *
+ * Invariant: next() reads only this object, its plan and the plan's
+ * program and profile; none of those change while a request runs.
+ * After construction next() never allocates (its call frames and
+ * exploit payload are reserved here), so it may run on a thread that
+ * must not touch the allocator.
+ */
 class RequestExecution
 {
   public:
+    /** Longest exploit payload buildExploit() emits. */
+    static constexpr std::size_t maxExploitInstrs = 43;
+
     /**
      * @param plan       the service's prepared draws (outlives this)
      * @param rng        per-request random stream
@@ -114,17 +124,7 @@ class RequestExecution
                      bool surface_dormant, double weight = 1.0);
 
     /**
-     * Produce the next instruction into @p sink: sink.emit<Op>(inst)
-     * where the op is decided here, sink.emit(inst) otherwise.
-     * Instantiated in workload.cc for cpu::RetireSink and the copying
-     * sink behind next().
-     * @return false when the stream is exhausted (nothing emitted).
-     */
-    template <class Sink>
-    bool step(Sink &sink);
-
-    /**
-     * Copy the next instruction to @p out.
+     * Write the next instruction, every field of it, to @p out.
      * @return false when the stream is exhausted.
      */
     bool next(cpu::Instruction &out);
@@ -179,10 +179,8 @@ class RequestExecution
     std::uint32_t drawRepeats();
     void pushCall(cpu::Instruction &out, Addr call_pc, bool indirect);
     void emitReturn(cpu::Instruction &out);
-    template <class Sink>
-    void emitBodyInstr(Sink &sink, cpu::Instruction &out);
-    template <class Sink>
-    void emitEvent(Sink &sink, cpu::Instruction &out, Addr pc);
+    void emitBodyInstr(cpu::Instruction &out);
+    void emitEvent(cpu::Instruction &out, Addr pc);
     void buildExploit();
     Addr randomDataLineAddr(bool writable);
     Addr nextLoadAddr();

@@ -43,6 +43,17 @@ validateCache(const CacheConfig &c, std::uint32_t page_bytes)
 
 } // anonymous namespace
 
+PageGeometry::PageGeometry(const SystemConfig &cfg)
+    : pageShift(floorLog2(cfg.pageBytes)),
+      lineShift(floorLog2(cfg.backupLineBytes)),
+      pageMask(Addr{cfg.pageBytes} - 1)
+{
+    panic_if(!isPowerOf2(cfg.pageBytes) ||
+                 !isPowerOf2(cfg.backupLineBytes) ||
+                 cfg.backupLineBytes > cfg.pageBytes,
+             "page geometry needs power-of-2 sizes, line <= page");
+}
+
 void
 SystemConfig::validate() const
 {

@@ -205,6 +205,41 @@ struct SystemConfig
     void print(std::ostream &os) const;
 };
 
+/**
+ * The page and backup-line sizes as shifts and masks, derived once
+ * from the sizes SystemConfig::validate() checks are powers of 2, so
+ * the execute path splits an address with no runtime divide.
+ */
+struct PageGeometry
+{
+    explicit PageGeometry(const SystemConfig &cfg);
+
+    std::uint32_t pageShift;
+    std::uint32_t lineShift;  //!< log2 of backupLineBytes
+    Addr pageMask;            //!< pageBytes - 1
+
+    Vpn vpnOf(Addr vaddr) const { return vaddr >> pageShift; }
+
+    std::uint32_t
+    pageOffset(Addr vaddr) const
+    {
+        return static_cast<std::uint32_t>(vaddr & pageMask);
+    }
+
+    /** The backup line holding byte @p page_off of a page. */
+    std::uint32_t
+    lineOf(std::uint32_t page_off) const
+    {
+        return page_off >> lineShift;
+    }
+
+    std::uint32_t
+    linesPerPage() const
+    {
+        return std::uint32_t{1} << (pageShift - lineShift);
+    }
+};
+
 } // namespace indra
 
 #endif // INDRA_SIM_CONFIG_HH

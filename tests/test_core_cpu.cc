@@ -3,13 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "cpu/core.hh"
-#include "obs/stat_sinks.hh"
-#include "sim/random.hh"
 #include "test_util.hh"
 
 using namespace indra;
@@ -395,151 +391,4 @@ TEST_F(CoreTest, ZeroEntryCamSendsEveryFill)
     nocam.execute(1, alu(0x00400040));
     nocam.execute(1, alu(0x00400080));
     EXPECT_EQ(sink.countKind(cpu::TraceKind::CodeOrigin), 3);
-}
-
-// ----------------------------------------------- typed dispatch twin
-
-namespace
-{
-
-/** execute<Op> for a runtime op, as a generator that knows it calls. */
-cpu::ExecResult
-executeTyped(cpu::Core &core, Pid pid, const cpu::Instruction &inst)
-{
-    using cpu::Op;
-    switch (inst.op) {
-      case Op::Alu: return core.execute<Op::Alu>(pid, inst);
-      case Op::Load: return core.execute<Op::Load>(pid, inst);
-      case Op::Store: return core.execute<Op::Store>(pid, inst);
-      case Op::Call: return core.execute<Op::Call>(pid, inst);
-      case Op::CallInd: return core.execute<Op::CallInd>(pid, inst);
-      case Op::Return: return core.execute<Op::Return>(pid, inst);
-      case Op::Jump: return core.execute<Op::Jump>(pid, inst);
-      case Op::JumpInd: return core.execute<Op::JumpInd>(pid, inst);
-      case Op::Setjmp: return core.execute<Op::Setjmp>(pid, inst);
-      case Op::Longjmp: return core.execute<Op::Longjmp>(pid, inst);
-      case Op::Syscall: return core.execute<Op::Syscall>(pid, inst);
-      case Op::IoWrite: return core.execute<Op::IoWrite>(pid, inst);
-      case Op::Halt: return core.execute<Op::Halt>(pid, inst);
-    }
-    return {};
-}
-
-/** One core on its own memory rig, with sink, hooks and OS attached. */
-struct TwinRig
-{
-    TwinRig()
-        : core(rig.cfg, 1, Privilege::Low, *rig.hierarchy, rig.phys,
-               rig.stats)
-    {
-        rig.space->mapRegion(codeBase, 8, os::Region::Code);
-        rig.space->mapRegion(dataBase, 8, os::Region::Data);
-        sink.pushDelay = 3;
-        hooks.storeCost = 2;
-        core.setTraceSink(&sink);
-        core.setCheckpointHooks(&hooks);
-        core.setSyscallHandler(&os);
-    }
-
-    std::string
-    statDump() const
-    {
-        std::ostringstream out;
-        obs::TextStatSink text(out);
-        rig.stats.accept(text);
-        return out.str();
-    }
-
-    static constexpr Addr codeBase = 0x00400000;
-    static constexpr Addr dataBase = 0x10000000;
-
-    MemoryRig rig;
-    FakeSink sink;
-    FakeHooks hooks;
-    FakeOs os;
-    cpu::Core core;
-};
-
-/**
- * A seeded stream over every op: mostly sequential fetch (crossing
- * fetch lines) with jumps, some into unmapped code; loads and stores
- * at random, page-crossing and unmapped addresses.
- */
-std::vector<cpu::Instruction>
-twinStream(std::uint64_t seed, std::size_t n)
-{
-    using cpu::Op;
-    Pcg32 rng(seed, 11);
-    const Op ops[] = {Op::Alu,    Op::Alu,     Op::Alu,     Op::Alu,
-                      Op::Jump,   Op::Load,    Op::Load,    Op::Store,
-                      Op::Store,  Op::Call,    Op::CallInd, Op::Return,
-                      Op::JumpInd, Op::Setjmp, Op::Longjmp, Op::Syscall,
-                      Op::IoWrite, Op::Halt};
-    std::vector<cpu::Instruction> out;
-    Addr pc = TwinRig::codeBase;
-    for (std::size_t k = 0; k < n; ++k) {
-        cpu::Instruction i;
-        i.op = ops[rng.nextBounded(sizeof(ops) / sizeof(ops[0]))];
-        std::uint32_t jump = rng.nextBounded(64);
-        if (jump == 0)
-            pc = TwinRig::codeBase + 4 * rng.nextBounded(8 * 1024);
-        else if (jump == 1)
-            pc = 0x00800000 + 4 * rng.nextBounded(1024);  // unmapped
-        i.pc = pc;
-        pc += 4;
-        i.target = TwinRig::codeBase + 4 * rng.nextBounded(8 * 1024);
-        i.value = rng.next64();
-        i.imm = rng.nextBounded(4);
-        std::uint32_t where = rng.nextBounded(8);
-        if (where == 0) {
-            // The last bytes of a page: the access crosses into the next.
-            i.effAddr = TwinRig::dataBase +
-                4096 * rng.nextBounded(7) + 4096 - 4;
-        } else if (where == 1) {
-            i.effAddr = 0x30000000 + 8 * rng.nextBounded(512);  // unmapped
-        } else {
-            i.effAddr = TwinRig::dataBase + 8 * rng.nextBounded(8 * 512);
-        }
-        i.bytes = rng.nextBounded(4) == 0 ? 4 : 8;
-        out.push_back(i);
-    }
-    return out;
-}
-
-} // anonymous namespace
-
-// Two identical rigs run the same seeded streams, one through the
-// typed entry points a generator calls when it knows the op, the other
-// through the generic execute: results, time and every core, cache,
-// bus and DRAM statistic must agree after each instruction.
-TEST(CoreTypedDispatch, TypedAndGenericExecuteAreTwins)
-{
-    for (std::uint64_t seed : {1, 2, 3}) {
-        TwinRig typed, generic;
-        std::size_t k = 0;
-        std::size_t faults = 0;
-        for (const cpu::Instruction &inst : twinStream(seed, 6000)) {
-            cpu::ExecResult a = executeTyped(typed.core, 1, inst);
-            cpu::ExecResult b = generic.core.execute(1, inst);
-            faults += a.fault != mem::MemFault::None;
-            ASSERT_EQ(a.fault, b.fault) << "seed " << seed << " #" << k;
-            ASSERT_EQ(a.halted, b.halted) << k;
-            ASSERT_EQ(a.terminated, b.terminated) << k;
-            ASSERT_EQ(a.loadValue, b.loadValue) << k;
-            ASSERT_EQ(typed.core.curTick(), generic.core.curTick()) << k;
-            ASSERT_EQ(typed.sink.records.size(),
-                      generic.sink.records.size()) << k;
-            ASSERT_EQ(typed.hooks.stores, generic.hooks.stores) << k;
-            ASSERT_EQ(typed.hooks.loads, generic.hooks.loads) << k;
-            ASSERT_EQ(typed.os.calls, generic.os.calls) << k;
-            ASSERT_EQ(typed.statDump(), generic.statDump()) << k;
-            ++k;
-        }
-        // The stream reached every path the twins must agree on.
-        EXPECT_GT(typed.core.instructions(), 3000u);
-        EXPECT_GT(typed.sink.countKind(cpu::TraceKind::Call), 0);
-        EXPECT_GT(typed.hooks.stores, 0);
-        EXPECT_GT(typed.os.calls, 0);
-        EXPECT_GT(faults, 0u);
-    }
 }

@@ -11,6 +11,7 @@
 
 #include "net/daemon_profile.hh"
 #include "net/exploit.hh"
+#include "net/generator_pipe.hh"
 #include "net/workload.hh"
 
 using namespace indra;
@@ -463,12 +464,20 @@ mixInto(std::uint64_t &h, std::uint64_t v)
     h ^= h >> 29;
 }
 
+/** How a pinned stream is drawn: next() on this thread, or the
+ *  generator pipe's helper with the instructions retired here. */
+enum class Drain
+{
+    Next,
+    Pipe,
+};
+
 /** Digest of every field of every instruction of one daemon's streams
- *  for @p attack: 4 seeds x surface-dormant off/on x weights
- *  {0.5, 1, 2}, each stream's length folded in after its last
- *  instruction. */
+ *  for @p attack, drawn by @p drain: 4 seeds x surface-dormant off/on
+ *  x weights {0.5, 1, 2}, each stream's length folded in after its
+ *  last instruction. */
 std::uint64_t
-pinnedDigest(net::DaemonProfile profile, AttackKind attack)
+pinnedDigest(net::DaemonProfile profile, AttackKind attack, Drain drain)
 {
     profile.instrPerRequest = 40000;  // full draw mix, test-sized
     std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -480,8 +489,7 @@ pinnedDigest(net::DaemonProfile profile, AttackKind attack)
                 RequestExecution gen(
                     plan, Pcg32(seed * 7919, 0x5eed0000ULL + seed),
                     attack, surface, weight);
-                cpu::Instruction inst;
-                while (gen.next(inst)) {
+                auto mix = [&h](const cpu::Instruction &inst) {
                     mixInto(h, static_cast<std::uint64_t>(inst.op));
                     mixInto(h, inst.pc);
                     mixInto(h, inst.target);
@@ -489,6 +497,14 @@ pinnedDigest(net::DaemonProfile profile, AttackKind attack)
                     mixInto(h, inst.value);
                     mixInto(h, inst.imm);
                     mixInto(h, inst.bytes);
+                    return true;
+                };
+                if (drain == Drain::Pipe) {
+                    net::GeneratorPipe::local().run(gen, mix);
+                } else {
+                    cpu::Instruction inst;
+                    while (gen.next(inst))
+                        mix(inst);
                 }
                 mixInto(h, gen.emitted());
             }
@@ -497,13 +513,13 @@ pinnedDigest(net::DaemonProfile profile, AttackKind attack)
     return h;
 }
 
-} // anonymous namespace
-
-// Pins the exact instruction stream: any moved draw, reordered branch
-// or changed field shows up as a changed digest. The expected values
-// were printed by this test; a deliberate change to the generator's
-// output must re-record them and say so.
-TEST(StreamPin, EveryFieldOfEveryStandardStreamIsPinned)
+/**
+ * Check the stream digests of the standard daemons and bind-edges for
+ * every attack kind, drawn by @p drain.
+ * @return the digests as the source rows of the expected table
+ */
+std::string
+checkPinnedStreams(Drain drain)
 {
     const AttackKind kinds[] = {
         AttackKind::None,          AttackKind::StackSmash,
@@ -567,7 +583,7 @@ TEST(StreamPin, EveryFieldOfEveryStandardStreamIsPinned)
                               profile.name.c_str());
         std::vector<std::uint64_t> got;
         for (AttackKind kind : kinds) {
-            got.push_back(pinnedDigest(profile, kind));
+            got.push_back(pinnedDigest(profile, kind, drain));
             n += std::snprintf(row + n, sizeof(row) - n, "%s0x%016llxULL",
                                got.size() == 1 ? "" : ", ",
                                static_cast<unsigned long long>(got.back()));
@@ -578,7 +594,25 @@ TEST(StreamPin, EveryFieldOfEveryStandardStreamIsPinned)
         EXPECT_TRUE(it != expected.end() && got == it->second)
             << profile.name << " stream digests moved";
     }
-    std::printf("%s", printed.c_str());
+    return printed;
+}
+
+} // anonymous namespace
+
+// Pins the exact instruction stream: any moved draw, reordered branch
+// or changed field shows up as a changed digest. The expected values
+// were printed by this test; a deliberate change to the generator's
+// output must re-record them and say so.
+TEST(StreamPin, EveryFieldOfEveryStandardStreamIsPinned)
+{
+    std::printf("%s", checkPinnedStreams(Drain::Next).c_str());
+}
+
+// The request loop retires the stream the pipe's helper draws: it must
+// be next()'s stream, field for field, with the same length.
+TEST(StreamPin, ThePipeRetiresEveryPinnedStream)
+{
+    checkPinnedStreams(Drain::Pipe);
 }
 
 // ----------------------------------------------------------- exploits
