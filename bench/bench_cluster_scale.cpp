@@ -9,9 +9,10 @@
  * node running the same adaptive attack storm in phase (the
  * correlated worst case for a shared recovery pool), and all macro
  * restores / rejuvenations contending for an M:N resurrector pool
- * sized ratio * nodes. The cluster interleaves its nodes on the
- * bench's ParallelSweep; one fixed-seed cell is bit-identical for any
- * --jobs count.
+ * sized ratio * nodes. Each cell is a pure value of its seeds, so the
+ * cells run on the bench's ParallelSweep (one fleet per worker, stepped
+ * on that worker's thread) and print in axis order: the output is
+ * bit-identical for any --jobs count.
  *
  * Reported per cell:
  *   goodput   served legitimate requests per Mcycle, fleet-wide
@@ -28,6 +29,8 @@
  *                            [--nodes N[,N...]] [--ratio R[,R...]]
  *                            [--zipf THETA] [--users N]
  *                            [--ablate K=V[,K=V...]]
+ * --nodes takes fleet sizes up to 256 and --users populations up to
+ * 100000000; larger values are rejected before any cell runs.
  * --ablate routes dotted NodeConfig keys (SystemConfig fields,
  * faults.plan, adversary./rejuvenation./resilience./domain.*) into
  * every node of every cell.
@@ -77,32 +80,26 @@ poolSlotsFor(std::uint32_t nodes, double ratio)
     return std::max(1u, rounded);
 }
 
+/**
+ * One fleet of @p nodes with a pool of ratio * nodes slots. @p fleet
+ * carries the axes shared by every cell (users, skew, seed, link);
+ * this fills in the fleet's shape and offered load.
+ */
 Cell
-runCell(std::uint32_t nodes, double ratio,
-        const benchutil::ClusterOptions &copts,
-        const std::vector<std::string> &ablations, bool smoke,
-        harness::ParallelSweep &sweep)
+runCell(std::uint32_t nodes, double ratio, const core::NodeConfig &node,
+        cluster::ClusterConfig fleet, bool smoke)
 {
-    core::NodeConfig node(benchutil::stormSystem(), {},
-                          benchutil::stormDefense());
-    core::applyNodeSettings(node, ablations);
+    fleet.nodes = nodes;
+    fleet.poolSlots = poolSlotsFor(nodes, ratio);
+    fleet.requests = (smoke ? 220ULL : 900ULL) * nodes;
+    fleet.arrivalRatePerMCycle = 1.2 * nodes;
 
-    cluster::ClusterConfig cc;
-    cc.nodes = nodes;
-    cc.poolSlots = poolSlotsFor(nodes, ratio);
-    cc.users = copts.users(smoke ? 20000 : 200000);
-    cc.zipfTheta = copts.zipfTheta(0.99);
-    cc.requests = (smoke ? 220ULL : 900ULL) * nodes;
-    cc.arrivalRatePerMCycle = 1.2 * nodes;
-    cc.seed = 1;
-    cc.link.ratePerMCycle = 40.0;
-
-    cluster::ClusterSim sim(node, stormPlan(smoke), cc,
+    cluster::ClusterSim sim(node, stormPlan(smoke), fleet,
                             benchutil::stormDaemon("httpd"));
     Cell cell;
     cell.nodes = nodes;
     cell.ratio = ratio;
-    cell.rep = sim.run(sweep);
+    cell.rep = sim.run();
     return cell;
 }
 
@@ -153,6 +150,16 @@ main(int argc, char **argv)
     harness::ParallelSweep sweep(cli.parse(argc, argv));
     const std::vector<std::string> ablations = cli.ablations();
 
+    // Every flag is parsed here, before any cell runs on a worker.
+    core::NodeConfig node(benchutil::stormSystem(), {},
+                          benchutil::stormDefense());
+    core::applyNodeSettings(node, ablations);
+    cluster::ClusterConfig fleet;
+    fleet.users = copts.users(smoke ? 20000 : 200000);
+    fleet.zipfTheta = copts.zipfTheta(0.99);
+    fleet.seed = 1;
+    fleet.link.ratePerMCycle = 40.0;
+
     std::vector<std::uint32_t> nodeAxis = copts.nodeCounts(
         smoke ? std::vector<std::uint32_t>{4}
               : std::vector<std::uint32_t>{2, 4, 8, 16});
@@ -176,17 +183,14 @@ main(int argc, char **argv)
               << std::setw(7) << "reinf"
               << std::setw(8) << "imbal" << "\n";
 
-    // The outer sweep is serial: each cell's ClusterSim interleaves
-    // its own nodes on the (possibly parallel) sweep, and the cells
-    // print in axis order either way.
-    std::vector<Cell> cells;
-    for (std::uint32_t nodes : nodeAxis) {
-        for (double ratio : ratioAxis) {
-            cells.push_back(runCell(nodes, ratio, copts, ablations,
-                                    smoke, sweep));
-            printCell(cells.back());
-        }
-    }
+    std::vector<Cell> cells = sweep.run(
+        nodeAxis.size() * ratioAxis.size(), [&](std::size_t i) {
+            return runCell(nodeAxis[i / ratioAxis.size()],
+                           ratioAxis[i % ratioAxis.size()], node, fleet,
+                           smoke);
+        });
+    for (const Cell &c : cells)
+        printCell(c);
 
     if (!smoke)
         return 0;

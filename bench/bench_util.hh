@@ -67,6 +67,11 @@ struct ClusterOptions
     std::string zipfSpec;  //!< --zipf THETA user popularity skew
     std::string usersSpec; //!< --users N synthetic user population
 
+    /** Largest --nodes fleet: every node is a whole simulated machine. */
+    static constexpr std::uint32_t maxNodes = 256;
+    /** Largest --users population: its Zipf CDF is 8 bytes per user. */
+    static constexpr std::uint64_t maxUsers = 100000000;
+
     /** Parse "--nodes 1,2,4"; @p defaults when the flag was absent. */
     std::vector<std::uint32_t>
     nodeCounts(std::vector<std::uint32_t> defaults) const
@@ -75,7 +80,7 @@ struct ClusterOptions
             return defaults;
         std::vector<std::uint32_t> out;
         for (const std::string &tok : splitList(nodesSpec))
-            out.push_back(parseU32("--nodes", tok, 1));
+            out.push_back(parseU32("--nodes", tok, 1, maxNodes));
         fatal_if(out.empty(), "--nodes wants a comma-separated list");
         return out;
     }
@@ -111,7 +116,7 @@ struct ClusterOptions
     {
         if (usersSpec.empty())
             return fallback;
-        return parseU64("--users", usersSpec, 1);
+        return parseU64("--users", usersSpec, 1, maxUsers);
     }
 };
 
@@ -142,7 +147,8 @@ class BenchCli
     clusterPreset(ClusterOptions *out)
     {
         option("--nodes", "N[,N...]",
-               "fleet sizes to sweep (resurrectee nodes)",
+               "fleet sizes to sweep (resurrectee nodes, at most " +
+                   std::to_string(ClusterOptions::maxNodes) + ")",
                &out->nodesSpec);
         option("--ratio", "R[,R...]",
                "resurrector:resurrectee pool ratios to sweep",
@@ -150,7 +156,9 @@ class BenchCli
         option("--zipf", "THETA",
                "Zipf skew of synthetic user popularity",
                &out->zipfSpec);
-        option("--users", "N", "synthetic user population",
+        option("--users", "N",
+               "synthetic user population (at most " +
+                   std::to_string(ClusterOptions::maxUsers) + ")",
                &out->usersSpec);
     }
 

@@ -34,16 +34,22 @@ function(indra_test name)
         ${arg_PROPERTIES})
 endfunction()
 
-# indra_jobs_identity_test(<name> LABEL <label> COMMAND <target> [args...])
+# indra_jobs_identity_test(<name> LABEL <label> [GOLDEN <file>]
+#                          COMMAND <target> [args...])
 # The one --jobs determinism check. Runs `<target> args... --jobs 1`
 # and `--jobs 8` (cmake/jobs_identity.cmake) and fails on a nonzero
 # exit, so a --smoke run's self-checks are enforced too, or on any
-# stdout difference between the two.
+# stdout difference between the two. With GOLDEN, the --jobs 1 stdout
+# must also equal <file> (relative to the source root) byte for byte.
 function(indra_jobs_identity_test name)
-    cmake_parse_arguments(PARSE_ARGV 1 arg "" "LABEL" "COMMAND")
+    cmake_parse_arguments(PARSE_ARGV 1 arg "" "LABEL;GOLDEN" "COMMAND")
     list(POP_FRONT arg_COMMAND target)
+    set(golden "")
+    if(arg_GOLDEN)
+        set(golden -DGOLDEN=${PROJECT_SOURCE_DIR}/${arg_GOLDEN})
+    endif()
     indra_test(${name} LABEL "${arg_LABEL}"
-        COMMAND ${CMAKE_COMMAND} -P
+        COMMAND ${CMAKE_COMMAND} ${golden} -P
                 ${PROJECT_SOURCE_DIR}/cmake/jobs_identity.cmake
                 $<TARGET_FILE:${target}> ${arg_COMMAND})
 endfunction()

@@ -95,7 +95,7 @@ ClusterSim::ClusterSim(const core::NodeConfig &base,
 }
 
 ClusterReport
-ClusterSim::run(harness::ParallelSweep &sweep)
+ClusterSim::run()
 {
     fatal_if(ran, "ClusterSim::run called twice");
     ran = true;
@@ -171,7 +171,7 @@ ClusterSim::run(harness::ParallelSweep &sweep)
             ? maxTick
             : std::max(saturatingAdd(cur, cfg.windowCycles), next);
 
-        // Inject this window's balanced arrivals (main thread).
+        // Inject this window's balanced arrivals.
         for (std::uint32_t i = 0; i < cfg.nodes; ++i) {
             Node &n = fleet[i];
             while (n.cursor < n.arrivals.size() &&
@@ -189,27 +189,13 @@ ClusterSim::run(harness::ParallelSweep &sweep)
             }
         }
 
-        // Advance every node to the bound, shared-nothing in
-        // parallel; results come back in node order.
-        struct RoundResult
-        {
-            bool more = false;
-            std::vector<core::NodeEvent> events;
-        };
-        std::vector<RoundResult> round = sweep.run(
-            fleet.size(), [&fleet, bound](std::size_t i) {
-                RoundResult r;
-                r.more = fleet[i].handle->advanceTo(bound);
-                r.events = fleet[i].handle->drainEvents();
-                return r;
-            });
-
-        // Couple the nodes through the shared pool, in canonical
-        // (tick, node) order so grants are --jobs independent.
+        // Advance every node to the bound in node order and fold in
+        // the events it completed.
         std::vector<PoolDemand> demands;
         for (std::uint32_t i = 0; i < cfg.nodes; ++i) {
-            fleet[i].drained = !round[i].more;
-            for (const core::NodeEvent &ev : round[i].events) {
+            core::NodeHandle &h = *fleet[i].handle;
+            fleet[i].drained = !h.advanceTo(bound);
+            for (const core::NodeEvent &ev : h.drainEvents()) {
                 if (ev.legit && !ev.probe &&
                     ev.status == net::RequestStatus::Served)
                     legitTimes.push_back(ev.responseCycles);
@@ -241,6 +227,8 @@ ClusterSim::run(harness::ParallelSweep &sweep)
                 }
             }
         }
+        // Couple the nodes through the shared pool, in canonical
+        // (tick, node) order.
         std::stable_sort(demands.begin(), demands.end(),
                          [](const PoolDemand &a, const PoolDemand &b) {
                              if (a.tick != b.tick)

@@ -26,14 +26,15 @@
  *     recovery p99 — the tradeoff bench_cluster_scale sweeps.
  *
  * Scheduling is round-based: each round injects the next window of
- * balanced arrivals, advances every node to the window bound (the
- * nodes run shared-nothing on a ParallelSweep), then applies the
- * round's pool grants in canonical (tick, node) order. Rounds with
- * no work are skipped calendar-style. Nothing about the simulation
- * depends on --jobs, so a fixed-seed cluster run is bit-identical for
- * any worker count. Where round boundaries fall does not matter
- * either, with one known exception: a node under an armed adaptive
- * adversary can change with the round width, because
+ * balanced arrivals, advances every node to the window bound in node
+ * order on the calling thread, then applies the round's pool grants
+ * in canonical (tick, node) order. Rounds with no work are skipped
+ * calendar-style. A fleet has no thread code and shares nothing with
+ * another fleet, so independent fleets may run on different threads
+ * at once (bench_cluster_scale runs its cells that way). Where round
+ * boundaries fall does not matter, with one known exception: a node
+ * under an armed adaptive adversary can change with the round width,
+ * because
  * AdaptiveAdversary::nextMove draws from its stream and updates its
  * state before it declines a move past its horizon, and each
  * NodeHandle::advanceTo call asks it once more (ROADMAP.md item 4,
@@ -53,9 +54,13 @@
 #include "core/node_config.hh"
 #include "core/node_handle.hh"
 #include "core/system.hh"
-#include "harness/parallel_sweep.hh"
 #include "net/daemon_profile.hh"
 #include "resilience/storm.hh"
+
+namespace indra::harness
+{
+class ParallelSweep;
+} // namespace indra::harness
 
 namespace indra::cluster
 {
@@ -172,11 +177,16 @@ class ClusterSim
                const ClusterConfig &cc,
                const net::DaemonProfile &profile);
 
+    /** Run the fleet to completion on the calling thread. */
+    ClusterReport run();
+
     /**
-     * Run the fleet to completion, interleaving nodes on @p sweep.
-     * Results are identical for any sweep worker count.
+     * run(), kept for perfbench/perf_kernel.cpp alone. That file is
+     * the repository benchmark, whose source changes only with the
+     * benchmark's definition; the next such change calls run() and
+     * deletes this overload. The sweep is not used.
      */
-    ClusterReport run(harness::ParallelSweep &sweep);
+    ClusterReport run(harness::ParallelSweep &) { return run(); }
 
   private:
     core::NodeConfig baseConfig;

@@ -15,7 +15,7 @@
  * present demands in a canonical order (the cluster scheduler sorts
  * each round's recovery events by (tick, node)), each acquire picks
  * the earliest-free slot (lowest index on ties), and every grant is
- * pure arithmetic on ticks — bit-identical for any sweep --jobs.
+ * pure arithmetic on ticks.
  */
 
 #ifndef INDRA_CLUSTER_POOL_HH

@@ -4,7 +4,7 @@
  * one node's arrival timeline.
  *
  * Every open-loop workload runs on it: attack storms (runStorm below),
- * a cluster scheduler interleaving many nodes on a ParallelSweep, and
+ * a cluster scheduler stepping many nodes in rounds on one thread, and
  * fixed arrival scripts fed through inject(). Each admitted request
  * is served through the public IndraSystem::processRequest. The
  * facade splits the loop into these pieces:

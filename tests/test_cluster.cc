@@ -3,8 +3,8 @@
  * Cluster-layer tests: the Zipf sharder, the shared resurrector
  * pool, the balancer links, the NodeConfig dotted-key router, the
  * NodeHandle stepping contract (window placement is invisible —
- * stepped reports equal core::runStorm's), and ClusterSim's --jobs
- * bit-identity.
+ * stepped reports equal core::runStorm's), and ClusterSim fleets run
+ * concurrently on sweep threads equalling one on the calling thread.
  */
 
 #include <gtest/gtest.h>
@@ -426,7 +426,7 @@ TEST(NodeHandle, StallDelaysTheNodeClock)
 // -------------------------------------------------------- ClusterSim
 
 cluster::ClusterReport
-runSmallCluster(unsigned jobs)
+runSmallCluster()
 {
     core::NodeConfig node = stormNode();
     node.system.macroCheckpointPeriod = 10;
@@ -457,20 +457,26 @@ runSmallCluster(unsigned jobs)
     profile.instrPerRequest = 25000;
 
     cluster::ClusterSim sim(node, plan, cc, profile);
-    harness::ParallelSweep sweep(jobs);
-    return sim.run(sweep);
+    return sim.run();
 }
 
-TEST(ClusterSim, BitIdenticalAcrossJobs)
+// Fleets on different threads share nothing: three run at once as
+// the cells of a sweep each equal one run on the calling thread.
+// bench_cluster_scale runs its cells this way.
+TEST(ClusterSim, ConcurrentFleetsEqualOneOnTheCallingThread)
 {
-    cluster::ClusterReport serial = runSmallCluster(1);
-    cluster::ClusterReport parallel = runSmallCluster(8);
-    EXPECT_EQ(serial, parallel);
+    harness::ParallelSweep sweep(3);
+    std::vector<cluster::ClusterReport> concurrent =
+        sweep.run(3, [](std::size_t) { return runSmallCluster(); });
+    cluster::ClusterReport here = runSmallCluster();
+    ASSERT_EQ(3u, concurrent.size());
+    for (const cluster::ClusterReport &rep : concurrent)
+        EXPECT_EQ(here, rep);
 }
 
 TEST(ClusterSim, LoadReachesEveryNodeAndPoolArbitrates)
 {
-    cluster::ClusterReport rep = runSmallCluster(2);
+    cluster::ClusterReport rep = runSmallCluster();
     EXPECT_EQ(4u, rep.nodes);
     EXPECT_EQ(300u, rep.legitArrivals);
     for (std::uint64_t n : rep.nodeArrivals)

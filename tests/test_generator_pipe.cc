@@ -14,7 +14,6 @@
 
 #include "cluster/cluster.hh"
 #include "core/node_config.hh"
-#include "harness/parallel_sweep.hh"
 #include "net/daemon_profile.hh"
 #include "net/generator_pipe.hh"
 #include "net/workload.hh"
@@ -202,8 +201,10 @@ TEST(GeneratorPipe, ThreadExitJoinsTheHelperWhateverItIsDoing)
 }
 
 // Helpers are bounded by the threads that step nodes: a 16-node fleet
-// stepped on 2 sweep threads starts at most 2 of them.
-TEST(GeneratorPipe, ClusterStartsAtMostOneHelperPerSweepThread)
+// steps on the thread that runs it, which starts exactly one helper.
+// The fleet runs on a fresh thread, so no earlier test in this process
+// has started that thread's helper already.
+TEST(GeneratorPipe, AFleetStartsOneHelperOnTheThreadThatStepsIt)
 {
     core::NodeConfig node;
     node.system.physMemBytes = 64ULL * 1024 * 1024;
@@ -225,14 +226,12 @@ TEST(GeneratorPipe, ClusterStartsAtMostOneHelperPerSweepThread)
 
     std::uint64_t before = GeneratorPipe::helpersStarted();
     cluster::ClusterReport rep;
-    {
+    std::thread stepper([&] {
         cluster::ClusterSim sim(node, plan, cc, profile);
-        harness::ParallelSweep sweep(2);
-        rep = sim.run(sweep);
-    }
-    std::uint64_t started = GeneratorPipe::helpersStarted() - before;
-    EXPECT_GE(started, 1u);
-    EXPECT_LE(started, 2u);
+        rep = sim.run();
+    });
+    stepper.join();
+    EXPECT_EQ(1u, GeneratorPipe::helpersStarted() - before);
     std::uint64_t busy_nodes = 0;
     for (std::uint64_t n : rep.nodeArrivals)
         busy_nodes += n > 0;
