@@ -25,12 +25,13 @@ function(indra_gtest target)
 endfunction()
 
 # indra_test(<name> LABEL <label> COMMAND <cmd>... [PROPERTIES <p> <v>...])
-# One add_test carrying <label> and any further test properties.
+# One add_test carrying <label> (a label or a list of labels) and any
+# further test properties.
 function(indra_test name)
     cmake_parse_arguments(PARSE_ARGV 1 arg "" "LABEL" "COMMAND;PROPERTIES")
     indra_require_label(indra_test ${name} "${arg_LABEL}")
     add_test(NAME ${name} COMMAND ${arg_COMMAND})
-    set_tests_properties(${name} PROPERTIES LABELS ${arg_LABEL}
+    set_tests_properties(${name} PROPERTIES LABELS "${arg_LABEL}"
         ${arg_PROPERTIES})
 endfunction()
 
@@ -40,15 +41,18 @@ endfunction()
 # and `--jobs 8` (cmake/jobs_identity.cmake) and fails on a nonzero
 # exit, so a --smoke run's self-checks are enforced too, or on any
 # stdout difference between the two. With GOLDEN, the --jobs 1 stdout
-# must also equal <file> (relative to the source root) byte for byte.
+# must also equal <file> (relative to the source root) byte for byte,
+# and the test also carries the `golden` label (`ctest -L golden`).
 function(indra_jobs_identity_test name)
     cmake_parse_arguments(PARSE_ARGV 1 arg "" "LABEL;GOLDEN" "COMMAND")
     list(POP_FRONT arg_COMMAND target)
     set(golden "")
+    set(labels ${arg_LABEL})
     if(arg_GOLDEN)
         set(golden -DGOLDEN=${PROJECT_SOURCE_DIR}/${arg_GOLDEN})
+        list(APPEND labels golden)
     endif()
-    indra_test(${name} LABEL "${arg_LABEL}"
+    indra_test(${name} LABEL "${labels}"
         COMMAND ${CMAKE_COMMAND} ${golden} -P
                 ${PROJECT_SOURCE_DIR}/cmake/jobs_identity.cmake
                 $<TARGET_FILE:${target}> ${arg_COMMAND})

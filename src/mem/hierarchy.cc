@@ -155,9 +155,8 @@ MemHierarchy::fillRun(FillPath &path, Tick tick, Addr base,
         path.dram.rowHits += m * step.rowHits;
         path.dram.rowMisses += m * step.rowMisses;
         path.dram.rowConflicts += m * step.rowConflicts;
-        const double samples[2] = {static_cast<double>(step.sampled[0]),
-                                   static_cast<double>(step.sampled[1])};
-        path.dram.latency.sampleRepeat(samples, run.writeback ? 2 : 1, m);
+        path.dram.latency.sampleRepeat(step.sampled, run.writeback ? 2 : 1,
+                                       m);
         ++repeatedRuns;
         return cost + shift;
     }

@@ -309,7 +309,8 @@ class MemHierarchy
      * line that leaves the bus and both banks as the line before it
      * did, relative to its end tick, proves that every later line
      * repeats it; those lines are then charged in one step, their
-     * latencies sampled in order through Moments::sampleRepeat().
+     * latencies included: Moments::sampleRepeat() adds them in closed
+     * form, bit for bit as the per-line samples would.
      * @return the cycles the lines took
      */
     Cycles fillRun(FillPath &path, Tick tick, Addr base, std::uint32_t n,

@@ -112,77 +112,113 @@ class Formula : public StatBase
 };
 
 /**
- * Sample distribution: tracks count, sum, min, max, and — via
- * Welford's online algorithm, which stays accurate even when the
- * variance is tiny next to the mean — the standard deviation.
+ * Sample distribution: tracks count, sum, min, max and the standard
+ * deviation. The spread is kept as exact shifted sums, Σ(v − K) and
+ * Σ(v − K)² around the first sample K, so it survives a large mean
+ * with a tiny variance (response times in the 1e9-cycle range) where
+ * E[x²] − E[x]² cancels to 0, and a sample costs no divide.
  */
 class Distribution : public StatBase
 {
   public:
     /**
-     * The running moments of one sample stream. accumulate() is the
-     * only Welford update in the tree, one call per sample:
-     * Distribution::sample forwards to sample(), and a batch kernel
-     * (MemHierarchy::pageTransfer) copies the moments into a local,
-     * samples every value in order (a repeating run of values through
-     * sampleRepeat()), and stores them back. Welford rounding is
-     * order-dependent, so samples are never merged or reordered.
+     * The running moments of one sample stream: count, total, min,
+     * max and the shifted sums s1 = Σ(v − shift) and s2 = Σ(v − shift)²,
+     * where shift is the stream's first sample. A sample is one
+     * subtract, one multiply and three adds; mean and variance are
+     * derived when read. Distribution::sample forwards to sample(),
+     * and a batch kernel (MemHierarchy::pageTransfer) copies the
+     * moments into a local, samples every value in order (a repeating
+     * run of values through sampleRepeat()) and stores them back.
+     *
+     * For integer samples every sum is an exact integer while it
+     * stays below 2^53 in magnitude, so within that bound the order
+     * of the samples cannot change a bit; sampleRepeat() relies on it
+     * to charge a repeating run in closed form.
      */
     struct Moments
     {
         std::uint64_t n = 0;
         double total = 0;
-        double runMean = 0;  //!< Welford running mean
-        double m2 = 0;       //!< Welford sum of squared deviations
         double lo = 0;
         double hi = 0;
+        double shift = 0;  //!< K, the first sample
+        double s1 = 0;     //!< Σ(v − K)
+        double s2 = 0;     //!< Σ(v − K)²
 
         void
         sample(double v)
         {
             if (n == 0) {
-                lo = hi = v;
+                lo = hi = shift = v;
             } else {
                 lo = std::min(lo, v);
                 hi = std::max(hi, v);
             }
-            accumulate(v);
+            ++n;
+            total += v;
+            const double d = v - shift;
+            s1 += d;
+            s2 += d * d;
         }
 
         /**
-         * sample() each of the @p k values @p v, in order, @p reps
-         * times over: the same Welford updates in the same order. The
-         * min and max are taken on the first pass only, because a
-         * second pass over the same values cannot move them.
+         * sample() each of the @p k integer values @p v, in order,
+         * @p reps times over, bit for bit. The first pass samples
+         * them one by one. The other reps − 1 passes are charged in
+         * closed form (count, total, s1 and s2 each grow by reps − 1
+         * times one pass's increment) when the start state and the
+         * values are integers and every partial sum the loop would
+         * form stays below 2^53 in magnitude: then every add of the
+         * loop is exact, and so is the closed form. Otherwise the
+         * passes are sampled one by one. A second pass over the same
+         * values cannot move the min or max.
          */
         void
-        sampleRepeat(const double *v, std::size_t k, std::uint64_t reps)
+        sampleRepeat(const std::uint64_t *v, std::size_t k,
+                     std::uint64_t reps)
         {
             if (reps == 0)
                 return;
             for (std::size_t i = 0; i < k; ++i)
-                sample(v[i]);
-            for (std::uint64_t r = 1; r < reps; ++r) {
+                sample(static_cast<double>(v[i]));
+            const std::uint64_t m = reps - 1;
+            if (m == 0)
+                return;
+
+            // One pass's increments, and bounds on every partial sum:
+            // all terms are integers, so nonnegative sums only grow
+            // and a rounded one can never come out below 2^53.
+            double sv = 0, sd = 0, sd_abs = 0, sd2 = 0;
+            for (std::size_t i = 0; i < k; ++i) {
+                const double x = static_cast<double>(v[i]);
+                const double d = x - shift;
+                sv += x;
+                sd += d;
+                sd_abs += std::abs(d);
+                sd2 += d * d;
+            }
+            const double reps_left = static_cast<double>(m);
+            constexpr double exact = 9007199254740992.0;  // 2^53
+            if (isInteger(shift) && isInteger(total) && isInteger(s1) &&
+                isInteger(s2) &&
+                std::abs(total) + reps_left * sv < exact &&
+                std::abs(s1) + reps_left * sd_abs < exact &&
+                s2 + reps_left * sd2 < exact) {
+                n += k * m;
+                total += reps_left * sv;
+                s1 += reps_left * sd;
+                s2 += reps_left * sd2;
+                return;
+            }
+            for (std::uint64_t r = 0; r < m; ++r) {
                 for (std::size_t i = 0; i < k; ++i)
-                    accumulate(v[i]);
+                    sample(static_cast<double>(v[i]));
             }
         }
 
       private:
-        /** The count, total and Welford update of one sample. */
-        void
-        accumulate(double v)
-        {
-            ++n;
-            total += v;
-            // Welford update: E[x^2] - E[x]^2 cancels catastrophically
-            // for large-mean/small-variance samples (e.g. response
-            // times in the 1e9-cycle range), reporting 0 where the
-            // true spread is small but nonzero.
-            double delta = v - runMean;
-            runMean += delta / n;
-            m2 += delta * (v - runMean);
-        }
+        static bool isInteger(double x) { return std::trunc(x) == x; }
     };
 
     Distribution(StatGroup &parent, std::string name, std::string desc);
@@ -199,19 +235,19 @@ class Distribution : public StatBase
     double maxValue() const { return m.n ? m.hi : 0.0; }
 
     /**
-     * Population variance (m2 / n). Welford keeps m2 mathematically
-     * nonnegative, but the final `delta * (v - runMean)` product can
-     * round to a tiny negative value when the spread is at the limit
-     * of double precision; that residue is clamped to 0 here so
-     * stddev() can never take sqrt of a negative and return NaN.
-     * n < 2 (no spread information) reports 0.
+     * Population variance, (s2 − s1²/n) / n. The two terms can round
+     * to a tiny negative difference when the spread is at the limit of
+     * double precision; that residue is clamped to 0 here so stddev()
+     * can never take sqrt of a negative and return NaN. n < 2 (no
+     * spread information) reports 0.
      */
     double
     variance() const
     {
         if (m.n < 2)
             return 0.0;
-        double var = m.m2 / m.n;
+        const double count = static_cast<double>(m.n);
+        const double var = (m.s2 - m.s1 * m.s1 / count) / count;
         return var > 0 ? var : 0.0;
     }
 
@@ -264,8 +300,8 @@ class Histogram : public StatBase
     /**
      * Record @p k samples of the same value @p v, exactly equivalent
      * to k sample(v) calls: every histogram counter is integral, so
-     * batching is lossless (unlike Welford moments, which must stay
-     * per-sample to keep rounding identical).
+     * batching is lossless (as Distribution::Moments::sampleRepeat is
+     * for integer samples inside its 2^53 bound).
      */
     void
     sampleN(double v, std::uint64_t k)

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -91,8 +93,8 @@ TEST(Distribution, ResetClears)
 
 // Regression: the old E[x^2] - E[x]^2 formula cancelled
 // catastrophically for large-mean/small-variance samples (typical
-// response-time distributions) and reported 0; Welford's algorithm
-// keeps full precision.
+// response-time distributions) and reported 0; sums shifted by the
+// first sample keep full precision.
 TEST(Distribution, StddevSurvivesLargeMean)
 {
     StatGroup g("g");
@@ -134,8 +136,8 @@ TEST(Distribution, SingleSampleHasZeroSpread)
     EXPECT_FALSE(std::isnan(d.stddev()));
 }
 
-// A constant stream has zero variance *exactly*: the first sample
-// makes runMean == v, every later delta contribution is a clean 0,
+// A constant stream has zero variance *exactly*: the first sample is
+// the shift, so every later v - shift contribution is a clean 0,
 // and the clamp guarantees sqrt never sees a negative residue. The
 // naive E[x^2]-E[x]^2 form rounds this to a tiny negative for large
 // magnitudes and poisons stddev with NaN.
@@ -153,10 +155,10 @@ TEST(Distribution, ConstantSamplesHaveExactlyZeroVariance)
     }
 }
 
-// The variance clamp: m2 is provably nonnegative under IEEE
-// round-to-nearest (each increment multiplies two same-sign factors),
-// but the clamp keeps stddev() NaN-free even against adversarial
-// large-mean/tiny-spread streams at the limit of double precision.
+// The variance clamp: s2 − s1²/n is nonnegative in exact arithmetic,
+// but its two terms can round past each other, and the clamp keeps
+// stddev() NaN-free even against adversarial large-mean/tiny-spread
+// streams at the limit of double precision.
 TEST(Distribution, StddevNeverNanUnderTinySpread)
 {
     StatGroup g("g");
@@ -170,55 +172,351 @@ TEST(Distribution, StddevNeverNanUnderTinySpread)
     EXPECT_GE(d.stddev(), 0.0);
 }
 
+namespace
+{
+
+using Moments = Distribution::Moments;
+
+std::uint64_t
+bits(double v)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+}
+
+/** Every field of @p got equals @p want's, bit for bit. */
+void
+expectSameMoments(const Moments &got, const Moments &want)
+{
+    EXPECT_EQ(got.n, want.n);
+    EXPECT_EQ(bits(got.total), bits(want.total));
+    EXPECT_EQ(bits(got.lo), bits(want.lo));
+    EXPECT_EQ(bits(got.hi), bits(want.hi));
+    EXPECT_EQ(bits(got.shift), bits(want.shift));
+    EXPECT_EQ(bits(got.s1), bits(want.s1));
+    EXPECT_EQ(bits(got.s2), bits(want.s2));
+}
+
+} // anonymous namespace
+
 // Moments::sampleRepeat stands for a loop of sample() calls over a
-// repeating run of values (the extrapolated DRAM fill chain): every
-// moment must come out bit for bit as the loop leaves it.
+// repeating run of integer values (the extrapolated DRAM fill chain):
+// every field must come out bit for bit as the loop leaves it, both
+// where the closed form applies and where a sum leaves the 2^53 bound
+// or the state is not integral and the loop runs instead.
 TEST(Distribution, SampleRepeatEqualsPerSampleLoop)
 {
-    using Moments = Distribution::Moments;
+    enum class Path
+    {
+        Closed,     //!< the closed form applies and equals the loop
+        PastBound,  //!< a sum passes 2^53, where a closed form differs
+        Fraction,   //!< the state is not integral
+    };
     struct Case
     {
         const char *what;
         Moments start;
-        std::vector<double> run;
+        std::vector<std::uint64_t> run;
         std::uint64_t reps;
+        Path path;
     };
     Moments warm;
     for (double v : {300.0, 180.0, 250.0})
         warm.sample(v);
     Moments big;
     big.sample(9007199254740000.0);  // total just below 2^53
+    Moments wide;
+    wide.sample(0.0);  // shift 0: the run's squares pass 2^53
+    Moments fractional;
+    fractional.sample(0.5);  // a non-integral shift and total
     const Case cases[] = {
-        {"from n = 0, one value", Moments{}, {140.0}, 7},
-        {"from n = 0, a pair", Moments{}, {140.0, 380.0}, 5},
-        {"pair below lo", warm, {120.0, 130.0}, 9},
-        {"pair above hi", warm, {400.0, 390.0}, 9},
-        {"pair moving lo and hi", warm, {100.0, 500.0}, 3},
-        {"pair inside", warm, {200.0, 260.0}, 11},
-        {"one repetition", warm, {170.0, 310.0}, 1},
-        {"no repetition", warm, {170.0, 310.0}, 0},
-        {"total near 2^53", big, {523.0, 1.0}, 64},
+        {"from n = 0, one value", Moments{}, {140}, 7, Path::Closed},
+        {"from n = 0, a pair", Moments{}, {140, 380}, 5, Path::Closed},
+        {"pair below lo", warm, {120, 130}, 9, Path::Closed},
+        {"pair above hi", warm, {400, 390}, 9, Path::Closed},
+        {"pair moving lo and hi", warm, {100, 500}, 3, Path::Closed},
+        {"pair inside", warm, {200, 260}, 11, Path::Closed},
+        {"one repetition", warm, {170, 310}, 1, Path::Closed},
+        {"no repetition", warm, {170, 310}, 0, Path::Closed},
+        {"total near 2^53", big, {523, 1}, 64, Path::PastBound},
+        {"s2 past 2^53", wide, {95000001, 3}, 9, Path::PastBound},
+        {"fractional start", fractional, {140, 380}, 6, Path::Fraction},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(c.what);
         Moments looped = c.start;
         for (std::uint64_t r = 0; r < c.reps; ++r) {
-            for (double v : c.run)
-                looped.sample(v);
+            for (std::uint64_t v : c.run)
+                looped.sample(static_cast<double>(v));
         }
         Moments repeated = c.start;
         repeated.sampleRepeat(c.run.data(), c.run.size(), c.reps);
-        auto bits = [](double v) {
-            std::uint64_t b;
-            std::memcpy(&b, &v, sizeof(b));
-            return b;
-        };
-        EXPECT_EQ(repeated.n, looped.n);
-        EXPECT_EQ(bits(repeated.total), bits(looped.total));
-        EXPECT_EQ(bits(repeated.runMean), bits(looped.runMean));
-        EXPECT_EQ(bits(repeated.m2), bits(looped.m2));
-        EXPECT_EQ(bits(repeated.lo), bits(looped.lo));
-        EXPECT_EQ(bits(repeated.hi), bits(looped.hi));
+        expectSameMoments(repeated, looped);
+
+        // Where a sum passes 2^53 the loop rounds, and a closed form
+        // taken there would differ from it.
+        if (c.reps < 2 || c.path == Path::Fraction)
+            continue;
+        Moments once = c.start;
+        once.sampleRepeat(c.run.data(), c.run.size(), 1);
+        double pass_total = 0, pass_s2 = 0;
+        for (std::uint64_t v : c.run) {
+            const double d = static_cast<double>(v) - once.shift;
+            pass_total += static_cast<double>(v);
+            pass_s2 += d * d;
+        }
+        const double more = static_cast<double>(c.reps - 1);
+        const bool closed_equal =
+            bits(once.total + more * pass_total) == bits(looped.total) &&
+            bits(once.s2 + more * pass_s2) == bits(looped.s2);
+        EXPECT_EQ(closed_equal, c.path == Path::Closed);
+    }
+}
+
+namespace
+{
+
+/** Exact sums of an integer stream in 128 bits: the reference. */
+struct ExactSums
+{
+    std::uint64_t n = 0;
+    __int128 shift = 0;
+    __int128 total = 0;
+    __int128 s1 = 0;
+    __int128 s2 = 0;
+
+    void
+    sample(std::uint64_t v)
+    {
+        const __int128 x = v;
+        if (n == 0)
+            shift = x;
+        ++n;
+        total += x;
+        s1 += x - shift;
+        s2 += (x - shift) * (x - shift);
+    }
+
+    /** The population variance, (n·s2 − s1²) / n², from exact sums. */
+    long double
+    variance() const
+    {
+        const __int128 num = static_cast<__int128>(n) * s2 - s1 * s1;
+        const long double nn = static_cast<long double>(n);
+        return static_cast<long double>(num) / (nn * nn);
+    }
+};
+
+/** Values in [lo, lo + span) drawn from a fixed-seed engine. */
+class IntStream
+{
+  public:
+    IntStream(std::uint64_t seed, std::uint64_t lo, std::uint64_t span)
+        : rng(seed), lo(lo), span(span)
+    {
+    }
+
+    std::uint64_t next() { return lo + rng() % span; }
+
+  private:
+    std::mt19937_64 rng;
+    std::uint64_t lo;
+    std::uint64_t span;
+};
+
+void
+expectExact(Distribution &d, const ExactSums &ref)
+{
+    ASSERT_EQ(d.count(), ref.n);
+    // Every exact sum is below 2^53, so each double must hold it.
+    EXPECT_EQ(d.sum(), static_cast<double>(ref.total));
+    EXPECT_EQ(d.moments().s1, static_cast<double>(ref.s1));
+    EXPECT_EQ(d.moments().s2, static_cast<double>(ref.s2));
+    const long double var = ref.variance();
+    EXPECT_NEAR(static_cast<long double>(d.variance()), var,
+                var * 1e-12L);
+}
+
+} // anonymous namespace
+
+// The shifted sums of an integer stream are exact integers: a
+// DRAM-like latency stream (sampled one by one and in repeating runs,
+// as the page-transfer kernel does), an occupancy-like stream and a
+// response-time-like stream with a 1e9-cycle mean all equal a 128-bit
+// integer reference, and the variance derived from them is within
+// 1e-12 of the exact one.
+TEST(Distribution, ShiftedSumsAreExactOverIntegerStreams)
+{
+    struct StreamCase
+    {
+        const char *what;
+        std::uint64_t lo;
+        std::uint64_t span;
+        int samples;
+    };
+    const StreamCase streams[] = {
+        {"dram latency", 96, 520, 200000},
+        {"fifo occupancy", 0, 65, 200000},
+        {"response time", 1000000000, 40000, 20000},
+    };
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        for (const StreamCase &s : streams) {
+            SCOPED_TRACE(s.what);
+            SCOPED_TRACE(seed);
+            StatGroup g("g");
+            Distribution d(g, "d", "");
+            ExactSums ref;
+            IntStream in(seed, s.lo, s.span);
+            for (int i = 0; i < s.samples; ++i) {
+                const std::uint64_t v = in.next();
+                d.sample(static_cast<double>(v));
+                ref.sample(v);
+            }
+            expectExact(d, ref);
+        }
+
+        // Fill-chain shape: a few single samples, then a run of one
+        // or two latencies repeated up to a page's worth of lines.
+        StatGroup g("g");
+        Distribution d(g, "d", "");
+        ExactSums ref;
+        IntStream in(seed, 96, 520);
+        for (int page = 0; page < 5000; ++page) {
+            for (int i = 0; i < 3; ++i) {
+                const std::uint64_t v = in.next();
+                d.sample(static_cast<double>(v));
+                ref.sample(v);
+            }
+            const std::uint64_t run[2] = {in.next(), in.next()};
+            const std::size_t k = 1 + in.next() % 2;
+            const std::uint64_t reps = in.next() % 64;
+            d.moments().sampleRepeat(run, k, reps);
+            for (std::uint64_t r = 0; r < reps; ++r) {
+                for (std::size_t i = 0; i < k; ++i)
+                    ref.sample(run[i]);
+            }
+        }
+        expectExact(d, ref);
+    }
+}
+
+// Inside the bound a repeating run costs one step, however long: a
+// trillion passes (which a per-sample loop could not finish) come out
+// as the exact integer sums.
+TEST(Distribution, SampleRepeatChargesLongRunsInClosedForm)
+{
+    Moments m;
+    const std::uint64_t run[2] = {140, 141};
+    const std::uint64_t reps = 1000000000000ull;
+    m.sampleRepeat(run, 2, reps);
+    EXPECT_EQ(m.n, 2 * reps);
+    EXPECT_EQ(m.total, 281.0 * static_cast<double>(reps));
+    EXPECT_EQ(m.s1, static_cast<double>(reps));
+    EXPECT_EQ(m.s2, static_cast<double>(reps));
+    EXPECT_EQ(m.lo, 140.0);
+    EXPECT_EQ(m.hi, 141.0);
+}
+
+namespace
+{
+
+/**
+ * The former moment update, kept as a reference: Welford's running
+ * mean and sum of squared deviations, one divide per sample.
+ */
+struct WelfordReference
+{
+    std::uint64_t n = 0;
+    double runMean = 0;
+    double m2 = 0;
+
+    void
+    sample(double v)
+    {
+        ++n;
+        const double delta = v - runMean;
+        runMean += delta / static_cast<double>(n);
+        m2 += delta * (v - runMean);
+    }
+
+    double
+    stddev() const
+    {
+        if (n < 2)
+            return 0.0;
+        const double var = m2 / static_cast<double>(n);
+        return var > 0 ? std::sqrt(var) : 0.0;
+    }
+};
+
+} // anonymous namespace
+
+// The shifted sums and the former Welford update agree on every
+// stream kind the simulator samples, integer and fractional, to 1e-12
+// relative, so the change of algorithm can move a 12-digit stddev by
+// at most its last digit. Where they part further, on a
+// 1e9-mean stream whose spread is 1e-5 of its mean, the shifted sums
+// are the exact ones and Welford's running mean is what drifts.
+TEST(Distribution, StddevAgreesWithWelfordReference)
+{
+    struct StreamCase
+    {
+        const char *what;
+        std::function<double(std::mt19937_64 &)> draw;
+        int samples;
+    };
+    const StreamCase streams[] = {
+        {"dram latency",
+         [](std::mt19937_64 &r) { return 96.0 + double(r() % 520); },
+         200000},
+        {"fifo occupancy",
+         [](std::mt19937_64 &r) { return double(r() % 65); }, 200000},
+        {"response time",
+         [](std::mt19937_64 &r) {
+             return 200000.0 + double(r() % 30000000);
+         },
+         20000},
+        {"dirty line ratio",
+         [](std::mt19937_64 &r) {
+             // Lines backed up over a request's pages * 64 lines.
+             const std::uint64_t lines = 64 * (1 + r() % 40);
+             return double(r() % (lines + 1)) / double(lines);
+         },
+         50000},
+    };
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        for (const StreamCase &s : streams) {
+            SCOPED_TRACE(s.what);
+            SCOPED_TRACE(seed);
+            std::mt19937_64 rng(seed);
+            StatGroup g("g");
+            Distribution d(g, "d", "");
+            WelfordReference ref;
+            for (int i = 0; i < s.samples; ++i) {
+                const double v = s.draw(rng);
+                d.sample(v);
+                ref.sample(v);
+            }
+            ASSERT_GT(ref.stddev(), 0.0);
+            EXPECT_NEAR(d.stddev(), ref.stddev(), ref.stddev() * 1e-12);
+        }
+
+        SCOPED_TRACE(seed);
+        StatGroup g("g");
+        Distribution d(g, "d", "");
+        WelfordReference welford;
+        ExactSums exact;
+        IntStream in(seed, 1000000000, 40000);
+        for (int i = 0; i < 20000; ++i) {
+            const std::uint64_t v = in.next();
+            d.sample(static_cast<double>(v));
+            welford.sample(static_cast<double>(v));
+            exact.sample(v);
+        }
+        const long double truth = std::sqrt(exact.variance());
+        EXPECT_LE(std::fabs(d.stddev() - truth),
+                  std::fabs(welford.stddev() - truth));
     }
 }
 
